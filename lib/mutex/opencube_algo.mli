@@ -52,12 +52,14 @@ type config = {
       (** Arm timers, enquiries and search_father. When [false] the
           algorithm is exactly the Section 3 fault-free protocol. *)
   asker_patience : float;
-      (** Multiplier on the paper's [2·pmax·δ] asker timeout. The paper's
-          value (1.0) is a lower bound; under heavy contention it triggers
-          ill-founded suspicions (safe, but the ablation E13b measures
-          thousands of wasted probes), so 2.0–5.0 is advisable for loaded
-          systems at the cost of proportionally slower failure
-          detection. *)
+      (** Multiplier on the paper's [2·pmax·δ] asker timeout: the
+          deadline by which an asker whose father went silent starts
+          search_father. The paper's value (1.0) is a lower bound. Before
+          suspecting, the asker asks its father whether it still holds
+          the request (a custody query, DESIGN.md §5); up to [pmax]
+          "held" answers postpone the search, so queueing alone rarely
+          triggers one. Larger values cut custody queries at the cost of
+          proportionally slower failure detection. *)
   census_rounds : int;
       (** Hardening beyond the paper: how many token-census confirmation
           rounds a searcher runs before regenerating the token when every
@@ -89,6 +91,10 @@ type stats = {
   tokens_destroyed : int;
       (** duplicate tokens swallowed by a node that already held one *)
   defensive_drops : int;
+  custody_queries : int;
+      (** custody queries an asker sent its father before suspecting it *)
+  custody_confirmed : int;
+      (** "held" answers that postponed a father search *)
 }
 
 (** The protocol core, abstracted over its runtime ({!Runtime.S}). All

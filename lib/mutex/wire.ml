@@ -156,6 +156,13 @@ let encode_to b (m : Message.t) =
     add_int b origin;
     add_int b clock
   | Message.Ra_reply -> Buffer.add_char b '\014'
+  | Message.Custody { rid } ->
+    Buffer.add_char b '\015';
+    add_rid b rid
+  | Message.Custody_answer { rid; held } ->
+    Buffer.add_char b '\016';
+    add_rid b rid;
+    Buffer.add_char b (if held then '\001' else '\000')
 
 let encode m =
   let b = Buffer.create 16 in
@@ -205,6 +212,13 @@ let decode_cursor c : Message.t =
     let clock = read_int c in
     Message.Ra_request { origin; clock }
   | 14 -> Message.Ra_reply
+  | 15 -> Message.Custody { rid = read_rid c }
+  | 16 ->
+    let rid = read_rid c in
+    let held =
+      match read_byte c with 0 -> false | 1 -> true | _ -> corrupt "bad held flag"
+    in
+    Message.Custody_answer { rid; held }
   | _ -> corrupt "bad message tag"
 
 let decode s =

@@ -1,9 +1,10 @@
 (* The fuzz subsystem checked against itself: smoke campaigns over all six
    algorithms, the bit-identical replay guarantee, exact script round-trips,
-   regression reproducers for the two bugs the fuzzer found (the
-   stale-mandate livelock and the mid-CS token transit), and a deliberately
-   sabotaged algorithm that the oracle must catch and the shrinker must
-   reduce to a two-arrival counterexample. *)
+   regression reproducers for the bugs the fuzzer found (among them the
+   stale-mandate livelock, the mid-CS token transit and the
+   ill-founded-suspicion livelock), and a deliberately sabotaged
+   algorithm that the oracle must catch and the shrinker must reduce to a
+   two-arrival counterexample. *)
 
 module Scenario = Ocube_check.Scenario
 module Fuzz = Ocube_check.Fuzz
@@ -164,6 +165,18 @@ let census_after_regen_script =
    arrivals=0.7679406868019728@3;5.0063630193722002@2;6.7945398005843929@0;8.3557305953650491@1;8.8813774408142319@2;11.472967407237723@0;13.069744078395095@3;13.275153969679153@1;16.981889175402802@0;26.931318074736026@3;27.167226255080735@1;28.386777938909027@2;28.653256024547531@2;30.212427315732821@3;31.658410277255669@0;34.047608879624981@1;36.874863861150885@3;37.027354949820058@0;40.724154868727588@0;40.878855517307692@0;41.137971021641@2;42.10671638518069@0;44.927325815913299@0;45.953816507652277@1;50.538843665752381@2;54.996970594552586@1;56.772477569833924@3;56.992765378419556@3;57.560218964468213@0;57.709622771081605@0;62.077995538508318@0;65.135275650311442@2;72.857688632928529@0 \
    faults=49.976386008051961@3;55.332624118841402@1!10.348693095274172;58.480672960175056@3"
 
+(* Found by the fuzzer (seed 1, 40,000 scenarios): 37 wishes on 32 nodes
+   with one fault ran past the 100M-event budget. Ill-founded suspicions
+   fed it: the same scenario completed at patience 1.25 and 1.5, where
+   the askers' 2·pmax·δ deadline outlasts ordinary queueing. The custody
+   query (an asker asks its father before suspecting it) removes those
+   suspicions; the replay now ends within a thousand messages. *)
+let suspicion_livelock_script =
+  "runtime=des algo=opencube p=5 seed=0 delay=constant:0.56009598419429718 \
+   cs=fixed:0.68639722315361529 ft=true patience=1 lifo=false serial=false \
+   arrivals=1.3651546055547807@12;1.3651546055547807@7;1.3651546055547807@8;1.3651546055547807@1;1.3651546055547807@11;1.3651546055547807@21;1.3651546055547807@29;1.3651546055547807@0;1.3651546055547807@26;1.3651546055547807@6;8.5246707218905797@0;8.5246707218905797@19;8.5246707218905797@10;8.5246707218905797@5;8.5246707218905797@4;8.5246707218905797@15;8.5246707218905797@13;8.5246707218905797@20;8.5246707218905797@31;8.5246707218905797@3;8.5246707218905797@6;8.5246707218905797@2;8.5246707218905797@25;8.5246707218905797@16;8.5246707218905797@30;8.5246707218905797@26;8.5246707218905797@9;8.5246707218905797@18;8.5246707218905797@12;8.5246707218905797@22;8.5246707218905797@14;8.5246707218905797@7;8.5246707218905797@8;8.5246707218905797@28;8.5246707218905797@11;8.5246707218905797@21;8.5246707218905797@17 \
+   faults=56.646428424289681@5"
+
 let replay_ok name script =
   match Scenario.of_string script with
   | Error e -> Alcotest.failf "%s: bad script: %s" name e
@@ -180,6 +193,16 @@ let test_regression_stale_enquiry () =
 
 let test_regression_census_after_regen () =
   replay_ok "census after lender regeneration" census_after_regen_script
+
+let test_regression_suspicion_livelock () =
+  match Scenario.of_string suspicion_livelock_script with
+  | Error e -> Alcotest.failf "bad script: %s" e
+  | Ok s -> (
+    match Fuzz.run s with
+    | Error e -> Alcotest.failf "suspicion livelock: %s" e
+    | Ok d ->
+      checki "every surviving wish served" 0 d.Fuzz.outstanding;
+      checkb "no message storm" true (d.Fuzz.messages < 2_000))
 
 (* --- injected bug: caught and shrunk -------------------------------------- *)
 
@@ -307,6 +330,8 @@ let suite =
       test_regression_stale_enquiry;
     Alcotest.test_case "regression: census after lender regeneration" `Quick
       test_regression_census_after_regen;
+    Alcotest.test_case "regression: ill-founded-suspicion livelock quiesces"
+      `Quick test_regression_suspicion_livelock;
     Alcotest.test_case "injected always-grant bug caught and shrunk" `Quick
       test_injected_bug_caught_and_shrunk;
   ]

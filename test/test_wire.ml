@@ -49,6 +49,8 @@ let gen_msg =
         (fun round reply -> Message.Census_reply { round; reply })
         gen_id
         (oneofl [ Types.Token_exists; Types.Census_defer ]);
+      map (fun rid -> Message.Custody { rid }) gen_rid;
+      map2 (fun rid held -> Message.Custody_answer { rid; held }) gen_rid bool;
       return Message.Release;
       map2 (fun origin seq -> Message.Sk_request { origin; seq }) gen_id gen_id;
       map2
@@ -93,6 +95,14 @@ let qcheck_truncation =
         ()
       done;
       !ok)
+
+(* The held flag is one byte, 0 or 1; anything else is corruption. *)
+let test_custody_held_flag () =
+  let rid = { Types.source = 3; seq = 7 } in
+  let s = Wire.encode (Message.Custody_answer { rid; held = true }) in
+  let flipped = String.sub s 0 (String.length s - 1) ^ "\002" in
+  Alcotest.check_raises "held flag 2" (Wire.Corrupt "bad held flag") (fun () ->
+      ignore (Wire.decode flipped))
 
 let test_mix_matches_mix_raw () =
   let m = Message.Release in
@@ -259,6 +269,8 @@ let test_torn_stream_is_corrupt () =
 let suite =
   [
     Alcotest.test_case "mix agrees with mix_raw" `Quick test_mix_matches_mix_raw;
+    Alcotest.test_case "custody answer rejects a bad held flag" `Quick
+      test_custody_held_flag;
     Alcotest.test_case "decoder survives every split point" `Quick
       test_decoder_every_split;
     Alcotest.test_case "decoder byte-at-a-time" `Quick
