@@ -386,11 +386,7 @@ let messages_by_category env = Net.sent_by_category env.net
 let fault_overhead_messages env =
   List.fold_left
     (fun acc (cat, n) ->
-      match cat with
-      | "enquiry" | "enquiry_answer" | "test" | "test_answer" | "anomaly"
-      | "void" | "census" | "census_reply" ->
-        acc + n
-      | _ -> acc)
+      if Message.is_fault_overhead_category cat then acc + n else acc)
     0
     (messages_by_category env)
 

@@ -129,7 +129,7 @@ val messages_sent : env -> int
 val messages_by_category : env -> (string * int) list
 
 val fault_overhead_messages : env -> int
-(** Messages in the fault-machinery categories (enquiry, answers, test,
-    anomaly). *)
+(** Messages in the fault-machinery categories, as classified by
+    {!Types.Message.is_fault_overhead_category}. *)
 
 val reset_message_counters : env -> unit
