@@ -372,27 +372,20 @@ let () =
 
 (* --- event-core and open-loop traffic kernels ----------------------------- *)
 
-(* Raw scheduler churn, no protocol: 100k packed events with mixed
-   delays (spanning level-0/1/2 buckets), drained to empty. One rung per
-   discipline pins the wheel's advantage and catches regressions in
-   either queue. *)
+(* Raw event-queue churn, no protocol: 100k packed events with mixed
+   delays, drained to empty. *)
 let () =
-  let churn sched name =
-    reg_median ~name (fun () ->
-        let e = Engine.create ~sched () in
-        let counter = ref 0 in
-        let cls = Engine.register_class e (fun a _ -> counter := !counter + a) in
-        let rng = Rng.create 11 in
-        for _ = 1 to 100_000 do
-          ignore
-            (Engine.schedule_packed e ~delay:(Rng.float rng 50.0) ~cls ~a:1
-               ~b:0)
-        done;
-        Engine.run e;
-        assert (!counter = 100_000))
-  in
-  churn Engine.Wheel "engine_churn_wheel_100k";
-  churn Engine.Heap "engine_churn_heap_100k"
+  reg_median ~name:"engine_churn_heap_100k" (fun () ->
+      let e = Engine.create () in
+      let counter = ref 0 in
+      let cls = Engine.register_class e (fun a _ -> counter := !counter + a) in
+      let rng = Rng.create 11 in
+      for _ = 1 to 100_000 do
+        ignore
+          (Engine.schedule_packed e ~delay:(Rng.float rng 50.0) ~cls ~a:1 ~b:0)
+      done;
+      Engine.run e;
+      assert (!counter = 100_000))
 
 (* One heavy-traffic open-loop cell (the sweep's unit of work): 64 nodes,
    aggregate Poisson at 1.2x capacity over 200 time units, drained. *)
@@ -464,7 +457,6 @@ let quick_names =
     "scale_btransform_chain_p18";
     "scale_btransform_chain_p20";
     "simulate_n_1M";
-    "engine_churn_wheel_100k";
     "engine_churn_heap_100k";
     "sweep_open_loop_heavy_n64";
     "scale_packed_encode_256";

@@ -16,7 +16,6 @@ module Exp_common = Ocube_harness.Exp_common
 module Export = Ocube_obs.Export
 module Span = Ocube_obs.Span
 module Trace = Ocube_sim.Trace
-module Engine = Ocube_sim.Engine
 module Exp_sweep = Ocube_harness.Exp_sweep
 
 (* --- shared arguments ---------------------------------------------------- *)
@@ -44,69 +43,7 @@ let algo_arg =
   in
   Arg.(value & opt string "opencube" & info [ "a"; "algo" ] ~docv:"ALGO" ~doc)
 
-(* Evaluates to (), flipping the process-wide open-cube representation as
-   a side effect before the command body runs: compose it as the first
-   argument of a command's term. *)
-let topology_term =
-  let doc =
-    "Open-cube topology representation: $(b,implicit) (closed-form id \
-     arithmetic over a flat Bigarray father vector; scales to N in the \
-     millions) or $(b,explicit) (the record-and-adjacency reference \
-     oracle). The two are observationally identical; see DESIGN.md \
-     section 11."
-  in
-  let mode_conv =
-    let parse s =
-      match Opencube.mode_of_string s with
-      | Some m -> Ok m
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown topology %S (expected explicit or implicit)"
-               s))
-    in
-    let print ppf m = Format.pp_print_string ppf (Opencube.mode_to_string m) in
-    Arg.conv (parse, print)
-  in
-  let arg =
-    Arg.(
-      value
-      & opt mode_conv Opencube.Implicit
-      & info [ "topology" ] ~docv:"MODE" ~doc)
-  in
-  Term.(const Opencube.set_default_mode $ arg)
-
 let kind_of_string = Exp_common.kind_of_string
-
-(* Like [topology_term]: evaluates to (), setting the process-wide event
-   scheduler before the command body runs. *)
-let scheduler_term =
-  let doc =
-    "Event-queue discipline: $(b,wheel) (hierarchical timing wheel — O(1) \
-     schedule/fire, the fast default) or $(b,heap) (binary heap, kept as \
-     the determinism oracle). Both fire events in the identical \
-     (time, seq) order, so a seed reproduces the same run under either; \
-     see DESIGN.md section 13."
-  in
-  let sched_conv =
-    let parse s =
-      match Engine.sched_of_string s with
-      | Some m -> Ok m
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown scheduler %S (expected heap or wheel)" s))
-    in
-    let print ppf m = Format.pp_print_string ppf (Engine.sched_to_string m) in
-    Arg.conv (parse, print)
-  in
-  let arg =
-    Arg.(
-      value
-      & opt sched_conv Engine.Wheel
-      & info [ "scheduler" ] ~docv:"SCHED" ~doc)
-  in
-  Term.(const Engine.set_default_scheduler $ arg)
 
 let write_file path contents =
   let oc = open_out path in
@@ -297,8 +234,7 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc)
     Term.(
-      const (fun () () -> run_simulate)
-      $ topology_term $ scheduler_term $ algo_arg $ nodes_arg $ seed_arg
+      const run_simulate $ algo_arg $ nodes_arg $ seed_arg
       $ rate_arg $ horizon_arg $ cs_arg $ failures_arg $ recover_arg
       $ patience_arg $ verbose_arg $ metrics_arg $ trace_out_arg)
 
@@ -362,8 +298,7 @@ let metrics_cmd =
   in
   Cmd.v (Cmd.info "metrics" ~doc)
     Term.(
-      const (fun () () -> run_metrics)
-      $ topology_term $ scheduler_term $ algo_arg $ nodes_arg $ seed_arg
+      const run_metrics $ algo_arg $ nodes_arg $ seed_arg
       $ rate_arg $ horizon_arg $ cs_arg $ format_arg)
 
 (* --- tree ------------------------------------------------------------------- *)
@@ -406,9 +341,9 @@ let tree_cmd =
   Cmd.v
     (Cmd.info "tree" ~doc)
     Term.(
-      const (fun () p reqs seed ->
+      const (fun p reqs seed ->
           run_tree p (List.map (fun r -> r - 1) reqs) seed)
-      $ topology_term $ p_arg $ req_arg $ seed_arg)
+      $ p_arg $ req_arg $ seed_arg)
 
 (* --- dot -------------------------------------------------------------------- *)
 
@@ -448,9 +383,8 @@ let dot_cmd =
   let doc = "Export the (possibly evolved) open-cube as Graphviz DOT." in
   Cmd.v (Cmd.info "dot" ~doc)
     Term.(
-      const (fun () p reqs seed out ->
+      const (fun p reqs seed out ->
           run_dot p (List.map (fun r -> r - 1) reqs) seed out)
-      $ topology_term
       $ p_arg $ req_arg $ seed_arg $ out_arg)
 
 (* --- walkthrough ------------------------------------------------------------ *)
@@ -722,8 +656,7 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
-      const (fun () () -> run_fuzz)
-      $ topology_term $ scheduler_term $ seed_arg $ jobs_arg $ iters_arg
+      const run_fuzz $ seed_arg $ jobs_arg $ iters_arg
       $ time_arg $ algos_arg $ max_p_arg $ no_faults_arg $ runtime_arg
       $ replay_arg $ progress_arg)
 
@@ -970,60 +903,8 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
-      const (fun () () -> run_sweep)
-      $ topology_term $ scheduler_term $ seed_arg $ jobs_arg $ algos_arg
+      const run_sweep $ seed_arg $ jobs_arg $ algos_arg
       $ loads_arg $ sizes_arg $ horizon_arg $ out_arg)
-
-(* --- lint ------------------------------------------------------------------- *)
-
-let run_lint root allowlist no_allowlist check_allowlist dirs =
-  let allowlist_file =
-    if no_allowlist || not (Sys.file_exists allowlist) then None
-    else Some allowlist
-  in
-  let dirs = match dirs with [] -> [ "lib"; "bin"; "test" ] | ds -> ds in
-  let text, code =
-    Ocube_lint.Driver.main ~root ?allowlist_file ~check_allowlist ~dirs ()
-  in
-  print_string text;
-  code
-
-let lint_cmd =
-  let root_arg =
-    let doc =
-      "Directory holding the compiled tree with .cmt files (run $(b,dune \
-       build @check) first)."
-    in
-    Arg.(value & opt string "_build/default" & info [ "root" ] ~docv:"DIR" ~doc)
-  in
-  let allowlist_arg =
-    let doc = "Checked-in file-granular exemptions (skipped if absent)." in
-    Arg.(value & opt string "lint.allow" & info [ "allowlist" ] ~docv:"FILE" ~doc)
-  in
-  let no_allowlist_arg =
-    let doc = "Ignore the allowlist and report every finding." in
-    Arg.(value & flag & info [ "no-allowlist" ] ~doc)
-  in
-  let check_allowlist_arg =
-    let doc =
-      "Also flag allowlist entries that suppress nothing or lack a \
-       justification."
-    in
-    Arg.(value & flag & info [ "check-allowlist" ] ~doc)
-  in
-  let dirs_arg =
-    let doc = "Subtrees to scan (default: lib bin test)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"DIR" ~doc)
-  in
-  let doc =
-    "Run the ocube-lint typed-AST checks (intraprocedural rules plus the \
-     call-graph passes: determinism taint, domain races, zero-alloc \
-     proofs) over the compiled tree."
-  in
-  Cmd.v (Cmd.info "lint" ~doc)
-    Term.(
-      const run_lint $ root_arg $ allowlist_arg $ no_allowlist_arg
-      $ check_allowlist_arg $ dirs_arg)
 
 (* --- main ------------------------------------------------------------------- *)
 
@@ -1040,5 +921,5 @@ let () =
           [
             experiments_cmd; list_cmd; simulate_cmd; metrics_cmd; tree_cmd;
             dot_cmd; verify_cmd; walkthrough_cmd; fuzz_cmd; cluster_cmd;
-            sweep_cmd; lint_cmd;
+            sweep_cmd;
           ]))

@@ -23,7 +23,6 @@ open Ocube_mutex
 module Source = Ocube_workload.Source
 module Span = Ocube_obs.Span
 module Json = Ocube_obs.Json
-module Engine = Ocube_sim.Engine
 module Rng = Ocube_sim.Rng
 module Pool = Ocube_par.Pool
 
@@ -161,8 +160,6 @@ let run_cell ~seed ~horizon ~index cell =
   field "n" (string_of_int cell.n);
   field "seed" (string_of_int seed);
   field "horizon" (f2s horizon);
-  field "scheduler"
-    (Json.escape (Engine.sched_to_string (Engine.scheduler (Runner.engine env))));
   field "requests_issued" (string_of_int (Runner.issued env));
   field "requests_completed" (string_of_int count);
   field "violations" (string_of_int (Runner.violations env));

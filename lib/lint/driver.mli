@@ -1,8 +1,8 @@
 (** Discovering [.cmt] files and running the full lint pass.
 
     The driver is pure with respect to output: it returns diagnostics and
-    rendered text, and the executables ([bin/oclint], [ocmutex lint])
-    decide where to print. *)
+    rendered text, and the executable ([bin/oclint]) decides where to
+    print. *)
 
 val find_cmts : root:string -> dirs:string list -> string list
 (** Recursively collect [*.cmt] files under [root/dir] for each [dir]

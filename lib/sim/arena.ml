@@ -4,14 +4,14 @@
    time (unboxed floatarray), a strictly increasing sequence number (the
    FIFO tie-break for equal times), a generation stamp (validates timer
    ids in O(1)), an int-encoded class plus two int payload words, and an
-   intrusive [next] link threading slots through wheel buckets and
-   freelists without a single heap allocation. Closure events keep their
-   thunk in a side array whose free slots hold a shared dummy.
+   intrusive [next] link threading free slots onto the freelist without
+   a single heap allocation. Closure events keep their thunk in a side
+   array whose free slots hold a shared dummy.
 
    Slot states are encoded in [kind]:
      kind = -2  free (on the freelist)
-     kind = -1  tombstone: cancelled, still linked inside a queue; the
-                scheduler frees it when it surfaces
+     kind = -1  tombstone: cancelled, still inside the queue; the
+                engine frees it when it surfaces
      kind >= 0  live, value is the dispatch class
 
    Timer ids pack [(gen lsl slot_bits) lor slot]; a fire or cancel bumps
@@ -105,14 +105,11 @@ let[@ocube.zero_alloc] alloc t ~kind ~a ~b thunk =
   t.a.(s) <- a;
   t.b.(s) <- b;
   t.thunk.(s) <- thunk;
-  t.next.(s) <- no_slot;
   t.live <- t.live + 1;
   s
 
 let[@ocube.zero_alloc] id_of t s =
   ((t.gen.(s) land gen_mask) lsl slot_bits) lor s
-
-let[@ocube.zero_alloc] slot_of_id id = id land slot_mask
 
 (* True iff [s1] fires strictly before [s2]: earlier time, or same time
    and scheduled earlier. *)
@@ -120,16 +117,12 @@ let[@ocube.zero_alloc] before t s1 s2 =
   let t1 = Float.Array.get t.time s1 and t2 = Float.Array.get t.time s2 in
   if t1 < t2 then true else if t1 > t2 then false else t.seq.(s1) < t.seq.(s2)
 
-let time t s = Float.Array.get t.time s
-
 let[@ocube.zero_alloc] set_time t s v = Float.Array.set t.time s v
 
 (* Boxing escape hatch: callers in other modules read/write fire times
    through this array so no float value crosses a (non-inlined) module
    boundary. Replaced wholesale by [grow] — never cache across alloc. *)
 let times t = t.time
-
-let[@ocube.zero_alloc] seq t s = t.seq.(s)
 
 let[@ocube.zero_alloc] kind t s = t.kind.(s)
 
@@ -140,11 +133,6 @@ let payload_b t s = t.b.(s)
 let thunk t s = t.thunk.(s)
 
 let is_tombstone t s = t.kind.(s) = kind_tombstone
-
-(* Intrusive link words: the wheel threads its bucket lists here. *)
-let[@ocube.zero_alloc] next t s = t.next.(s)
-
-let[@ocube.zero_alloc] set_next t s v = t.next.(s) <- v
 
 let[@ocube.zero_alloc] bump_gen t s =
   t.gen.(s) <- (t.gen.(s) + 1) land gen_mask
@@ -180,9 +168,9 @@ let[@ocube.zero_alloc] cancel t id =
 
 (* --- slot min-heaps -------------------------------------------------------
 
-   An int binary heap ordered by the arena's [(time, seq)] key. Used for
-   the heap scheduler, the wheel's current-tick heap and its far-future
-   overflow. Static int arrays: push/pop allocate nothing once warm. *)
+   An int binary heap ordered by the arena's [(time, seq)] key: the
+   engine's event queue. Static int arrays: push/pop allocate nothing
+   once warm. *)
 
 module Slot_heap = struct
   type heap = {
@@ -193,35 +181,36 @@ module Slot_heap = struct
 
   let create arena = { arena; data = [||]; size = 0 }
 
-  let length h = h.size
-
-  let is_empty h = h.size = 0
-
-  let[@ocube.zero_alloc] rec sift_up h i =
-    if i > 0 then begin
+  (* Fill the hole at [i] with slot [s], first moving later-firing
+     parents down into it. *)
+  let[@ocube.zero_alloc] rec sift_up h s i =
+    if i = 0 then h.data.(0) <- s
+    else begin
       let parent = (i - 1) / 2 in
-      if before h.arena h.data.(i) h.data.(parent) then begin
-        let tmp = h.data.(i) in
-        h.data.(i) <- h.data.(parent);
-        h.data.(parent) <- tmp;
-        sift_up h parent
+      let ps = h.data.(parent) in
+      if before h.arena s ps then begin
+        h.data.(i) <- ps;
+        sift_up h s parent
       end
+      else h.data.(i) <- s
     end
 
-  let[@ocube.zero_alloc] rec sift_down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest =
-      if l < h.size && before h.arena h.data.(l) h.data.(i) then l else i
-    in
-    let smallest =
-      if r < h.size && before h.arena h.data.(r) h.data.(smallest) then r
-      else smallest
-    in
-    if smallest <> i then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(smallest);
-      h.data.(smallest) <- tmp;
-      sift_down h smallest
+  (* Fill the hole at [i] with slot [s], first moving earlier-firing
+     children up into it. *)
+  let[@ocube.zero_alloc] rec sift_down h s i =
+    let l = (2 * i) + 1 in
+    if l >= h.size then h.data.(i) <- s
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < h.size && before h.arena h.data.(r) h.data.(l) then r else l
+      in
+      let cs = h.data.(c) in
+      if before h.arena cs s then begin
+        h.data.(i) <- cs;
+        sift_down h s c
+      end
+      else h.data.(i) <- s
     end
 
   let[@ocube.zero_alloc] push h s =
@@ -232,21 +221,15 @@ module Slot_heap = struct
        Array.blit h.data 0 nd 0 h.size;
        h.data <- nd)
       [@ocube.alloc_ok (* amortised doubling *)];
-    h.data.(h.size) <- s;
     h.size <- h.size + 1;
-    sift_up h (h.size - 1)
-
-  let[@ocube.zero_alloc] peek h = if h.size = 0 then no_slot else h.data.(0)
+    sift_up h s (h.size - 1)
 
   let[@ocube.zero_alloc] pop h =
     if h.size = 0 then no_slot
     else begin
       let top = h.data.(0) in
       h.size <- h.size - 1;
-      if h.size > 0 then begin
-        h.data.(0) <- h.data.(h.size);
-        sift_down h 0
-      end;
+      if h.size > 0 then sift_down h h.data.(h.size) 0;
       top
     end
 end

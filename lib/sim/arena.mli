@@ -1,12 +1,12 @@
 (** Packed event records in a freelist arena.
 
-    Both engine schedulers ({!Ocube_sim.Engine}) store their pending
-    events here: one slot per event across parallel flat arrays (unboxed
-    [floatarray] fire times, int class/payload words, an intrusive
-    [next] link), so the hot schedule/fire path allocates nothing once
-    the arrays are warm. Generation stamps make cancellation O(1) and
-    timer ids immune to slot recycling, and the [live] counter is the
-    exact number of pending (scheduled, uncancelled, unfired) events. *)
+    The engine ({!Ocube_sim.Engine}) stores its pending events here: one
+    slot per event across parallel flat arrays (unboxed [floatarray]
+    fire times, int class/payload words, an intrusive freelist link), so
+    the hot schedule/fire path allocates nothing once the arrays are
+    warm. Generation stamps make cancellation O(1) and timer ids immune
+    to slot recycling, and the [live] counter is the exact number of
+    pending (scheduled, uncancelled, unfired) events. *)
 
 type t
 
@@ -26,8 +26,6 @@ val alloc : t -> kind:int -> a:int -> b:int -> (unit -> unit) -> int
 val id_of : t -> int -> int
 (** Generation-stamped timer id for a just-allocated slot. *)
 
-val slot_of_id : int -> int
-
 val cancel : t -> int -> bool
 (** O(1): if the id's generation still matches, turn the slot into a
     tombstone (reclaimed when it surfaces in its queue) and return
@@ -39,24 +37,17 @@ val release : t -> int -> unit
 
 (** {1 Field access} *)
 
-val before : t -> int -> int -> bool
-(** [(time, seq)] strict ordering: the scheduler's fire order. *)
-
-val time : t -> int -> float
-
 val set_time : t -> int -> float -> unit
 (** Stamp a just-allocated slot's fire time (see {!alloc}). *)
 
 val times : t -> floatarray
 (** The backing fire-time array, indexed by slot. Hot paths in the
-    schedulers read and write times through this instead of {!time} /
-    {!set_time}: a [floatarray] crosses a module boundary as a pointer,
-    so the access never boxes a float even when cross-module inlining is
-    off (dev-profile [-opaque]). The array is replaced wholesale when
-    the arena grows — fetch it again after any {!alloc}, never cache it
+    engine read and write times through this instead of {!set_time}: a
+    [floatarray] crosses a module boundary as a pointer, so the access
+    never boxes a float even when cross-module inlining is off
+    (dev-profile [-opaque]). The array is replaced wholesale when the
+    arena grows — fetch it again after any {!alloc}, never cache it
     across one. *)
-
-val seq : t -> int -> int
 
 val kind : t -> int -> int
 (** The dispatch class ([>= 0]) of a live slot; negative for tombstones
@@ -70,37 +61,24 @@ val thunk : t -> int -> unit -> unit
 
 val is_tombstone : t -> int -> bool
 
-val next : t -> int -> int
-(** Intrusive link word of a slot — free for the owning queue to thread
-    bucket or freelist chains through ({!no_slot} terminated). *)
-
-val set_next : t -> int -> int -> unit
-
 val dummy_thunk : unit -> unit
 (** The shared no-op stored in the thunk slot of packed events. *)
 
 val no_slot : int
 (** [-1]: the nil value of slot links and empty heap results. *)
 
-(** {1 Slot heaps}
+(** {1 Slot heap}
 
-    Int binary min-heaps over one arena's [(time, seq)] key — the heap
-    scheduler's queue, and the wheel's current-tick and far-future
-    overflow heaps. *)
+    An int binary min-heap of slots over one arena's [(time, seq)] key:
+    earlier time first, equal times in allocation order. This is the
+    engine's event queue. *)
 
 module Slot_heap : sig
   type heap
 
   val create : t -> heap
 
-  val length : heap -> int
-
-  val is_empty : heap -> bool
-
   val push : heap -> int -> unit
-
-  val peek : heap -> int
-  (** [no_slot] when empty. *)
 
   val pop : heap -> int
   (** [no_slot] when empty. *)

@@ -1,18 +1,8 @@
 (* Discrete-event engine over packed arena slots.
 
    Events live in an {!Arena} — parallel flat arrays, no per-event heap
-   record, no captured closure on the packed path — and are ordered by
-   the global [(time, seq)] key. Two interchangeable queue disciplines
-   sit behind the same interface:
-
-   - [Wheel] (default): hashed hierarchical timing wheel, O(1)
-     schedule/fire for the bounded-delay events that dominate
-     simulation, overflow heap for the far future.
-   - [Heap]: the classic binary heap, kept as the determinism oracle.
-
-   Both pull slots from the same arena, so sequence numbers — and hence
-   the fire order — are identical by construction; fuzz-campaign
-   checksums verify the parity end to end.
+   record, no captured closure on the packed path — and a binary heap of
+   slot indices orders them by the global [(time, seq)] key.
 
    Dispatch is class-based: class 0 calls the slot's stored thunk (the
    general [schedule] path), classes registered with [register_class]
@@ -23,29 +13,6 @@ type timer_id = int
 
 type class_id = int
 
-type sched =
-  | Heap
-  | Wheel
-
-let default_sched = ref Wheel
-
-let set_default_scheduler s = default_sched := s
-
-let default_scheduler () = !default_sched
-
-let sched_to_string = function
-  | Heap -> "heap"
-  | Wheel -> "wheel"
-
-let sched_of_string = function
-  | "heap" -> Some Heap
-  | "wheel" -> Some Wheel
-  | _ -> None
-
-type queue =
-  | Qheap of Arena.Slot_heap.heap
-  | Qwheel of Wheel.t
-
 type hook_id = int
 
 type t = {
@@ -54,8 +21,7 @@ type t = {
      clock is written on every fired event. *)
   clock : floatarray;
   arena : Arena.t;
-  queue : queue;
-  sched : sched;
+  queue : Arena.Slot_heap.heap;
   (* Class 0 is the closure class; the array slot for it is never
      called. Registered handlers receive the event's payload words. *)
   mutable classes : (int -> int -> unit) array;
@@ -72,31 +38,18 @@ let closure_class : class_id = 0
 
 let unreachable_class (_ : int) (_ : int) = ()
 
-let create ?sched ?(tick = 0.25) () =
-  let sched =
-    match sched with
-    | Some s -> s
-    | None -> !default_sched
-  in
+let create () =
   let arena = Arena.create () in
-  let queue =
-    match sched with
-    | Heap -> Qheap (Arena.Slot_heap.create arena)
-    | Wheel -> Qwheel (Wheel.create ~arena ~tick)
-  in
   {
     clock = Float.Array.make 1 0.0;
     arena;
-    queue;
-    sched;
+    queue = Arena.Slot_heap.create arena;
     classes = Array.make 4 unreachable_class;
     n_classes = 1;
     hooks = [];
     next_hook = 0;
     primary_hook = None;
   }
-
-let scheduler t = t.sched
 
 let register_class t handler =
   let id = t.n_classes in
@@ -138,10 +91,7 @@ let run_hook t =
 
 let now t = Float.Array.get t.clock 0
 
-let[@ocube.zero_alloc] enqueue t s =
-  match t.queue with
-  | Qheap h -> Arena.Slot_heap.push h s
-  | Qwheel w -> Wheel.insert w s
+let[@ocube.zero_alloc] enqueue t s = Arena.Slot_heap.push t.queue s
 
 let schedule_at t ~time action =
   if not (Float.is_finite time) then
@@ -175,20 +125,14 @@ let pending t = Arena.live t.arena
 
 let quiescent t = Arena.live t.arena = 0
 
-(* Pop the next live slot, reclaiming tombstones as they surface. The
-   wheel does its own tombstone filtering internally. *)
-let[@ocube.zero_alloc] rec heap_pop_live t h =
-  let s = Arena.Slot_heap.pop h in
+(* Pop the next live slot, reclaiming tombstones as they surface. *)
+let[@ocube.zero_alloc] rec next_live t =
+  let s = Arena.Slot_heap.pop t.queue in
   if s <> Arena.no_slot && Arena.is_tombstone t.arena s then begin
     Arena.release t.arena s;
-    heap_pop_live t h
+    next_live t
   end
   else s
-
-let[@ocube.zero_alloc] next_live t =
-  match t.queue with
-  | Qwheel w -> Wheel.pop w
-  | Qheap h -> heap_pop_live t h
 
 (* Advance the clock and dispatch a popped slot. The slot is released
    before the handler runs: the handler may schedule new events (which
@@ -228,9 +172,8 @@ let run ?(until = infinity) ?(max_steps = max_int) t =
     let s = next_live t in
     if s = Arena.no_slot then continue := false
     else if Float.Array.get (Arena.times t.arena) s > until then begin
-      (* Put it back: the horizon was reached. [Wheel.insert] re-buckets
-         by the event's time, so a far-future event does not pollute the
-         wheel's current tick. *)
+      (* Put it back: the horizon was reached. It keeps its sequence
+         number, so its place among same-time events is unchanged. *)
       enqueue t s;
       Float.Array.set t.clock 0 until;
       continue := false

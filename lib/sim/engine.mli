@@ -5,13 +5,8 @@
     increasing sequence number breaks ties), which makes whole-system runs
     deterministic for a given seed.
 
-    Two queue disciplines implement that contract ({!sched}): a hashed
-    hierarchical timing wheel (the default — O(1) schedule/fire for the
-    bounded-delay events that dominate simulation, an overflow heap for
-    the far future) and a binary heap kept as the determinism oracle.
-    Both store events as packed records in a freelist arena and fire in
-    the identical global [(time, seq)] order, so a seed reproduces the
-    same run under either scheduler.
+    The queue is a binary heap of packed event records kept in a
+    freelist arena ({!Arena}), ordered by the global [(time, seq)] key.
 
     The engine knows nothing about networks or protocols; higher layers
     ({!Ocube_net.Network}, the mutual-exclusion runner) build on [schedule]
@@ -24,29 +19,7 @@ type t
 type timer_id
 (** Handle for a scheduled event, used to cancel it. *)
 
-(** {1 Scheduler selection} *)
-
-type sched =
-  | Heap  (** Binary heap over the arena: the determinism oracle. *)
-  | Wheel  (** Hierarchical timing wheel: the fast default. *)
-
-val set_default_scheduler : sched -> unit
-(** Set the discipline used by subsequent {!create} calls that don't pass
-    [?sched] explicitly — how the [--scheduler] CLI flag takes effect. *)
-
-val default_scheduler : unit -> sched
-
-val sched_of_string : string -> sched option
-(** ["heap"] / ["wheel"]. *)
-
-val sched_to_string : sched -> string
-
-val create : ?sched:sched -> ?tick:float -> unit -> t
-(** [sched] defaults to {!default_scheduler}. [tick] (default [0.25]) is
-    the wheel's bucket granularity in virtual-time units; it affects
-    performance only, never event order. *)
-
-val scheduler : t -> sched
+val create : unit -> t
 
 val now : t -> float
 (** Current virtual time. Starts at [0.]. *)

@@ -1,24 +1,6 @@
-(* Two representations live behind one interface.
-
-   The {e explicit} form is the original reference structure: a father
-   array of [int option] plus a sons-adjacency index and a cached root so
-   that [sons], [last_son] and [root] do not rescan the whole array.
-   Invariants:
-
-   - [sons_ix.(i)] lists exactly the [j] with [fathers.(j) = Some i],
-     sorted by [dist i j] descending, ties by id ascending (so the head
-     is the last-son candidate and [sons] only has to re-sort by id);
-   - [root_cache = Some r] implies [fathers.(r) = None] and [r] is the
-     lowest-id such node (the value the linear scan would return).
-
-   Every mutation of [fathers] — [set_father] and [b_transform] — must
-   maintain the index (O(deg) per update) and either maintain or
-   invalidate the cache.
-
-   The {e implicit} form (the default) materializes nothing but one flat
-   Bigarray of father ids (-1 for the root): O(N) words off the OCaml
-   heap, no per-node records, no adjacency lists. Everything else is
-   recomputed by id arithmetic (DESIGN.md §11):
+(* The open cube as one flat Bigarray of father ids (-1 for the root):
+   O(N) words off the OCaml heap, no per-node records, no adjacency
+   lists. Everything else is recomputed by id arithmetic (DESIGN.md §11):
 
    - [dist], p-groups and the initial tree are closed forms of the id;
    - in a {e valid} open cube, node [i] has exactly one son at each
@@ -28,54 +10,26 @@
      is O(p^2) and [last_son]/[b_transform] are O(p) with zero
      allocation on the hot path.
 
-   The son reconstruction is only sound in valid states, so the
-   implicit form tracks a [trusted] bit: [build] and [b_transform]
-   preserve it, raw [set_father] and [of_fathers] clear it, a
-   successful [check] restores it. While untrusted, [sons] and
-   [last_son] fall back to the O(N) scan with exactly the explicit
-   semantics, so recovery transients observe the same answers in both
-   modes. *)
+   The son reconstruction is only sound in valid states, so the tree
+   tracks a [trusted] bit: [build] and [b_transform] preserve it, raw
+   [set_father] and [of_fathers] clear it, a successful [check] restores
+   it. While untrusted, [sons] and [last_son] fall back to an O(N) scan
+   of the father array, so recovery transients still get exact answers.
+   The test suite checks these accessors against an explicit
+   record-and-adjacency reference tree, in valid and broken states. *)
 
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type mode = Explicit | Implicit
-
-type explicit_t = {
+type t = {
   p : int;
-  fathers : int option array;
-  sons_ix : int list array;
-  mutable root_cache : int option;
-}
-
-type implicit_t = {
-  ip : int;
-  ifathers : int_ba; (* ifathers.{i} = father id, or -1 for a root *)
-  mutable iroot : int; (* cached root id, -1 = unknown *)
+  fathers : int_ba; (* fathers.{i} = father id, or -1 for a root *)
+  mutable root_cache : int; (* cached root id, -1 = unknown *)
   mutable trusted : bool; (* closed-form son reconstruction is sound *)
 }
 
-type t = E of explicit_t | I of implicit_t
+let order t = Bigarray.Array1.dim t.fathers
 
-let default_mode_ref = ref Implicit
-
-let set_default_mode m = default_mode_ref := m
-
-let default_mode () = !default_mode_ref
-
-let mode = function E _ -> Explicit | I _ -> Implicit
-
-let mode_of_string = function
-  | "explicit" -> Some Explicit
-  | "implicit" -> Some Implicit
-  | _ -> None
-
-let mode_to_string = function Explicit -> "explicit" | Implicit -> "implicit"
-
-let order = function
-  | E t -> Array.length t.fathers
-  | I t -> Bigarray.Array1.dim t.ifathers
-
-let pmax = function E t -> t.p | I t -> t.ip
+let pmax t = t.p
 
 let check_node t i =
   if i < 0 || i >= order t then
@@ -132,62 +86,19 @@ let initial_last_son ~p i =
   let pw = initial_power ~p i in
   if pw = 0 then None else Some (i lor (1 lsl (pw - 1)))
 
-(* --- explicit index maintenance ------------------------------------------ *)
-
-(* Sons are kept sorted by (dist father son) descending then id ascending;
-   a node has at most [pmax] sons in any legal state, so each update is
-   O(deg) <= O(p). *)
-let son_before fa a b =
-  let da = dist fa a and db = dist fa b in
-  da > db || (da = db && a < b)
-
-let attach_son t fa j =
-  let rec insert = function
-    | [] -> [ j ]
-    | x :: _ as l when son_before fa j x -> j :: l
-    | x :: tl -> x :: insert tl
-  in
-  t.sons_ix.(fa) <- insert t.sons_ix.(fa)
-
-let detach_son t fa j = t.sons_ix.(fa) <- List.filter (fun k -> k <> j) t.sons_ix.(fa)
-
-let build_index fathers =
-  let n = Array.length fathers in
-  let ix = Array.make n [] in
-  for j = n - 1 downto 0 do
-    match fathers.(j) with Some f -> ix.(f) <- j :: ix.(f) | None -> ()
-  done;
-  Array.iteri
-    (fun f sons ->
-      ix.(f) <- List.sort (fun a b -> if son_before f a b then -1 else 1) sons)
-    ix;
-  ix
-
 (* --- construction --------------------------------------------------------- *)
 
-let build_explicit p =
-  let n = 1 lsl p in
-  let fathers =
-    Array.init n (fun i -> if i = 0 then None else Some (i land (i - 1)))
-  in
-  E { p; fathers; sons_ix = build_index fathers; root_cache = Some 0 }
-
-let build_implicit p =
-  let n = 1 lsl p in
-  let ifathers = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-  ifathers.{0} <- -1;
-  for i = 1 to n - 1 do
-    ifathers.{i} <- i land (i - 1)
-  done;
-  I { ip = p; ifathers; iroot = 0; trusted = true }
-
-let build_mode mode ~p =
+let build ~p =
   if p < 0 || p > 24 then invalid_arg "Opencube.build: p must be in [0,24]";
-  match mode with Explicit -> build_explicit p | Implicit -> build_implicit p
+  let n = 1 lsl p in
+  let fathers = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+  fathers.{0} <- -1;
+  for i = 1 to n - 1 do
+    fathers.{i} <- i land (i - 1)
+  done;
+  { p; fathers; root_cache = 0; trusted = true }
 
-let build ~p = build_mode !default_mode_ref ~p
-
-let of_fathers ?mode fathers =
+let of_fathers fathers =
   let n = Array.length fathers in
   if not (is_power_of_two n) then
     invalid_arg "Opencube.of_fathers: length must be a power of two";
@@ -197,31 +108,18 @@ let of_fathers ?mode fathers =
         invalid_arg "Opencube.of_fathers: father id out of range"
       | _ -> ())
     fathers;
-  match Option.value mode ~default:!default_mode_ref with
-  | Explicit ->
-    let fathers = Array.copy fathers in
-    E { p = log2 n; fathers; sons_ix = build_index fathers; root_cache = None }
-  | Implicit ->
-    let ifathers = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-    for i = 0 to n - 1 do
-      ifathers.{i} <- (match fathers.(i) with None -> -1 | Some f -> f)
-    done;
-    I { ip = log2 n; ifathers; iroot = -1; trusted = false }
+  let ba = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+  for i = 0 to n - 1 do
+    ba.{i} <- (match fathers.(i) with None -> -1 | Some f -> f)
+  done;
+  { p = log2 n; fathers = ba; root_cache = -1; trusted = false }
 
-let copy = function
-  | E t ->
-    E
-      {
-        p = t.p;
-        fathers = Array.copy t.fathers;
-        sons_ix = Array.copy t.sons_ix;
-        root_cache = t.root_cache;
-      }
-  | I t ->
-    let n = Bigarray.Array1.dim t.ifathers in
-    let ifathers = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-    Bigarray.Array1.blit t.ifathers ifathers;
-    I { ip = t.ip; ifathers; iroot = t.iroot; trusted = t.trusted }
+let copy t =
+  let fathers =
+    Bigarray.Array1.create Bigarray.int Bigarray.c_layout (order t)
+  in
+  Bigarray.Array1.blit t.fathers fathers;
+  { t with fathers }
 
 let dist_matrix ~p =
   (* Reference implementation straight from Definition 2.2: dist i j is the
@@ -243,12 +141,8 @@ let p_group ~d i =
 
 (* --- father access -------------------------------------------------------- *)
 
-(* Raw father as an int, -1 for none: the representation-agnostic accessor
-   everything generic below is written against. *)
-let[@ocube.zero_alloc] father_raw t i =
-  match t with
-  | E t -> ( match t.fathers.(i) with None -> -1 | Some f -> f)
-  | I t -> t.ifathers.{i}
+(* Raw father as an int, -1 for none. *)
+let[@ocube.zero_alloc] father_raw t i = t.fathers.{i}
 
 let father t i =
   check_node t i;
@@ -257,23 +151,15 @@ let father t i =
 let set_father t i f =
   check_node t i;
   (match f with Some j -> check_node t j | None -> ());
-  match t with
-  | E t ->
-    (match t.fathers.(i) with Some old -> detach_son t old i | None -> ());
-    t.fathers.(i) <- f;
-    (match f with Some j -> attach_son t j i | None -> ());
-    (* A raw pointer update may create or destroy roots arbitrarily
-       (recovery transients): forget the cache, the next [root] rescans. *)
-    t.root_cache <- None
-  | I t ->
-    t.ifathers.{i} <- (match f with None -> -1 | Some j -> j);
-    t.iroot <- -1;
-    (* The update may leave any structure at all: sons can no longer be
-       reconstructed arithmetically until [check] succeeds again. *)
-    t.trusted <- false
+  t.fathers.{i} <- (match f with None -> -1 | Some j -> j);
+  (* The update may create or destroy roots and leave any structure at
+     all: forget the root, and reconstruct sons by scanning until [check]
+     succeeds again. *)
+  t.root_cache <- -1;
+  t.trusted <- false
 
 let root t =
-  let cached = match t with E e -> (match e.root_cache with None -> -1 | Some r -> r) | I i -> i.iroot in
+  let cached = t.root_cache in
   if cached >= 0 && father_raw t cached = -1 then cached
   else begin
     let n = order t in
@@ -283,7 +169,7 @@ let root t =
       else find (i + 1)
     in
     let r = find 0 in
-    (match t with E e -> e.root_cache <- Some r | I i -> i.iroot <- r);
+    t.root_cache <- r;
     r
   end
 
@@ -293,88 +179,65 @@ let[@ocube.zero_alloc] power t i =
 
 (* --- sons ------------------------------------------------------------------ *)
 
-(* Implicit closed form: the son of [i] at distance [d] is the root of the
+(* Closed form: the son of [i] at distance [d] is the root of the
    sibling (d-1)-group, reached from the mirror id [i lxor (1 lsl (d-1))]
    by climbing fathers while they stay inside that aligned block. Valid
    states terminate in at most [d] steps with a node whose father is [i];
    anything else means the state is not a legal open cube and the caller
    must fall back to the scan. *)
-let[@ocube.zero_alloc] rec son_climb (it : implicit_t) i d blk j steps =
+let[@ocube.zero_alloc] rec son_climb t i d blk j steps =
   if steps > d then -1
   else
-    let f = it.ifathers.{j} in
+    let f = t.fathers.{j} in
     if f = i then j
-    else if f >= 0 && f lsr (d - 1) = blk then son_climb it i d blk f (steps + 1)
+    else if f >= 0 && f lsr (d - 1) = blk then son_climb t i d blk f (steps + 1)
     else -1
 
-let[@ocube.zero_alloc] implicit_son_at (it : implicit_t) i d =
+let[@ocube.zero_alloc] son_at t i d =
   let m = i lxor (1 lsl (d - 1)) in
   let blk = m lsr (d - 1) in
-  son_climb it i d blk m 0
+  son_climb t i d blk m 0
 
-(* O(N) fallback with exactly the explicit semantics, used while the
-   implicit tree is untrusted (recovery transients, unchecked adoptions). *)
+(* O(N) fallback used while the tree is untrusted (recovery transients,
+   unchecked adoptions). A self-loop ([father j = j], surgery transients
+   only) counts as a son of itself. *)
 let scan_sons t i =
   let n = order t in
   let acc = ref [] in
   for j = n - 1 downto 0 do
-    (* A self-loop ([father j = j], surgery transients only) counts as a
-       son of itself, exactly as the explicit adjacency index records
-       it — parity with the oracle extends to broken states. *)
     if father_raw t j = i then acc := j :: !acc
   done;
   !acc
 
 let sons t i =
   check_node t i;
-  match t with
-  | E t -> List.sort compare t.sons_ix.(i)
-  | I it ->
-    if it.trusted then begin
-      let pw = (match it.ifathers.{i} with -1 -> it.ip | f -> dist i f - 1) in
-      let acc = ref [] in
-      let ok = ref true in
-      for d = pw downto 1 do
-        match implicit_son_at it i d with
-        | -1 -> ok := false
-        | s -> acc := s :: !acc
-      done;
-      if !ok then List.sort compare !acc else scan_sons t i
-    end
-    else scan_sons t i
+  if t.trusted then begin
+    let acc = ref [] in
+    let ok = ref true in
+    for d = power t i downto 1 do
+      match son_at t i d with
+      | -1 -> ok := false
+      | s -> acc := s :: !acc
+    done;
+    if !ok then List.sort compare !acc else scan_sons t i
+  end
+  else scan_sons t i
 
 let last_son t i =
-  match t with
-  | E t ->
-    let p_i = match t.fathers.(i) with None -> t.p | Some f -> dist i f - 1 in
-    (* The index is sorted by dist descending, so scan the head: the first
-       son at dist = power i is the answer (smallest id on ties, like the
-       id-ordered scan it replaces); anything below power i ends it. O(1)
-       in legal states, O(deg) in recovery transients. *)
-    let rec scan = function
-      | [] -> None
-      | j :: tl ->
-        let d = dist i j in
-        if d = p_i then Some j else if d < p_i then None else scan tl
-    in
-    scan t.sons_ix.(i)
-  | I it ->
-    check_node t i;
-    let p_i = match it.ifathers.{i} with -1 -> it.ip | f -> dist i f - 1 in
-    if p_i = 0 then None
-    else if it.trusted then (
-      match implicit_son_at it i p_i with
-      | -1 -> None
-      | s -> Some s)
-    else
-      (* Untrusted: smallest-id son at dist exactly [power i], matching the
-         explicit index scan answer in arbitrary states. *)
-      let n = order t in
-      let best = ref (-1) in
-      for j = n - 1 downto 0 do
-        if j <> i && it.ifathers.{j} = i && dist i j = p_i then best := j
-      done;
-      if !best < 0 then None else Some !best
+  let p_i = power t i in
+  if p_i = 0 then None
+  else if t.trusted then (
+    match son_at t i p_i with
+    | -1 -> None
+    | s -> Some s)
+  else
+    (* Untrusted: the smallest-id son at dist exactly [power i]. *)
+    let n = order t in
+    let best = ref (-1) in
+    for j = n - 1 downto 0 do
+      if j <> i && t.fathers.{j} = i && dist i j = p_i then best := j
+    done;
+    if !best < 0 then None else Some !best
 
 let[@ocube.zero_alloc] is_last_son t ~son ~father:fa =
   check_node t son;
@@ -387,29 +250,13 @@ let b_transform t i =
   check_node t i;
   match last_son t i with
   | None -> invalid_arg "Opencube.b_transform: node has no son"
-  | Some j -> (
-    match t with
-    | E t ->
-      let fi = t.fathers.(i) in
-      detach_son t i j;
-      (match fi with Some f -> detach_son t f i | None -> ());
-      t.fathers.(j) <- fi;
-      (match fi with Some f -> attach_son t f j | None -> ());
-      t.fathers.(i) <- Some j;
-      attach_son t j i;
-      (* The swap moves the root only when [i] was it; a stale (None) cache
-         stays unknown. Exact maintenance keeps long b-transform chains free
-         of any rescan. *)
-      (match t.root_cache with
-      | Some r when r = i -> t.root_cache <- Some j
-      | _ -> ())
-    | I it ->
-      let fi = it.ifathers.{i} in
-      it.ifathers.{j} <- fi;
-      it.ifathers.{i} <- j;
-      (* Theorem 2.1: the swap of a valid cube is valid, so [trusted] is
-         preserved as-is; only the root may have moved (from i to j). *)
-      if it.iroot = i then it.iroot <- j)
+  | Some j ->
+    let fi = t.fathers.{i} in
+    t.fathers.{j} <- fi;
+    t.fathers.{i} <- j;
+    (* Theorem 2.1: the swap of a valid cube is valid, so [trusted] is
+       preserved as-is; only the root may have moved (from i to j). *)
+    if t.root_cache = i then t.root_cache <- j
 
 let edges t =
   let acc = ref [] in
@@ -432,29 +279,21 @@ let branch t i =
 
 let depth t i = List.length (branch t i) - 1
 
+(* One marking pass, without materializing adjacency. A self-loop does
+   not make its node a father. *)
 let leaves t =
-  match t with
-  | E t ->
-    let acc = ref [] in
-    for i = Array.length t.fathers - 1 downto 0 do
-      if t.sons_ix.(i) = [] then acc := i :: !acc
-    done;
-    !acc
-  | I _ ->
-    (* One marking pass; O(N) like the explicit index walk, without
-       materializing adjacency. *)
-    let n = order t in
-    let has_son = Bytes.make n '\000' in
-    for j = 0 to n - 1 do
-      match father_raw t j with
-      | -1 -> ()
-      | f -> if f <> j then Bytes.unsafe_set has_son f '\001'
-    done;
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if Bytes.unsafe_get has_son i = '\000' then acc := i :: !acc
-    done;
-    !acc
+  let n = order t in
+  let has_son = Bytes.make n '\000' in
+  for j = 0 to n - 1 do
+    match father_raw t j with
+    | -1 -> ()
+    | f -> if f <> j then Bytes.unsafe_set has_son f '\001'
+  done;
+  let acc = ref [] in
+  for i = n - 1 downto 0 do
+    if Bytes.unsafe_get has_son i = '\000' then acc := i :: !acc
+  done;
+  !acc
 
 let branch_stats t i =
   let path = branch t i in
@@ -518,11 +357,9 @@ let check t =
     | -1 -> Ok ()
     | f -> Error (Printf.sprintf "global root %d has father %d" r f)
   in
-  (* A successful check certifies the implicit closed-form son
-     reconstruction again; a failure pins the scan fallback. *)
-  (match t with
-  | I it -> it.trusted <- (match result with Ok () -> true | Error _ -> false)
-  | E _ -> ());
+  (* A successful check certifies the closed-form son reconstruction
+     again; a failure pins the scan fallback. *)
+  t.trusted <- Result.is_ok result;
   result
 
 (* The if-chain above deserves a note: within a (d-1)-group, group_root has

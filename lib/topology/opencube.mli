@@ -19,50 +19,23 @@
       fault-recovery, after which {!check} may legitimately fail until the
       repair protocol has run.
 
-    Two representations implement this interface (DESIGN.md §11). The
-    {e implicit} form (the default) stores only a flat [Bigarray] of
-    father ids and recomputes sons by id arithmetic — O(N) words of flat
-    memory, O(p) [last_son]/[b_transform] — and scales to [p = 20]
-    (N ≈ 1M) and beyond. The {e explicit} form is the original
-    record-and-adjacency structure, kept as the reference oracle; parity
-    between the two is enforced by the qcheck suite and the fuzz
-    campaigns. Pick per call with {!build_mode}/{!of_fathers}, or flip
-    the process-wide default with {!set_default_mode} (the CLI's
-    [--topology explicit|implicit] flag).
+    The tree stores only a flat [Bigarray] of father ids and recomputes
+    sons by id arithmetic (DESIGN.md §11) — O(N) words of flat memory,
+    O(p) [last_son]/[b_transform] — and scales to [p = 20] (N ≈ 1M) and
+    beyond. The test suite holds an explicit record-and-adjacency tree
+    as the reference oracle and checks every accessor against it.
 
     All functions raise [Invalid_argument] on out-of-range node ids. *)
 
 type t
 
-(** {1 Representation choice} *)
-
-type mode = Explicit | Implicit
-
-val set_default_mode : mode -> unit
-(** Representation used by {!build} and {!of_fathers} when none is given.
-    Initially [Implicit]. *)
-
-val default_mode : unit -> mode
-
-val mode : t -> mode
-(** The representation of this tree. *)
-
-val mode_of_string : string -> mode option
-(** ["explicit"] / ["implicit"]; anything else is [None]. *)
-
-val mode_to_string : mode -> string
-
 (** {1 Construction} *)
 
 val build : p:int -> t
-(** [build ~p] is the initial [2^p]-node open-cube of Figure 2 in the
-    default representation: node [0] is the root,
-    [father i = i land (i-1)]. [p] must be in [0..24]. *)
+(** [build ~p] is the initial [2^p]-node open-cube of Figure 2: node [0]
+    is the root, [father i = i land (i-1)]. [p] must be in [0..24]. *)
 
-val build_mode : mode -> p:int -> t
-(** {!build} pinned to a representation (tests, parity harnesses). *)
-
-val of_fathers : ?mode:mode -> int option array -> t
+val of_fathers : int option array -> t
 (** Adopt an arbitrary father array (length must be a power of two). No
     structural validation is performed — use {!check}. *)
 
@@ -116,9 +89,9 @@ val father : t -> int -> int option
 
 val set_father : t -> int -> int option -> unit
 (** Raw pointer update (used by the protocol engine and by fault recovery);
-    performs no structural check. On an implicit tree this also drops the
-    closed-form son reconstruction back to the scan fallback until the
-    next successful {!check}. *)
+    performs no structural check. It also drops the closed-form son
+    reconstruction back to a scan of the father array until the next
+    successful {!check}. *)
 
 val root : t -> int
 (** The unique node with no father.
@@ -173,8 +146,8 @@ val branch_stats : t -> int -> int * int
 val check : t -> (unit, string) result
 (** Full structural check from the recursive definition: every d-group has
     exactly one outward edge and it links the roots of its two halves.
-    Sound and complete (also rejects cycles). On an implicit tree a
-    success re-certifies the closed-form son reconstruction. *)
+    Sound and complete (also rejects cycles). A success re-certifies the
+    closed-form son reconstruction. *)
 
 val is_valid : t -> bool
 

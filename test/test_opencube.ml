@@ -4,6 +4,7 @@
 
 module Opencube = Ocube_topology.Opencube
 module Hypercube = Ocube_topology.Opencube.Hypercube
+module Explicit_cube = Ocube_oracle.Explicit_cube
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -420,42 +421,41 @@ let qcheck_tests =
             | None -> Opencube.power c i = p
             | Some f -> Opencube.power c i = Opencube.dist i f - 1)
           (List.init (1 lsl p) (fun i -> i)));
-    (* Representation parity: the implicit (Bigarray + id arithmetic)
-       tree must be observationally identical to the explicit reference
-       oracle — per node, on every accessor — for any b-transform
-       history. *)
+    (* Oracle parity: the Bigarray + id-arithmetic tree must be
+       observationally identical to the explicit reference tree — per
+       node, on every accessor — for any b-transform history. *)
     Test.make ~count:200
       ~name:"explicit/implicit parity under b-transform chains"
       (pair (int_range 1 8)
          (list_of_size (Gen.int_range 0 80) (int_range 0 100_000)))
       (fun (p, picks) ->
-        let e = Opencube.build_mode Opencube.Explicit ~p in
-        let im = Opencube.build_mode Opencube.Implicit ~p in
+        let e = Explicit_cube.build ~p in
+        let im = Opencube.build ~p in
         let n = 1 lsl p in
         List.iter
           (fun pick ->
             let i = pick mod n in
-            match Opencube.last_son e i with
+            match Explicit_cube.last_son e i with
             | Some _ ->
-              Opencube.b_transform e i;
+              Explicit_cube.b_transform e i;
               Opencube.b_transform im i
             | None -> ())
           picks;
-        let ok = ref (Opencube.root e = Opencube.root im) in
+        let ok = ref (Explicit_cube.root e = Opencube.root im) in
         for i = 0 to n - 1 do
           if
-            Opencube.father e i <> Opencube.father im i
-            || Opencube.power e i <> Opencube.power im i
-            || Opencube.sons e i <> Opencube.sons im i
-            || Opencube.last_son e i <> Opencube.last_son im i
+            Explicit_cube.father e i <> Opencube.father im i
+            || Explicit_cube.power e i <> Opencube.power im i
+            || Explicit_cube.sons e i <> Opencube.sons im i
+            || Explicit_cube.last_son e i <> Opencube.last_son im i
           then ok := false
         done;
         !ok
-        && Opencube.leaves e = Opencube.leaves im
-        && Opencube.is_valid e && Opencube.is_valid im);
-    (* Raw surgery drops the implicit tree to its untrusted scan
-       fallback; the fallback — and the re-certification performed by a
-       successful check — must still agree with the explicit oracle. *)
+        && Explicit_cube.leaves e = Opencube.leaves im
+        && Explicit_cube.is_valid e && Opencube.is_valid im);
+    (* Raw surgery drops the tree to its untrusted scan fallback; the
+       fallback — and the re-certification performed by a successful
+       check — must still agree with the explicit oracle. *)
     Test.make ~count:200
       ~name:"explicit/implicit parity under raw set_father surgery"
       (pair (int_range 1 8)
@@ -463,8 +463,8 @@ let qcheck_tests =
             (pair (int_range 0 100_000) (int_range 0 100_000))))
       (fun (p, edits) ->
         let n = 1 lsl p in
-        let e = Opencube.build_mode Opencube.Explicit ~p in
-        let im = Opencube.build_mode Opencube.Implicit ~p in
+        let e = Explicit_cube.build ~p in
+        let im = Opencube.build ~p in
         List.iter
           (fun (a, b) ->
             let i = a mod n in
@@ -472,24 +472,24 @@ let qcheck_tests =
               let v = b mod (n + 1) in
               if v = n then None else Some v
             in
-            Opencube.set_father e i fo;
+            Explicit_cube.set_father e i fo;
             Opencube.set_father im i fo)
           edits;
         let agree () =
           let ok = ref true in
           for i = 0 to n - 1 do
             if
-              Opencube.father e i <> Opencube.father im i
-              || Opencube.sons e i <> Opencube.sons im i
-              || Opencube.last_son e i <> Opencube.last_son im i
+              Explicit_cube.father e i <> Opencube.father im i
+              || Explicit_cube.sons e i <> Opencube.sons im i
+              || Explicit_cube.last_son e i <> Opencube.last_son im i
             then ok := false
           done;
           !ok
         in
         let untrusted_ok = agree () in
-        (* check verdicts must match; when they pass, the implicit tree is
-           back on the closed-form path and must still agree. *)
-        let ve = Opencube.is_valid e and vi = Opencube.is_valid im in
+        (* check verdicts must match; when they pass, the tree is back on
+           the closed-form path and must still agree. *)
+        let ve = Explicit_cube.is_valid e and vi = Opencube.is_valid im in
         untrusted_ok && ve = vi && agree ());
   ]
 
@@ -497,22 +497,22 @@ let qcheck_tests =
    exhaustively for every node at p <= 8. *)
 let test_initial_closed_forms () =
   for p = 0 to 8 do
-    let c = Opencube.build_mode Opencube.Explicit ~p in
+    let c = Explicit_cube.build ~p in
     for i = 0 to (1 lsl p) - 1 do
       Alcotest.(check (option int))
         (Printf.sprintf "initial_father p=%d i=%d" p i)
-        (Opencube.father c i) (Opencube.initial_father i);
+        (Explicit_cube.father c i) (Opencube.initial_father i);
       checki
         (Printf.sprintf "initial_power p=%d i=%d" p i)
-        (Opencube.power c i)
+        (Explicit_cube.power c i)
         (Opencube.initial_power ~p i);
       Alcotest.(check (list int))
         (Printf.sprintf "initial_sons p=%d i=%d" p i)
-        (Opencube.sons c i)
+        (Explicit_cube.sons c i)
         (Opencube.initial_sons ~p i);
       Alcotest.(check (option int))
         (Printf.sprintf "initial_last_son p=%d i=%d" p i)
-        (Opencube.last_son c i)
+        (Explicit_cube.last_son c i)
         (Opencube.initial_last_son ~p i)
     done
   done

@@ -1,6 +1,8 @@
-(* Tests for the simulation kernel: RNG, heap, engine, trace. *)
+(* Tests for the simulation kernel: RNG, the engine's slot heap, engine,
+   trace. *)
 
 module Rng = Ocube_sim.Rng
+module Arena = Ocube_sim.Arena
 module Engine = Ocube_sim.Engine
 module Trace = Ocube_sim.Trace
 
@@ -94,46 +96,75 @@ let test_rng_shuffle_preserves_elements () =
   Array.sort compare b;
   Alcotest.(check (array int)) "same multiset" a b
 
-(* --- heap ---------------------------------------------------------------- *)
+(* --- slot heap ------------------------------------------------------------ *)
 
-module Int_heap = Ocube_sim.Heap.Make (Int)
+(* The engine's queue: a min-heap of arena slots keyed by (time, seq). A
+   slot's seq is its allocation order, so equal times must pop FIFO. *)
+
+let slot_heap () =
+  let a = Arena.create () in
+  (a, Arena.Slot_heap.create a)
+
+(* Allocate a slot firing at [time] and queue it. *)
+let push_at (a, h) time =
+  let s = Arena.alloc a ~kind:0 ~a:0 ~b:0 Arena.dummy_thunk in
+  Arena.set_time a s time;
+  Arena.Slot_heap.push h s;
+  s
+
+let pop_time (a, h) =
+  let s = Arena.Slot_heap.pop h in
+  if s = Arena.no_slot then None else Some (Float.Array.get (Arena.times a) s)
+
+let rec drain q =
+  match Arena.Slot_heap.pop (snd q) with
+  | s when s = Arena.no_slot -> []
+  | s -> s :: drain q
+
+let times_of (a, _) = List.map (Float.Array.get (Arena.times a))
 
 let test_heap_ordering () =
-  let h = Int_heap.create () in
-  List.iter (Int_heap.push h) [ 5; 3; 9; 1; 7; 3; 0; -2 ];
-  Alcotest.(check (list int))
-    "sorted drain" [ -2; 0; 1; 3; 3; 5; 7; 9 ]
-    (Int_heap.to_sorted_list h);
-  checki "length preserved by snapshot" 8 (Int_heap.length h)
+  let q = slot_heap () in
+  List.iter
+    (fun t -> ignore (push_at q t))
+    [ 5.; 3.; 9.; 1.; 7.; 3.; 0.; 0.5 ];
+  Alcotest.(check (list (float 0.)))
+    "sorted drain" [ 0.; 0.5; 1.; 3.; 3.; 5.; 7.; 9. ]
+    (times_of q (drain q))
 
 let test_heap_pop_order () =
-  let h = Int_heap.create () in
-  List.iter (Int_heap.push h) [ 4; 2; 8 ];
-  checki "min first" 2 (Int_heap.pop_exn h);
-  checki "then" 4 (Int_heap.pop_exn h);
-  Int_heap.push h 1;
-  checki "new min" 1 (Int_heap.pop_exn h);
-  checki "last" 8 (Int_heap.pop_exn h);
-  checkb "empty" true (Int_heap.is_empty h)
+  let q = slot_heap () in
+  List.iter (fun t -> ignore (push_at q t)) [ 4.; 2.; 8. ];
+  let pop () = pop_time q in
+  Alcotest.(check (option (float 0.))) "min first" (Some 2.) (pop ());
+  Alcotest.(check (option (float 0.))) "then" (Some 4.) (pop ());
+  ignore (push_at q 1.);
+  Alcotest.(check (option (float 0.))) "new min" (Some 1.) (pop ());
+  Alcotest.(check (option (float 0.))) "last" (Some 8.) (pop ());
+  Alcotest.(check (option (float 0.))) "empty" None (pop ())
 
 let test_heap_empty_pop () =
-  let h = Int_heap.create () in
-  Alcotest.(check (option int)) "pop empty" None (Int_heap.pop h);
-  Alcotest.check_raises "pop_exn empty"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Int_heap.pop_exn h))
+  let q = slot_heap () in
+  checki "pop empty" Arena.no_slot (Arena.Slot_heap.pop (snd q));
+  ignore (push_at q 1.);
+  ignore (Arena.Slot_heap.pop (snd q));
+  checki "pop emptied" Arena.no_slot (Arena.Slot_heap.pop (snd q))
 
+(* Random times with many ties: the drain must equal a stable sort of the
+   slots by time, i.e. (time, seq) order. *)
 let test_heap_random_against_sort () =
   let r = Rng.create 29 in
   for _ = 1 to 50 do
     let n = Rng.int r 200 in
-    let xs = List.init n (fun _ -> Rng.int r 1000) in
-    let h = Int_heap.create () in
-    List.iter (Int_heap.push h) xs;
+    let q = slot_heap () in
+    let slots =
+      List.init n (fun _ -> push_at q (float_of_int (Rng.int r 100)))
+    in
+    let time = Float.Array.get (Arena.times (fst q)) in
     Alcotest.(check (list int))
-      "heap sorts like List.sort"
-      (List.sort compare xs)
-      (Int_heap.to_sorted_list h)
+      "heap drains like a stable sort by time"
+      (List.stable_sort (fun x y -> Float.compare (time x) (time y)) slots)
+      (drain q)
   done
 
 (* --- engine -------------------------------------------------------------- *)
@@ -296,14 +327,10 @@ let test_engine_zero_delay () =
   checkf "clock stays" 0.0 (Engine.now e)
 
 let test_heap_duplicates () =
-  let h = Int_heap.create () in
-  for _ = 1 to 50 do
-    Int_heap.push h 7
-  done;
-  checki "all duplicates kept" 50 (Int_heap.length h);
-  for _ = 1 to 50 do
-    checki "each pops 7" 7 (Int_heap.pop_exn h)
-  done
+  let q = slot_heap () in
+  let slots = List.init 50 (fun _ -> push_at q 7.) in
+  Alcotest.(check (list int))
+    "all duplicates kept, in allocation order" slots (drain q)
 
 let test_trace_max_entries () =
   let tr = Trace.create () in

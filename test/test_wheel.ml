@@ -1,15 +1,16 @@
-(* The timing wheel checked against the heap oracle.
+(* The engine's event-queue contract.
 
-   The engine's determinism contract says both queue disciplines fire
-   events in the identical global (time, seq) order. The tests here
-   attack the places where the wheel's bucketing could break that:
-   events landing exactly on L0/L1/L2 span boundaries, cascades,
-   overflow pulls, cancellation at every level, re-entrant scheduling
-   from handlers, the degenerate far-future mode, and [run ~until]
-   push-back. A qcheck property drives randomized schedule/cancel/nested
-   scripts through both schedulers and demands bit-identical fire logs,
-   and a small fuzz campaign does the same end-to-end through the full
-   protocol stack. *)
+   Events fire in the global (time, seq) order: earlier time first, equal
+   times in scheduling order. Cancelled events never fire, stale timer
+   ids are harmless, [run ~until] parks the clock without losing the
+   event it stopped at, and the packed hot path allocates nothing. A
+   qcheck property drives randomized schedule/cancel/nested scripts
+   through the engine and compares the fire log with a small pure
+   reference interpreter; a pinned fuzz checksum covers the same order
+   end to end through the protocol stack.
+
+   The suite id sim.wheel predates the engine's single binary-heap
+   queue; the timing wheel it once compared against is gone. *)
 
 module Engine = Ocube_sim.Engine
 module Fuzz = Ocube_check.Fuzz
@@ -18,84 +19,29 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
-(* Default wheel tick is 0.25; levels are 256 buckets wide, so the level
-   spans in virtual time are 64.0 (L0), 16384.0 (L1) and 4194304.0 (L2).
-   Delays beyond the L2 span land in the overflow heap. *)
-let l0_span = 64.0
+(* --- fire order ------------------------------------------------------------ *)
 
-let l1_span = 16384.0
-
-let l2_span = 4194304.0
-
-(* Boundary-heavy delays: one tick on either side of every level span,
-   plus ties and zero. All exactly representable, so logs compare
-   bit-identically. *)
-let boundary_delays =
-  [
-    0.0;
-    0.25;
-    0.25;
-    0.5;
-    l0_span -. 0.25;
-    l0_span;
-    l0_span;
-    l0_span +. 0.25;
-    l1_span -. 0.25;
-    l1_span;
-    l1_span +. 0.25;
-    l2_span -. 0.25;
-    l2_span;
-    l2_span +. 0.25;
-    (2.0 *. l2_span) +. 3.25;
-  ]
-
-(* --- fire-order parity ----------------------------------------------------- *)
-
-let run_delays sched delays =
-  let e = Engine.create ~sched () in
-  let b = Buffer.create 256 in
-  List.iteri
-    (fun i d ->
-      ignore
-        (Engine.schedule e ~delay:d (fun () ->
-             Printf.bprintf b "%d@%h;" i (Engine.now e))))
-    delays;
-  Engine.run e;
-  checki "all fired" 0 (Engine.pending e);
-  Buffer.contents b
-
-let test_boundary_fire_order () =
-  checks "identical fire log at level boundaries"
-    (run_delays Engine.Heap boundary_delays)
-    (run_delays Engine.Wheel boundary_delays)
-
-(* Re-entrant scheduling: handlers scheduling at zero delay (same
-   instant, must still respect seq FIFO) and across the next boundary. *)
-let run_nested sched =
-  let e = Engine.create ~sched () in
-  let b = Buffer.create 256 in
-  let log tag = Printf.bprintf b "%s@%h;" tag (Engine.now e) in
-  ignore
-    (Engine.schedule e ~delay:63.75 (fun () ->
-         log "outer";
-         (* same instant: fires after already-queued same-time events *)
-         ignore (Engine.schedule e ~delay:0.0 (fun () -> log "nested0"));
-         (* one tick ahead: crosses the L0 bucket being drained *)
-         ignore (Engine.schedule e ~delay:0.25 (fun () -> log "nested1"));
-         ignore (Engine.schedule e ~delay:l1_span (fun () -> log "nestedL1"))));
-  ignore (Engine.schedule e ~delay:63.75 (fun () -> log "tie"));
-  ignore (Engine.schedule e ~delay:l0_span (fun () -> log "l0span"));
-  Engine.run e;
-  Buffer.contents b
-
+(* Re-entrant scheduling: a handler's zero-delay event fires after the
+   events already queued for the same instant, and its later events
+   queue behind same-time events scheduled before them. *)
 let test_nested_fire_order () =
-  checks "identical fire log with re-entrant schedules"
-    (run_nested Engine.Heap) (run_nested Engine.Wheel)
+  let e = Engine.create () in
+  let b = Buffer.create 256 in
+  let log tag = Printf.bprintf b "%s@%g;" tag (Engine.now e) in
+  ignore
+    (Engine.schedule e ~delay:3.0 (fun () ->
+         log "outer";
+         ignore (Engine.schedule e ~delay:0.0 (fun () -> log "nested0"));
+         ignore (Engine.schedule e ~delay:1.0 (fun () -> log "nested1"));
+         ignore (Engine.schedule e ~delay:100.0 (fun () -> log "far"))));
+  ignore (Engine.schedule e ~delay:3.0 (fun () -> log "tie"));
+  ignore (Engine.schedule e ~delay:4.0 (fun () -> log "next"));
+  Engine.run e;
+  checks "fire log with re-entrant schedules"
+    "outer@3;tie@3;nested0@3;next@4;nested1@4;far@103;" (Buffer.contents b)
 
-(* Far-future degenerate mode: times so large the wheel parks and serves
-   everything from its exact near-heap. Order must still match. *)
-let run_astronomical sched =
-  let e = Engine.create ~sched () in
+let test_astronomical_times () =
+  let e = Engine.create () in
   let b = Buffer.create 128 in
   let log tag = Printf.bprintf b "%s;" tag in
   ignore (Engine.schedule_at e ~time:1e300 (fun () -> log "huge-a"));
@@ -106,129 +52,82 @@ let run_astronomical sched =
          ignore (Engine.schedule_at e ~time:1e301 (fun () -> log "later"))));
   ignore (Engine.schedule e ~delay:1.0 (fun () -> log "near"));
   Engine.run e;
-  Buffer.contents b
-
-let test_astronomical_times () =
-  let want = "near;first;huge-a;huge-b;later;" in
-  checks "heap order" want (run_astronomical Engine.Heap);
-  checks "wheel order" want (run_astronomical Engine.Wheel)
+  checks "order" "near;first;huge-a;huge-b;later;" (Buffer.contents b)
 
 (* --- cancellation ---------------------------------------------------------- *)
 
-(* Cancel one event at every wheel level and in the overflow; only the
-   survivors fire, and [pending] is exact throughout. *)
-let test_cancel_every_level () =
-  List.iter
-    (fun sched ->
-      let e = Engine.create ~sched () in
-      let fired = ref [] in
-      let mk d = Engine.schedule e ~delay:d (fun () -> fired := d :: !fired) in
-      let near = mk 0.25 in
-      let l0 = mk 32.0 in
-      let l1 = mk 1000.0 in
-      let l2 = mk 100000.0 in
-      let ovf = mk (3.0 *. l2_span) in
-      let keep0 = 33.0 and keep1 = 1001.0 in
-      ignore (mk keep0);
-      ignore (mk keep1);
-      checki "pending before cancels" 7 (Engine.pending e);
-      List.iter (Engine.cancel e) [ near; l0; l1; l2; ovf ];
-      checki "pending after cancels" 2 (Engine.pending e);
-      (* double-cancel is a no-op *)
-      Engine.cancel e l1;
-      checki "pending after double cancel" 2 (Engine.pending e);
-      Engine.run e;
-      checki "pending after run" 0 (Engine.pending e);
-      checkb "survivors fired in order" true
-        (match List.rev !fired with
-        | [ a; b ] -> Float.equal a keep0 && Float.equal b keep1
-        | _ -> false))
-    [ Engine.Heap; Engine.Wheel ]
-
 (* A stale id must stay dead after its arena slot is reused. *)
 let test_stale_id_after_reuse () =
-  List.iter
-    (fun sched ->
-      let e = Engine.create ~sched () in
-      let n = ref 0 in
-      let old_id = Engine.schedule e ~delay:1.0 (fun () -> incr n) in
-      Engine.cancel e old_id;
-      (* the freed slot is recycled by the next schedule *)
-      let fresh = Engine.schedule e ~delay:2.0 (fun () -> incr n) in
-      Engine.cancel e old_id;
-      (* must not kill the recycled slot *)
-      checki "recycled event still pending" 1 (Engine.pending e);
-      Engine.run e;
-      checki "recycled event fired" 1 !n;
-      Engine.cancel e fresh (* post-fire cancel is a no-op *))
-    [ Engine.Heap; Engine.Wheel ]
-
-(* Cancel-then-reschedule exactly on bucket boundaries: the replacement
-   must fire at its own time, never the cancelled one's. *)
-let test_reschedule_at_boundaries () =
-  List.iter
-    (fun sched ->
-      List.iter
-        (fun d ->
-          let e = Engine.create ~sched () in
-          let fired = ref nan in
-          let id = Engine.schedule e ~delay:d (fun () -> fired := -1.0) in
-          Engine.cancel e id;
-          ignore
-            (Engine.schedule e ~delay:(d +. 0.25) (fun () ->
-                 fired := Engine.now e));
-          Engine.run e;
-          checkb
-            (Printf.sprintf "rescheduled fire time for delay %g" d)
-            true
-            (Float.equal !fired (d +. 0.25)))
-        [ 0.25; l0_span; l1_span; l2_span ])
-    [ Engine.Heap; Engine.Wheel ]
+  let e = Engine.create () in
+  let n = ref 0 in
+  let old_id = Engine.schedule e ~delay:1.0 (fun () -> incr n) in
+  Engine.cancel e old_id;
+  (* the freed slot is recycled by the next schedule *)
+  let fresh = Engine.schedule e ~delay:2.0 (fun () -> incr n) in
+  Engine.cancel e old_id;
+  (* must not kill the recycled slot *)
+  checki "recycled event still pending" 1 (Engine.pending e);
+  Engine.run e;
+  checki "recycled event fired" 1 !n;
+  Engine.cancel e fresh (* post-fire cancel is a no-op *)
 
 (* --- run ~until push-back -------------------------------------------------- *)
 
 let test_run_until_pushback () =
-  List.iter
-    (fun sched ->
-      let e = Engine.create ~sched () in
-      let b = Buffer.create 64 in
-      let log tag = Printf.bprintf b "%s@%g;" tag (Engine.now e) in
-      ignore (Engine.schedule e ~delay:10.0 (fun () -> log "early"));
-      ignore (Engine.schedule e ~delay:1000.0 (fun () -> log "far"));
-      Engine.run ~until:50.0 e;
-      checkb "clock parked at until" true (Float.equal (Engine.now e) 50.0);
-      checki "far event still pending" 1 (Engine.pending e);
-      (* a nearer event scheduled after the pause must overtake the
-         pushed-back one *)
-      ignore (Engine.schedule e ~delay:10.0 (fun () -> log "mid"));
-      Engine.run e;
-      checks "order across the pause" "early@10;mid@60;far@1000;"
-        (Buffer.contents b))
-    [ Engine.Heap; Engine.Wheel ]
+  let e = Engine.create () in
+  let b = Buffer.create 64 in
+  let log tag = Printf.bprintf b "%s@%g;" tag (Engine.now e) in
+  ignore (Engine.schedule e ~delay:10.0 (fun () -> log "early"));
+  ignore (Engine.schedule e ~delay:1000.0 (fun () -> log "far"));
+  Engine.run ~until:50.0 e;
+  checkb "clock parked at until" true (Float.equal (Engine.now e) 50.0);
+  checki "far event still pending" 1 (Engine.pending e);
+  (* a nearer event scheduled after the pause must overtake the
+     pushed-back one *)
+  ignore (Engine.schedule e ~delay:10.0 (fun () -> log "mid"));
+  Engine.run e;
+  checks "order across the pause" "early@10;mid@60;far@1000;"
+    (Buffer.contents b)
 
 (* --- packed events --------------------------------------------------------- *)
 
+(* Packed and closure events share one (time, seq) order: the same delays
+   give the same fire log on either path. *)
 let test_packed_parity () =
-  let run sched =
-    let e = Engine.create ~sched () in
+  let delays = [ 0.0; 0.25; 0.25; 0.5; 64.0; 64.0; 3.25; 1e6; 0.0 ] in
+  let closures =
+    let e = Engine.create () in
+    let b = Buffer.create 128 in
+    List.iteri
+      (fun i d ->
+        ignore
+          (Engine.schedule e ~delay:d (fun () ->
+               Printf.bprintf b "%d:%d;" i (2 * i))))
+      delays;
+    Engine.run e;
+    Buffer.contents b
+  in
+  let packed =
+    let e = Engine.create () in
     let b = Buffer.create 128 in
     let cls =
       Engine.register_class e (fun a x -> Printf.bprintf b "%d:%d;" a x)
     in
     List.iteri
       (fun i d -> ignore (Engine.schedule_packed e ~delay:d ~cls ~a:i ~b:(2 * i)))
-      boundary_delays;
+      delays;
     Engine.run e;
     Buffer.contents b
   in
-  checks "identical packed fire log" (run Engine.Heap) (run Engine.Wheel)
+  checks "packed log = closure log" closures packed;
+  checks "(time, seq) order" "0:0;8:16;1:2;2:4;3:6;6:12;4:8;5:10;7:14;" packed
 
 (* Steady-state packed schedule/fire must not allocate on the minor heap:
    the whole point of the arena encoding is a closure-free hot path. The
    budget (a tenth of a word per event) only absorbs the measurement's
    own boxed [Gc.minor_words] results. *)
 let test_packed_zero_alloc () =
-  let e = Engine.create ~sched:Engine.Wheel () in
+  let e = Engine.create () in
   let acc = ref 0 in
   let cls = Engine.register_class e (fun a b -> acc := !acc + a + b) in
   let burst () =
@@ -237,7 +136,7 @@ let test_packed_zero_alloc () =
     done;
     Engine.run e
   in
-  (* warm-up grows the arena and the wheel to steady state *)
+  (* warm-up grows the arena and the heap to steady state *)
   burst ();
   burst ();
   let before = Gc.minor_words () in
@@ -248,19 +147,17 @@ let test_packed_zero_alloc () =
        per_event)
     true (per_event <= 0.1)
 
-(* --- qcheck: randomized script parity -------------------------------------- *)
+(* --- qcheck: randomized scripts against a reference ------------------------ *)
 
 type item = { delay : float; nested : float list; cancel : int option }
 
 (* Delays as small multiples of an eighth keep every sum exactly
-   representable; the boundary list salts in the level-span edges. *)
+   representable; the narrow range salts in same-time ties. *)
 let delay_gen =
   QCheck.Gen.(
-    oneof
-      [
-        map (fun i -> float_of_int i /. 8.0) (int_bound 2048);
-        oneofl boundary_delays;
-      ])
+    map
+      (fun i -> float_of_int i /. 8.0)
+      (oneof [ int_bound 2048; int_bound 4 ]))
 
 let script_gen =
   QCheck.Gen.(
@@ -283,13 +180,12 @@ let script_print script =
            | None -> ""))
        script)
 
-(* Interpret a script: schedule every item up front, then let each
-   firing log itself, spawn its nested events and cancel its victim.
-   Everything that could diverge between schedulers — bucketing, ties,
-   cascade timing, tombstone handling — funnels into the log. *)
-let run_script sched script =
+(* Interpret a script on the engine: schedule every item up front, then
+   let each firing log itself, spawn its nested events and cancel its
+   victim. *)
+let run_script script =
   let items = Array.of_list script in
-  let e = Engine.create ~sched () in
+  let e = Engine.create () in
   let b = Buffer.create 512 in
   let ids = Array.make (Array.length items) None in
   Array.iteri
@@ -315,47 +211,76 @@ let run_script sched script =
   checki "quiescent after script" 0 (Engine.pending e);
   Buffer.contents b
 
-let qcheck_script_parity =
-  QCheck.Test.make ~count:300 ~name:"wheel/heap fire-log parity on scripts"
-    (QCheck.make ~print:script_print script_gen)
-    (fun script ->
-      String.equal (run_script Engine.Heap script)
-        (run_script Engine.Wheel script))
+(* The same script by the definition: repeatedly fire the pending event
+   with the least (time, seq), where seq counts schedules; a fired
+   item's nested events get the next seqs, then its victim is dropped if
+   still pending. *)
+type ev = Item of int | Nested of int * int
 
-(* --- end-to-end: fuzz campaign checksum parity ----------------------------- *)
-
-(* The full protocol stack (all algorithms, faults, delay models) run
-   under each scheduler must produce the same in-order digest checksum.
-   CI runs the 10k-scenario version of this; here a slice guards the
-   property in the default test tier. *)
-let test_fuzz_checksum_parity () =
-  let run sched =
-    Engine.set_default_scheduler sched;
-    Fun.protect
-      ~finally:(fun () -> Engine.set_default_scheduler Engine.Wheel)
-      (fun () -> Fuzz.campaign ~iters:250 ~fuzz_seed:90210 ())
+let reference script =
+  let items = Array.of_list script in
+  let b = Buffer.create 512 in
+  let seq = ref 0 in
+  let add pending time ev =
+    let s = !seq in
+    incr seq;
+    (time, s, ev) :: pending
   in
-  let w = run Engine.Wheel in
-  let h = run Engine.Heap in
-  checkb "no wheel failure" true (w.Fuzz.failure = None);
-  checkb "no heap failure" true (h.Fuzz.failure = None);
-  checki "same scenario count" w.Fuzz.ran h.Fuzz.ran;
-  checki "same digest checksum across schedulers" w.Fuzz.checksum
-    h.Fuzz.checksum
+  let pending = ref [] in
+  List.iteri (fun i it -> pending := add !pending it.delay (Item i)) script;
+  let earlier (t1, s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2) in
+  let rec loop () =
+    match !pending with
+    | [] -> ()
+    | first :: rest ->
+      let now, s, ev =
+        List.fold_left (fun m x -> if earlier x m then x else m) first rest
+      in
+      pending := List.filter (fun (_, s', _) -> s' <> s) !pending;
+      (match ev with
+      | Nested (i, j) -> Printf.bprintf b "%d.%d@%h;" i j now
+      | Item i ->
+        let it = items.(i) in
+        Printf.bprintf b "%d@%h;" i now;
+        List.iteri
+          (fun j d -> pending := add !pending (now +. d) (Nested (i, j)))
+          it.nested;
+        Option.iter
+          (fun victim ->
+            pending :=
+              List.filter (fun (_, _, ev) -> ev <> Item victim) !pending)
+          it.cancel);
+      loop ()
+  in
+  loop ();
+  Buffer.contents b
+
+let qcheck_script_reference =
+  QCheck.Test.make ~count:300 ~name:"script fire log = reference"
+    (QCheck.make ~print:script_print script_gen)
+    (fun script -> String.equal (run_script script) (reference script))
+
+(* --- end-to-end: pinned fuzz campaign checksum ----------------------------- *)
+
+(* The full protocol stack (all algorithms, faults, delay models) depends
+   on the engine's fire order; this slice's in-order digest checksum was
+   recorded when the timing wheel and the heap were both in use and
+   agreed on it. CI pins the 10k-scenario checksum the same way. *)
+let test_fuzz_checksum_pinned () =
+  let r = Fuzz.campaign ~iters:250 ~fuzz_seed:90210 () in
+  checkb "no failure" true (r.Fuzz.failure = None);
+  checki "all scenarios ran" 250 r.Fuzz.ran;
+  checki "pinned digest checksum" 290361193519531730 r.Fuzz.checksum
 
 let suite =
   [
-    Alcotest.test_case "boundary fire order" `Quick test_boundary_fire_order;
     Alcotest.test_case "nested fire order" `Quick test_nested_fire_order;
     Alcotest.test_case "astronomical times" `Quick test_astronomical_times;
-    Alcotest.test_case "cancel at every level" `Quick test_cancel_every_level;
     Alcotest.test_case "stale id after slot reuse" `Quick
       test_stale_id_after_reuse;
-    Alcotest.test_case "reschedule at boundaries" `Quick
-      test_reschedule_at_boundaries;
     Alcotest.test_case "run ~until push-back" `Quick test_run_until_pushback;
     Alcotest.test_case "packed fire parity" `Quick test_packed_parity;
     Alcotest.test_case "packed zero-alloc" `Quick test_packed_zero_alloc;
-    Alcotest.test_case "fuzz checksum parity" `Quick test_fuzz_checksum_parity;
+    Alcotest.test_case "fuzz checksum pinned" `Quick test_fuzz_checksum_pinned;
   ]
-  @ [ QCheck_alcotest.to_alcotest ~long:false qcheck_script_parity ]
+  @ [ QCheck_alcotest.to_alcotest ~long:false qcheck_script_reference ]
