@@ -126,8 +126,7 @@ let spec_of (s : Scenario.t) structure =
      search_father, which rewires fathers outside b-transformations and
      legitimately leaves a non-open-cube (safe) tree at quiescence. *)
   let structure = if fault_free && not s.ft then structure else None in
-  { Oracle.fault_free; continuous = fault_free; structure; message_bound;
-    expect_drain = true }
+  { Oracle.fault_free; structure; message_bound; expect_drain = true }
 
 let digest env =
   let w = Runner.wait_stats env in

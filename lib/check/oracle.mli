@@ -10,10 +10,12 @@
 
     - safety: at most one node in its critical section — continuously, in
       every scenario (Section 3 / Theorem in Section 4);
-    - token uniqueness: exactly one live token, held or in flight —
-      continuously in failure-free runs (the algorithms' own
-      [invariant_check]); a transient token loss is legal only while the
-      fault machinery is repairing one (Section 5);
+    - token uniqueness: at most one token holder, and exactly one live
+      token, held or in flight — continuously in failure-free runs (the
+      algorithms' own [invariant_check], which reads running tallies in
+      O(1) so that checking every event costs no per-node scan); a
+      transient token loss is legal only while the fault machinery is
+      repairing one (Section 5);
     - structure: at quiescence of failure-free open-cube runs the father
       array is an open-cube (Theorem 2.1, Cor. 2.2/2.3) and every branch
       respects [r <= pmax - n1] (Prop. 2.3);
@@ -29,8 +31,8 @@ exception Violation of string
 
 type spec = {
   fault_free : bool;
-      (** the scenario injects no faults: strong invariants apply *)
-  continuous : bool;  (** run the instance's [invariant_check] every event *)
+      (** the scenario injects no faults: the instance's [invariant_check]
+          runs after every event and at quiescence *)
   structure : (unit -> (unit, string) result) option;
       (** quiescence-only structural check (open-cube shape + branch bound) *)
   message_bound : int option;  (** cap on total messages sent *)

@@ -8,17 +8,26 @@ module Make (R : Runtime.S) = struct
     mutable busy : bool;  (* token granted and not yet released *)
     mutable holder : node_id option;  (* who is in CS *)
     in_cs : bool array;
+    mutable nodes_in_cs : int;
   }
 
   let coordinator = 0
 
   let dummy_rid i = { source = i; seq = 0 }
 
+  (* A running tally for an O(1) [invariant_check]: the only writer of
+     [in_cs] after [create]. *)
+  let set_in_cs t i b =
+    if t.in_cs.(i) <> b then begin
+      t.in_cs.(i) <- b;
+      t.nodes_in_cs <- (t.nodes_in_cs + if b then 1 else -1)
+    end
+
   let grant t dst =
     t.busy <- true;
     if dst = coordinator then begin
       t.holder <- Some coordinator;
-      t.in_cs.(coordinator) <- true;
+      set_in_cs t coordinator true;
       t.callbacks.on_enter coordinator
     end
     else
@@ -37,7 +46,7 @@ module Make (R : Runtime.S) = struct
       next_grant t
     | Message.Token _ ->
       t.holder <- Some i;
-      t.in_cs.(i) <- true;
+      set_in_cs t i true;
       t.callbacks.on_enter i
     | Message.Release ->
       assert (i = coordinator);
@@ -62,6 +71,7 @@ module Make (R : Runtime.S) = struct
         busy = false;
         holder = None;
         in_cs = Array.make n false;
+        nodes_in_cs = 0;
       }
     in
     for i = 0 to n - 1 do
@@ -81,7 +91,7 @@ module Make (R : Runtime.S) = struct
   let release_cs t i =
     if not t.in_cs.(i) then
       invalid_arg (Printf.sprintf "Central.release_cs: node %d not in CS" i);
-    t.in_cs.(i) <- false;
+    set_in_cs t i false;
     t.callbacks.on_exit i;
     if i = coordinator then begin
       t.busy <- false;
@@ -92,9 +102,12 @@ module Make (R : Runtime.S) = struct
 
   let queue_length t = Queue.length t.waiting
 
+  let in_cs t i = t.in_cs.(i)
+
+  let in_cs_count t = t.nodes_in_cs
+
   let invariant_check t =
-    let in_cs = Array.fold_left (fun a b -> if b then a + 1 else a) 0 t.in_cs in
-    if in_cs > 1 then Error "mutual exclusion violated: >1 node in CS"
+    if t.nodes_in_cs > 1 then Error "mutual exclusion violated: >1 node in CS"
     else Ok ()
 
   let instance t =

@@ -22,6 +22,10 @@ module Make (R : Runtime.S) : sig
 
   val queue_length : t -> int
 
+  val in_cs : t -> node_id -> bool
+
+  val in_cs_count : t -> int
+
   val invariant_check : t -> (unit, string) result
 end
 
@@ -42,4 +46,11 @@ val instance : t -> instance
 val queue_length : t -> int
 (** Pending requests at the coordinator. *)
 
+val in_cs : t -> node_id -> bool
+
+val in_cs_count : t -> int
+(** Running tally of the nodes in their CS, kept by the one setter of
+    the in-CS flag. *)
+
 val invariant_check : t -> (unit, string) result
+(** O(1) over the tallies (see {!Types.instance}). *)

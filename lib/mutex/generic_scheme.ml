@@ -29,9 +29,25 @@ module Make (R : Runtime.S) = struct
     pmax : int;  (* log2 n when n is a power of two, else -1 *)
     nodes : node array;
     mutable tokens_in_flight : int;
+    mutable tokens_held : int;
+    mutable nodes_in_cs : int;
   }
 
   let node t i = t.nodes.(i)
+
+  (* Running tallies for an O(1) [invariant_check]: these two setters are
+     the only writers of [token_here] and [in_cs] after [create]. *)
+  let set_token t nd b =
+    if nd.token_here <> b then begin
+      nd.token_here <- b;
+      t.tokens_held <- (t.tokens_held + if b then 1 else -1)
+    end
+
+  let set_in_cs t nd b =
+    if nd.in_cs <> b then begin
+      nd.in_cs <- b;
+      t.nodes_in_cs <- (t.nodes_in_cs + if b then 1 else -1)
+    end
 
   let dummy_rid i = { source = i; seq = 0 }
 
@@ -66,7 +82,7 @@ module Make (R : Runtime.S) = struct
     nd.asking <- true;
     if nd.token_here then begin
       nd.lender <- nd.id;
-      nd.in_cs <- true;
+      set_in_cs t nd true;
       t.callbacks.on_enter nd.id
     end
     else begin
@@ -82,7 +98,7 @@ module Make (R : Runtime.S) = struct
     | `Transit ->
       (if nd.token_here then begin
          send_token t ~src:nd.id ~dst:j ~lender:None;
-         nd.token_here <- false
+         set_token t nd false
        end
        else
          match nd.father with
@@ -93,7 +109,7 @@ module Make (R : Runtime.S) = struct
       nd.asking <- true;
       if nd.token_here then begin
         send_token t ~src:nd.id ~dst:j ~lender:(Some nd.id);
-        nd.token_here <- false
+        set_token t nd false
       end
       else begin
         nd.mandator <- Some j;
@@ -106,7 +122,7 @@ module Make (R : Runtime.S) = struct
     t.tokens_in_flight <- t.tokens_in_flight - 1;
     match nd.mandator with
     | Some m when m = nd.id ->
-      nd.token_here <- true;
+      set_token t nd true;
       (match lender with
       | None ->
         nd.lender <- nd.id;
@@ -115,7 +131,7 @@ module Make (R : Runtime.S) = struct
         nd.lender <- l;
         nd.father <- Some from_);
       nd.mandator <- None;
-      nd.in_cs <- true;
+      set_in_cs t nd true;
       t.callbacks.on_enter nd.id
     | Some m -> (
       nd.mandator <- None;
@@ -131,7 +147,7 @@ module Make (R : Runtime.S) = struct
         drain t nd)
     | None ->
       (* Return of the token after a loan. *)
-      nd.token_here <- true;
+      set_token t nd true;
       nd.lender <- nd.id;
       nd.asking <- false;
       drain t nd
@@ -191,6 +207,8 @@ module Make (R : Runtime.S) = struct
                 queue = Queue.create ();
               });
         tokens_in_flight = 0;
+        tokens_held = 1;
+        nodes_in_cs = 0;
       }
     in
     for i = 0 to n - 1 do
@@ -206,11 +224,11 @@ module Make (R : Runtime.S) = struct
     let nd = node t i in
     if not nd.in_cs then
       invalid_arg (Printf.sprintf "Generic_scheme.release_cs: node %d not in CS" i);
-    nd.in_cs <- false;
+    set_in_cs t nd false;
     t.callbacks.on_exit i;
     if nd.lender <> nd.id then begin
       send_token t ~src:nd.id ~dst:nd.lender ~lender:None;
-      nd.token_here <- false
+      set_token t nd false
     end;
     nd.asking <- false;
     drain t nd
@@ -223,14 +241,15 @@ module Make (R : Runtime.S) = struct
     Array.to_list t.nodes
     |> List.filter_map (fun nd -> if nd.token_here then Some nd.id else None)
 
+  let in_cs t i = (node t i).in_cs
+
+  let holder_count t = t.tokens_held
+
+  let in_cs_count t = t.nodes_in_cs
+
   let invariant_check t =
-    let holders = List.length (token_holders t) in
-    let in_cs = Array.fold_left (fun a nd -> if nd.in_cs then a + 1 else a) 0 t.nodes in
-    if in_cs > 1 then Error "mutual exclusion violated: >1 node in CS"
-    else if holders + t.tokens_in_flight <> 1 then
-      Error
-        (Printf.sprintf "token count %d should be 1" (holders + t.tokens_in_flight))
-    else Ok ()
+    token_verdict ~in_cs:t.nodes_in_cs ~held:t.tokens_held
+      ~in_flight:t.tokens_in_flight token_holders t
 
   let instance t =
     let rule_name =

@@ -52,6 +52,12 @@ module Make (R : Runtime.S) : sig
 
   val token_holders : t -> node_id list
 
+  val in_cs : t -> node_id -> bool
+
+  val holder_count : t -> int
+
+  val in_cs_count : t -> int
+
   val invariant_check : t -> (unit, string) result
 end
 
@@ -86,4 +92,14 @@ val snapshot_tree : t -> node_id option array
 
 val token_holders : t -> node_id list
 
+val in_cs : t -> node_id -> bool
+
+val holder_count : t -> int
+(** Running tally of the token holders, kept by the one setter of the
+    token flag; {!token_holders} is the O(N) scan it must agree with. *)
+
+val in_cs_count : t -> int
+(** Running tally of the nodes in their CS, kept the same way. *)
+
 val invariant_check : t -> (unit, string) result
+(** O(1) over the tallies (see {!Types.instance}). *)

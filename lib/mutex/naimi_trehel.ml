@@ -16,11 +16,27 @@ module Make (R : Runtime.S) = struct
     callbacks : callbacks;
     nodes : node array;
     mutable tokens_in_flight : int;
+    mutable tokens_held : int;
+    mutable nodes_in_cs : int;
   }
 
   let dummy_rid i = { source = i; seq = 0 }
 
   let node t i = t.nodes.(i)
+
+  (* Running tallies for an O(1) [invariant_check]: these two setters are
+     the only writers of [token_here] and [in_cs] after [create]. *)
+  let set_token t nd b =
+    if nd.token_here <> b then begin
+      nd.token_here <- b;
+      t.tokens_held <- (t.tokens_held + if b then 1 else -1)
+    end
+
+  let set_in_cs t nd b =
+    if nd.in_cs <> b then begin
+      nd.in_cs <- b;
+      t.nodes_in_cs <- (t.nodes_in_cs + if b then 1 else -1)
+    end
 
   let send_request t ~src ~dst ~origin =
     R.send t.net ~src ~dst (Message.Request { origin; rid = dummy_rid origin })
@@ -42,7 +58,7 @@ module Make (R : Runtime.S) = struct
           nd.next <- Some origin
         else begin
           (* Idle token owner: hand the token over directly. *)
-          nd.token_here <- false;
+          set_token t nd false;
           send_token t ~src:nd.id ~dst:origin
         end;
         nd.father <- Some origin
@@ -53,8 +69,8 @@ module Make (R : Runtime.S) = struct
         nd.father <- Some origin)
     | Message.Token _ ->
       t.tokens_in_flight <- t.tokens_in_flight - 1;
-      nd.token_here <- true;
-      nd.in_cs <- true;
+      set_token t nd true;
+      set_in_cs t nd true;
       t.callbacks.on_enter nd.id
     | Message.Enquiry _ | Message.Enquiry_answer _ | Message.Test _
     | Message.Test_answer _ | Message.Anomaly _ | Message.Void _ | Message.Census _
@@ -81,6 +97,8 @@ module Make (R : Runtime.S) = struct
                 in_cs = false;
               });
         tokens_in_flight = 0;
+        tokens_held = 1;
+        nodes_in_cs = 0;
       }
     in
     for i = 0 to n - 1 do
@@ -96,7 +114,7 @@ module Make (R : Runtime.S) = struct
     match nd.father with
     | None ->
       (* We already own the token and nobody is queued: enter directly. *)
-      nd.in_cs <- true;
+      set_in_cs t nd true;
       t.callbacks.on_enter nd.id
     | Some f ->
       send_request t ~src:nd.id ~dst:f ~origin:nd.id;
@@ -106,13 +124,13 @@ module Make (R : Runtime.S) = struct
     let nd = node t i in
     if not nd.in_cs then
       invalid_arg (Printf.sprintf "Naimi_trehel.release_cs: node %d not in CS" i);
-    nd.in_cs <- false;
+    set_in_cs t nd false;
     nd.requesting <- false;
     t.callbacks.on_exit i;
     match nd.next with
     | Some succ ->
       nd.next <- None;
-      nd.token_here <- false;
+      set_token t nd false;
       send_token t ~src:nd.id ~dst:succ
     | None -> () (* keep the token *)
 
@@ -132,14 +150,15 @@ module Make (R : Runtime.S) = struct
     in
     Array.fold_left (fun acc nd -> max acc (chain 0 nd.id)) 0 t.nodes
 
+  let in_cs t i = (node t i).in_cs
+
+  let holder_count t = t.tokens_held
+
+  let in_cs_count t = t.nodes_in_cs
+
   let invariant_check t =
-    let holders = List.length (token_holders t) in
-    let in_cs = Array.fold_left (fun a nd -> if nd.in_cs then a + 1 else a) 0 t.nodes in
-    if in_cs > 1 then Error "mutual exclusion violated: >1 node in CS"
-    else if holders + t.tokens_in_flight <> 1 then
-      Error
-        (Printf.sprintf "token count %d should be 1" (holders + t.tokens_in_flight))
-    else Ok ()
+    token_verdict ~in_cs:t.nodes_in_cs ~held:t.tokens_held
+      ~in_flight:t.tokens_in_flight token_holders t
 
   let instance t =
     {

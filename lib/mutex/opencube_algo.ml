@@ -164,6 +164,8 @@ module Make (R : Runtime.S) = struct
     cold : cold option array;
     policy_rng : Ocube_sim.Rng.t;  (* for the Random_order queue policy *)
     mutable tokens_in_flight : int;
+    mutable tokens_held : int;  (* nodes with fl_token set, failed ones too *)
+    mutable nodes_in_cs : int;  (* nodes with fl_in_cs set *)
     mutable s_token_regenerations : int;
     mutable s_searches_started : int;
     mutable s_search_nodes_tested : int;
@@ -191,9 +193,15 @@ module Make (R : Runtime.S) = struct
 
   let has_token t i = t.st.flags.{i} land fl_token <> 0
 
+  (* The token and in-CS flags keep exact running tallies, so that
+     [invariant_check] is O(1): these two setters are their only writers
+     after [make_state]. *)
   let set_token t i b =
     let f = t.st.flags.{i} in
-    t.st.flags.{i} <- (if b then f lor fl_token else f land lnot fl_token)
+    if b <> (f land fl_token <> 0) then begin
+      t.st.flags.{i} <- f lxor fl_token;
+      t.tokens_held <- (t.tokens_held + if b then 1 else -1)
+    end
 
   let is_asking t i = t.st.flags.{i} land fl_asking <> 0
 
@@ -205,7 +213,10 @@ module Make (R : Runtime.S) = struct
 
   let set_in_cs t i b =
     let f = t.st.flags.{i} in
-    t.st.flags.{i} <- (if b then f lor fl_in_cs else f land lnot fl_in_cs)
+    if b <> (f land fl_in_cs <> 0) then begin
+      t.st.flags.{i} <- f lxor fl_in_cs;
+      t.nodes_in_cs <- (t.nodes_in_cs + if b then 1 else -1)
+    end
 
   let lender_of t i = t.st.lender.{i}
 
@@ -1344,6 +1355,8 @@ module Make (R : Runtime.S) = struct
         cold = Array.make n None;
         policy_rng = Ocube_sim.Rng.create 0xc0be;
         tokens_in_flight = 0;
+        tokens_held = 1;
+        nodes_in_cs = 0;
         s_token_regenerations = 0;
         s_searches_started = 0;
         s_search_nodes_tested = 0;
@@ -1488,19 +1501,13 @@ module Make (R : Runtime.S) = struct
       custody_confirmed = t.s_custody_confirmed;
     }
 
+  let holder_count t = t.tokens_held
+
+  let in_cs_count t = t.nodes_in_cs
+
   let invariant_check t =
-    let holders = List.length (token_holders t) in
-    let in_cs_count = ref 0 in
-    for i = 0 to t.n - 1 do
-      if is_in_cs t i then incr in_cs_count
-    done;
-    if !in_cs_count > 1 then Error "mutual exclusion violated: >1 node in CS"
-    else if holders + t.tokens_in_flight <> 1 then
-      Error
-        (Printf.sprintf "token count %d (held %d + in flight %d) should be 1"
-           (holders + t.tokens_in_flight)
-           holders t.tokens_in_flight)
-    else Ok ()
+    token_verdict ~in_cs:t.nodes_in_cs ~held:t.tokens_held
+      ~in_flight:t.tokens_in_flight token_holders t
 
   let check_opencube t =
     let fathers = snapshot_tree t in

@@ -134,6 +134,10 @@ module Make (R : Runtime.S) : sig
 
   val stats : t -> stats
 
+  val holder_count : t -> int
+
+  val in_cs_count : t -> int
+
   val invariant_check : t -> (unit, string) result
 
   val check_opencube : t -> (unit, string) result
@@ -190,10 +194,21 @@ val describe : t -> node_id -> string
 
 val stats : t -> stats
 
+val holder_count : t -> int
+(** Running tally of the nodes whose token flag is set, kept by the one
+    setter of the flag. Unlike {!token_holders} it counts a failed node's
+    frozen flag. *)
+
+val in_cs_count : t -> int
+(** Running tally of the nodes whose in-CS flag is set. *)
+
 val invariant_check : t -> (unit, string) result
-(** Fault-free invariants: exactly one token (held or in flight), the
-    father pointers of connected nodes form a tree, at most one node in CS.
-    Tests call this at quiescent points of fault-free runs. *)
+(** Fault-free invariants, read off the tallies in O(1) without
+    allocating on success: at most one node in its CS, at most one token
+    holder (the error names them), and exactly one token, held or in
+    flight. It does not check the father pointers; {!check_opencube} does,
+    at quiescence. A failed node's frozen flags count, so the result is
+    meaningful only while no node has failed. *)
 
 val check_opencube : t -> (unit, string) result
 (** Full open-cube structural check of the current father array. Only

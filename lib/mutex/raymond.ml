@@ -15,6 +15,8 @@ module Make (R : Runtime.S) = struct
     callbacks : callbacks;
     nodes : node array;
     mutable tokens_in_flight : int;
+    mutable self_holders : int;  (* nodes with [holder = id] *)
+    mutable nodes_in_cs : int;  (* nodes with [using] *)
   }
 
   (* Raymond's REQUEST carries no payload; reuse the shared Request
@@ -22,6 +24,19 @@ module Make (R : Runtime.S) = struct
   let dummy_rid i = { source = i; seq = 0 }
 
   let node t i = t.nodes.(i)
+
+  (* Running tallies for an O(1) [invariant_check]: these two setters are
+     the only writers of [holder] and [using] after [create]. *)
+  let set_holder t nd h =
+    let was = nd.holder = nd.id and now = h = nd.id in
+    nd.holder <- h;
+    if was <> now then t.self_holders <- (t.self_holders + if now then 1 else -1)
+
+  let set_using t nd b =
+    if nd.using <> b then begin
+      nd.using <- b;
+      t.nodes_in_cs <- (t.nodes_in_cs + if b then 1 else -1)
+    end
 
   let send_request t ~src ~dst =
     R.send t.net ~src ~dst (Message.Request { origin = src; rid = dummy_rid src })
@@ -37,11 +52,11 @@ module Make (R : Runtime.S) = struct
     then begin
       let head = Queue.pop nd.request_q in
       if head = nd.id then begin
-        nd.using <- true;
+        set_using t nd true;
         t.callbacks.on_enter nd.id
       end
       else begin
-        nd.holder <- head;
+        set_holder t nd head;
         nd.asked <- false;
         send_token t ~src:nd.id ~dst:head;
         (* If others are still waiting here, immediately ask for the token
@@ -65,7 +80,7 @@ module Make (R : Runtime.S) = struct
       if nd.holder = nd.id then assign_privilege t nd else make_request t nd
     | Message.Token _ ->
       t.tokens_in_flight <- t.tokens_in_flight - 1;
-      nd.holder <- nd.id;
+      set_holder t nd nd.id;
       assign_privilege t nd
     | Message.Enquiry _ | Message.Enquiry_answer _ | Message.Test _
     | Message.Test_answer _ | Message.Anomaly _ | Message.Void _ | Message.Census _
@@ -102,6 +117,8 @@ module Make (R : Runtime.S) = struct
                 request_q = Queue.create ();
               });
         tokens_in_flight = 0;
+        self_holders = 1 (* the root's; the tree was validated above *);
+        nodes_in_cs = 0;
       }
     in
     ignore !root;
@@ -119,7 +136,7 @@ module Make (R : Runtime.S) = struct
     let nd = node t i in
     if not nd.using then
       invalid_arg (Printf.sprintf "Raymond.release_cs: node %d not in CS" i);
-    nd.using <- false;
+    set_using t nd false;
     t.callbacks.on_exit i;
     assign_privilege t nd
 
@@ -132,17 +149,23 @@ module Make (R : Runtime.S) = struct
 
   let queue_length t i = Queue.length (node t i).request_q
 
+  let in_cs t i = (node t i).using
+
+  let holder_count t = t.self_holders
+
+  let in_cs_count t = t.nodes_in_cs
+
   let invariant_check t =
     (* Exactly one node may believe it is on the token side with the token
        actually present; when the token is in flight both ends point at each
        other transiently. We check the strong invariant only when no token is
-       in flight. *)
-    let self_holders = List.length (token_holders t) in
-    let using = Array.fold_left (fun a nd -> if nd.using then a + 1 else a) 0 t.nodes in
-    if using > 1 then Error "mutual exclusion violated: >1 node using"
-    else if t.tokens_in_flight = 0 && self_holders <> 1 then
-      Error (Printf.sprintf "%d self-holders with no token in flight" self_holders)
-    else if t.tokens_in_flight + self_holders < 1 then Error "token vanished"
+       in flight. At no instant may two nodes be self-holders. *)
+    let held = t.self_holders in
+    if t.nodes_in_cs > 1 then Error "mutual exclusion violated: >1 node using"
+    else if held > 1 then Error (holders_error (token_holders t))
+    else if t.tokens_in_flight = 0 && held <> 1 then
+      Error (Printf.sprintf "%d self-holders with no token in flight" held)
+    else if t.tokens_in_flight + held < 1 then Error "token vanished"
     else Ok ()
 
   let instance t =

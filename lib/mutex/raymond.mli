@@ -30,6 +30,12 @@ module Make (R : Runtime.S) : sig
 
   val queue_length : t -> node_id -> int
 
+  val in_cs : t -> node_id -> bool
+
+  val holder_count : t -> int
+
+  val in_cs_count : t -> int
+
   val invariant_check : t -> (unit, string) result
 end
 
@@ -63,4 +69,15 @@ val token_holders : t -> node_id list
 
 val queue_length : t -> node_id -> int
 
+val in_cs : t -> node_id -> bool
+
+val holder_count : t -> int
+(** Running tally of the self-holders ([holder t i = i]), kept by the one
+    setter of [holder]; {!token_holders} is the O(N) scan it must agree
+    with. *)
+
+val in_cs_count : t -> int
+(** Running tally of the nodes in their CS, kept the same way. *)
+
 val invariant_check : t -> (unit, string) result
+(** O(1) over the tallies (see {!Types.instance}). *)

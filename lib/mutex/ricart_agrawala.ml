@@ -12,14 +12,27 @@ module Make (R : Runtime.S) = struct
     mutable deferred : node_id list;  (* replies withheld until exit *)
   }
 
-  type t = { net : R.t; callbacks : callbacks; nodes : node array }
+  type t = {
+    net : R.t;
+    callbacks : callbacks;
+    nodes : node array;
+    mutable nodes_in_cs : int;
+  }
 
   let node t i = t.nodes.(i)
 
   let n_of t = Array.length t.nodes
 
+  (* A running tally for an O(1) [invariant_check]: the only writer of
+     [in_cs] after [create]. *)
+  let set_in_cs t nd b =
+    if nd.in_cs <> b then begin
+      nd.in_cs <- b;
+      t.nodes_in_cs <- (t.nodes_in_cs + if b then 1 else -1)
+    end
+
   let enter t nd =
-    nd.in_cs <- true;
+    set_in_cs t nd true;
     t.callbacks.on_enter nd.id
 
   (* Our pending request has priority over an incoming one iff its
@@ -65,6 +78,7 @@ module Make (R : Runtime.S) = struct
                 in_cs = false;
                 deferred = [];
               });
+        nodes_in_cs = 0;
       }
     in
     for i = 0 to n - 1 do
@@ -95,7 +109,7 @@ module Make (R : Runtime.S) = struct
     if not nd.in_cs then
       invalid_arg
         (Printf.sprintf "Ricart_agrawala.release_cs: node %d not in CS" i);
-    nd.in_cs <- false;
+    set_in_cs t nd false;
     nd.requesting <- false;
     t.callbacks.on_exit i;
     let waiting = List.rev nd.deferred in
@@ -104,11 +118,13 @@ module Make (R : Runtime.S) = struct
 
   let deferred t i = (node t i).deferred
 
+  let in_cs t i = (node t i).in_cs
+
+  let in_cs_count t = t.nodes_in_cs
+
   let invariant_check t =
-    let in_cs =
-      Array.fold_left (fun a nd -> if nd.in_cs then a + 1 else a) 0 t.nodes
-    in
-    if in_cs > 1 then Error "mutual exclusion violated: >1 node in CS" else Ok ()
+    if t.nodes_in_cs > 1 then Error "mutual exclusion violated: >1 node in CS"
+    else Ok ()
 
   let instance t =
     {

@@ -23,6 +23,10 @@ module Make (R : Runtime.S) : sig
 
   val deferred : t -> node_id -> node_id list
 
+  val in_cs : t -> node_id -> bool
+
+  val in_cs_count : t -> int
+
   val invariant_check : t -> (unit, string) result
 end
 
@@ -45,4 +49,11 @@ val instance : t -> instance
 val deferred : t -> node_id -> node_id list
 (** Peers whose replies the node is withholding until it exits. *)
 
+val in_cs : t -> node_id -> bool
+
+val in_cs_count : t -> int
+(** Running tally of the nodes in their CS, kept by the one setter of
+    the in-CS flag. *)
+
 val invariant_check : t -> (unit, string) result
+(** O(1) over the tallies (see {!Types.instance}). *)

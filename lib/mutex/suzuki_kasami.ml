@@ -19,11 +19,27 @@ module Make (R : Runtime.S) = struct
     callbacks : callbacks;
     nodes : node array;
     mutable tokens_in_flight : int;
+    mutable tokens_held : int;
+    mutable nodes_in_cs : int;
   }
 
   let node t i = t.nodes.(i)
 
   let n_of t = Array.length t.nodes
+
+  (* Running tallies for an O(1) [invariant_check]: these two setters are
+     the only writers of [has_token] and [in_cs] after [create]. *)
+  let set_token t nd b =
+    if nd.has_token <> b then begin
+      nd.has_token <- b;
+      t.tokens_held <- (t.tokens_held + if b then 1 else -1)
+    end
+
+  let set_in_cs t nd b =
+    if nd.in_cs <> b then begin
+      nd.in_cs <- b;
+      t.nodes_in_cs <- (t.nodes_in_cs + if b then 1 else -1)
+    end
 
   let broadcast_request t nd =
     let seq = nd.rn.(nd.id) in
@@ -33,11 +49,11 @@ module Make (R : Runtime.S) = struct
     done
 
   let enter t nd =
-    nd.in_cs <- true;
+    set_in_cs t nd true;
     t.callbacks.on_enter nd.id
 
   let send_token t nd dst =
-    nd.has_token <- false;
+    set_token t nd false;
     t.tokens_in_flight <- t.tokens_in_flight + 1;
     R.send t.net ~src:nd.id ~dst
       (Message.Sk_privilege { queue = Fdeque.to_list nd.tq; ln = Array.copy nd.ln })
@@ -71,7 +87,7 @@ module Make (R : Runtime.S) = struct
       update_queue_and_pass t nd
     | Message.Sk_privilege { queue; ln } ->
       t.tokens_in_flight <- t.tokens_in_flight - 1;
-      nd.has_token <- true;
+      set_token t nd true;
       nd.tq <- Fdeque.of_list queue;
       nd.ln <- ln;
       (* The token only travels towards a requester. *)
@@ -102,6 +118,8 @@ module Make (R : Runtime.S) = struct
                 ln = Array.make n 0;
               });
         tokens_in_flight = 0;
+        tokens_held = 1;
+        nodes_in_cs = 0;
       }
     in
     for i = 0 to n - 1 do
@@ -124,7 +142,7 @@ module Make (R : Runtime.S) = struct
     let nd = node t i in
     if not nd.in_cs then
       invalid_arg (Printf.sprintf "Suzuki_kasami.release_cs: node %d not in CS" i);
-    nd.in_cs <- false;
+    set_in_cs t nd false;
     nd.requesting <- false;
     t.callbacks.on_exit i;
     nd.ln.(i) <- nd.rn.(i);
@@ -139,16 +157,15 @@ module Make (R : Runtime.S) = struct
     | [ h ] -> Fdeque.to_list (node t h).tq
     | _ -> []
 
+  let in_cs t i = (node t i).in_cs
+
+  let holder_count t = t.tokens_held
+
+  let in_cs_count t = t.nodes_in_cs
+
   let invariant_check t =
-    let holders = List.length (token_holders t) in
-    let in_cs =
-      Array.fold_left (fun a nd -> if nd.in_cs then a + 1 else a) 0 t.nodes
-    in
-    if in_cs > 1 then Error "mutual exclusion violated: >1 node in CS"
-    else if holders + t.tokens_in_flight <> 1 then
-      Error
-        (Printf.sprintf "token count %d should be 1" (holders + t.tokens_in_flight))
-    else Ok ()
+    token_verdict ~in_cs:t.nodes_in_cs ~held:t.tokens_held
+      ~in_flight:t.tokens_in_flight token_holders t
 
   let instance t =
     {

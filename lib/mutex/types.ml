@@ -147,3 +147,16 @@ type instance = {
   token_holders : unit -> node_id list;
   invariant_check : unit -> (unit, string) result;
 }
+
+let holders_error holders =
+  Printf.sprintf "token: %d simultaneous holders (%s)" (List.length holders)
+    (String.concat "," (List.map string_of_int holders))
+
+let token_verdict ~in_cs ~held ~in_flight token_holders t =
+  if in_cs > 1 then Error "mutual exclusion violated: >1 node in CS"
+  else if held > 1 then Error (holders_error (token_holders t))
+  else if held + in_flight <> 1 then
+    Error
+      (Printf.sprintf "token count %d (held %d + in flight %d) should be 1"
+         (held + in_flight) held in_flight)
+  else Ok ()

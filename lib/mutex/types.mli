@@ -151,7 +151,29 @@ type instance = {
   snapshot_tree : unit -> node_id option array option;
       (** Current father array for tree-based algorithms, [None] otherwise. *)
   token_holders : unit -> node_id list;
-      (** Nodes currently holding a token ([[]] while it is in flight). *)
+      (** Nodes currently holding a token ([[]] while it is in flight).
+          An O(N) scan. *)
   invariant_check : unit -> (unit, string) result;
-      (** Algorithm-specific internal consistency check, used by tests. *)
+      (** The algorithm's fault-free invariants: at most one node in its
+          CS, at most one token holder, and for token algorithms a token
+          count of one, held or in flight. The fuzz oracle runs it after
+          every event of a fault-free run, so it reads running tallies:
+          O(1), and it allocates nothing when it returns [Ok ()]. *)
 }
+
+val holders_error : node_id list -> string
+(** The [invariant_check] message for more than one token holder, naming
+    them. *)
+
+val token_verdict :
+  in_cs:int ->
+  held:int ->
+  in_flight:int ->
+  ('a -> node_id list) ->
+  'a ->
+  (unit, string) result
+(** [token_verdict ~in_cs ~held ~in_flight token_holders t] is the
+    [invariant_check] of a single-token algorithm from its running
+    tallies: at most one node in CS, at most one holder (the error names
+    [token_holders t], the only scan, made on that path alone), and
+    [held + in_flight = 1]. Allocates nothing when it returns [Ok ()]. *)

@@ -2,15 +2,19 @@
    algorithms, the bit-identical replay guarantee, exact script round-trips,
    regression reproducers for the bugs the fuzzer found (among them the
    stale-mandate livelock, the mid-CS token transit and the
-   ill-founded-suspicion livelock), and a deliberately sabotaged
+   ill-founded-suspicion livelock), a deliberately sabotaged
    algorithm that the oracle must catch and the shrinker must reduce to a
-   two-arrival counterexample. *)
+   two-arrival counterexample, a forged second token the oracle must
+   name, and the cores' running tallies checked against O(N) scans. *)
 
 module Scenario = Ocube_check.Scenario
 module Fuzz = Ocube_check.Fuzz
 module Runner = Ocube_mutex.Runner
 module Types = Ocube_mutex.Types
 module Network = Ocube_net.Network
+module Engine = Ocube_sim.Engine
+module Static_tree = Ocube_topology.Static_tree
+open Ocube_mutex
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -190,6 +194,128 @@ let test_regression_suspicion_livelock () =
       checki "every surviving wish served" 0 d.Fuzz.outstanding;
       checkb "no message storm" true (d.Fuzz.messages < 2_000))
 
+(* --- tallies against the scans they replaced ------------------------------ *)
+
+(* Every core's [invariant_check] reads token and in-CS tallies kept at
+   the flag setters. This build constructs the same cores [Fuzz.build]
+   does and, on fault-free scenarios, adds a second step hook beside the
+   oracle's that recounts both with O(N) scans after every event. *)
+type tally_log = {
+  mutable mismatches : string list;
+  mutable events : (string * int) list;  (* checked events per algorithm *)
+}
+
+let count n flag =
+  let c = ref 0 in
+  for i = 0 to n - 1 do
+    if flag i then incr c
+  done;
+  !c
+
+let tally_build log (s : Scenario.t) =
+  let n = Scenario.nodes s in
+  let env = Runner.make_env ~seed:s.seed ~n ~delay:s.delay ~cs:s.cs () in
+  let net = Runner.net env and callbacks = Runner.callbacks env in
+  (* (tallied holders, scanned holders, tallied in-CS, scanned in-CS) *)
+  let inst, counts =
+    match s.algo with
+    | Scenario.Opencube ->
+      let config =
+        {
+          (Opencube_algo.default_config ~p:s.p) with
+          fault_tolerance = s.ft;
+          asker_patience = s.patience;
+          queue_policy =
+            (if s.lifo then Opencube_algo.Lifo else Opencube_algo.Fifo);
+        }
+      in
+      let a = Opencube_algo.create ~net ~callbacks ~config in
+      ( Opencube_algo.instance a,
+        fun () ->
+          ( Opencube_algo.holder_count a,
+            List.length (Opencube_algo.token_holders a),
+            Opencube_algo.in_cs_count a,
+            count n (Opencube_algo.in_cs a) ) )
+    | Scenario.Raymond ->
+      let tree = Static_tree.build Static_tree.Binomial ~n in
+      let a = Raymond.create ~net ~callbacks ~tree () in
+      ( Raymond.instance a,
+        fun () ->
+          ( Raymond.holder_count a,
+            count n (fun i -> Raymond.holder a i = i),
+            Raymond.in_cs_count a,
+            count n (Raymond.in_cs a) ) )
+    | Scenario.Naimi_trehel ->
+      let a = Naimi_trehel.create ~net ~callbacks ~n () in
+      ( Naimi_trehel.instance a,
+        fun () ->
+          ( Naimi_trehel.holder_count a,
+            List.length (Naimi_trehel.token_holders a),
+            Naimi_trehel.in_cs_count a,
+            count n (Naimi_trehel.in_cs a) ) )
+    | Scenario.Central ->
+      let a = Central.create ~net ~callbacks ~n () in
+      ( Central.instance a,
+        fun () -> (0, 0, Central.in_cs_count a, count n (Central.in_cs a)) )
+    | Scenario.Suzuki_kasami ->
+      let a = Suzuki_kasami.create ~net ~callbacks ~n () in
+      ( Suzuki_kasami.instance a,
+        fun () ->
+          ( Suzuki_kasami.holder_count a,
+            List.length (Suzuki_kasami.token_holders a),
+            Suzuki_kasami.in_cs_count a,
+            count n (Suzuki_kasami.in_cs a) ) )
+    | Scenario.Ricart_agrawala ->
+      let a = Ricart_agrawala.create ~net ~callbacks ~n () in
+      ( Ricart_agrawala.instance a,
+        fun () ->
+          ( 0,
+            0,
+            Ricart_agrawala.in_cs_count a,
+            count n (Ricart_agrawala.in_cs a) ) )
+  in
+  Runner.attach env inst;
+  (if s.faults = [] then
+     let name = inst.Types.algo_name in
+     ignore
+       (Engine.add_step_hook (Runner.engine env) (fun () ->
+            let held, held_scan, in_cs, in_cs_scan = counts () in
+            if held <> held_scan || in_cs <> in_cs_scan then
+              log.mismatches <-
+                Printf.sprintf "%s at t=%g: holders %d vs scan %d, in-CS %d vs scan %d"
+                  name (Runner.now env) held held_scan in_cs in_cs_scan
+                :: log.mismatches;
+            let k = try List.assoc name log.events with Not_found -> 0 in
+            log.events <- (name, k + 1) :: List.remove_assoc name log.events)));
+  { Fuzz.env; inst; structure = None }
+
+let test_tallies_match_scans () =
+  let log = { mismatches = []; events = [] } in
+  let report =
+    Fuzz.campaign ~build:(tally_build log) ~iters:400 ~fuzz_seed:4242 ()
+  in
+  (* Mismatches first: a broken tally usually trips the oracle as well,
+     and the mismatch is the more telling message. *)
+  (match List.rev log.mismatches with
+  | [] -> ()
+  | first :: _ as ms ->
+    Alcotest.failf "%d tally mismatches, first: %s" (List.length ms) first);
+  (match report.Fuzz.failure with
+  | None -> ()
+  | Some f ->
+    Alcotest.failf "scenario %d violated %S: %s" f.Fuzz.index f.Fuzz.error
+      (Scenario.to_string f.Fuzz.scenario));
+  List.iter
+    (fun name ->
+      checkb
+        (Printf.sprintf "%s checked at some event" name)
+        true
+        (try List.assoc name log.events > 0 with Not_found -> false))
+    [
+      "opencube"; "raymond"; "naimi-trehel"; "central"; "suzuki-kasami";
+      "ricart-agrawala";
+    ]
+
 (* --- injected bug: caught and shrunk -------------------------------------- *)
 
 (* An "algorithm" that grants every wish instantly, never serialising
@@ -266,6 +392,44 @@ let test_injected_bug_caught_and_shrunk () =
     | Ok _ -> Alcotest.fail "reparsed reproducer no longer fails"
     | Error _ -> ())
 
+(* A forged second token: a real core receives a token nobody sent, so
+   node 3 holds one while root 0 still holds the first. The in-flight
+   account drops to -1, so held + in flight still reads 1 and nobody is
+   in a CS twice: only the at-most-one-holder part of [invariant_check]
+   sees this state, and its message must name both holders. *)
+let forged_token_build (s : Scenario.t) =
+  let b = Fuzz.build s in
+  let net = Runner.net b.Fuzz.env in
+  ignore
+    (Engine.schedule (Runner.engine b.Fuzz.env) ~delay:0.5 (fun () ->
+         Types.Net.send net ~src:1 ~dst:3
+           (Types.Message.Token { lender = None; rid = None })));
+  b
+
+let test_forged_token_names_both_holders () =
+  List.iter
+    (fun algo ->
+      let s =
+        {
+          overlapping_scenario with
+          Scenario.algo;
+          p = 2;
+          cs = Runner.Fixed 1.0;
+          arrivals = [ (20.0, 2) ];
+        }
+      in
+      (match Fuzz.run s with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "unforged scenario failed: %s" e);
+      match Fuzz.run ~build:forged_token_build s with
+      | Ok _ -> Alcotest.fail "oracle missed the forged second token"
+      | Error e ->
+        let names = "token: 2 simultaneous holders (0,3)" in
+        let le = String.length e and ln = String.length names in
+        let rec has i = i + ln <= le && (String.sub e i ln = names || has (i + 1)) in
+        checkb (Printf.sprintf "error %S names both holders" e) true (has 0))
+    [ Scenario.Naimi_trehel; Scenario.Raymond ]
+
 (* With a buggy algorithm the parallel campaign must converge on the
    stream's *smallest* failing index — even though later indices in the
    same chunk also fail — and shrink it to the same reproducer. *)
@@ -320,5 +484,9 @@ let suite =
       `Quick test_regression_suspicion_livelock;
     Alcotest.test_case "injected always-grant bug caught and shrunk" `Quick
       test_injected_bug_caught_and_shrunk;
+    Alcotest.test_case "forged second token: error names both holders" `Quick
+      test_forged_token_names_both_holders;
+    Alcotest.test_case "tallies equal the O(N) scans at every event" `Quick
+      test_tallies_match_scans;
   ]
   @ List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qcheck_tests

@@ -2,7 +2,7 @@ let () =
   Alcotest.run "ocube"
     [
       ("sim", Test_sim.suite);
-      ("sim.wheel", Test_wheel.suite);
+      ("sim.engine", Test_engine.suite);
       ("stats", Test_stats.suite);
       ("topology.opencube", Test_opencube.suite);
       ("topology.trees", Test_static_tree.suite);

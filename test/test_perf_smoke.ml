@@ -163,6 +163,50 @@ let test_trace_off_send_allocation_budget () =
        off)
     true (off <= 64.0)
 
+(* The fuzz oracle runs [invariant_check] after every event of a
+   fault-free run, so each core answers from running tallies instead of
+   rescanning its nodes. Pinned at zero minor words per call, like the
+   per-send budget above, on a live mid-run state of each of the six
+   cores: a reintroduced scan that builds a list trips it at once. *)
+let test_invariant_check_allocation_free () =
+  let module Scenario = Ocube_check.Scenario in
+  let module Fuzz = Ocube_check.Fuzz in
+  List.iter
+    (fun algo ->
+      let s =
+        {
+          Scenario.runtime = Scenario.Des;
+          algo;
+          p = 3;
+          seed = 7;
+          delay = Ocube_net.Network.Constant 1.0;
+          cs = Runner.Fixed 2.0;
+          ft = false;
+          patience = 1.0;
+          lifo = false;
+          serial = false;
+          arrivals = List.init 8 (fun i -> (1.0 +. (0.25 *. float_of_int i), i));
+          faults = [];
+        }
+      in
+      let b = Fuzz.build s in
+      Runner.run_arrivals b.Fuzz.env s.Scenario.arrivals;
+      Runner.run ~until:6.0 b.Fuzz.env;
+      let name = b.Fuzz.inst.Types.algo_name in
+      let check = b.Fuzz.inst.Types.invariant_check in
+      (match check () with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: invariant broken mid-run: %s" name m);
+      checkb (name ^ ": wishes still pending") true
+        (Runner.outstanding b.Fuzz.env > 0);
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        match check () with Ok () -> () | Error _ -> assert false
+      done;
+      let words = Gc.minor_words () -. before in
+      checki (name ^ ": minor words for 1000 checks") 0 (int_of_float words))
+    Ocube_check.Scenario.all_algos
+
 (* --- trace on/off equivalence -------------------------------------------- *)
 
 (* Same seed, same workload, tracing on vs off: laziness must not change
@@ -300,6 +344,8 @@ let suite =
       test_trace_clear_resets_laziness_counters;
     Alcotest.test_case "trace off: per-send allocation budget holds" `Quick
       test_trace_off_send_allocation_budget;
+    Alcotest.test_case "invariant_check allocates nothing" `Quick
+      test_invariant_check_allocation_free;
     Alcotest.test_case "trace on/off runs are equivalent" `Quick
       test_trace_off_vs_on_equivalence;
     Alcotest.test_case "last_son beats the O(N) scan" `Quick
