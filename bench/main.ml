@@ -378,11 +378,11 @@ let () =
   reg_median ~name:"engine_churn_heap_100k" (fun () ->
       let e = Engine.create () in
       let counter = ref 0 in
-      let cls = Engine.register_class e (fun a _ -> counter := !counter + a) in
+      let cls = Engine.register_class e (fun _ a _ -> counter := !counter + a) in
       let rng = Rng.create 11 in
       for _ = 1 to 100_000 do
         ignore
-          (Engine.schedule_packed e ~delay:(Rng.float rng 50.0) ~cls ~a:1 ~b:0)
+          (Engine.schedule_packed e ~delay:(Rng.float rng 50.0) ~cls ~a:1 ~b:0 ignore)
       done;
       Engine.run e;
       assert (!counter = 100_000))

@@ -109,6 +109,16 @@ type stats = {
 
 let dist = Opencube.dist
 
+(* Field-wise int equality: the custody and search handlers compare
+   rids on every message, and [=] on a record calls [caml_compare]. *)
+let rid_equal (a : request_id) (b : request_id) =
+  Int.equal a.source b.source && Int.equal a.seq b.seq
+
+(* [List.mem] on node ids, without [caml_compare] or a closure. *)
+let rec mem_node k = function
+  | [] -> false
+  | x :: rest -> Int.equal x k || mem_node k rest
+
 module Make (R : Runtime.S) = struct
   type search = {
     mutable phase : int;
@@ -311,7 +321,9 @@ module Make (R : Runtime.S) = struct
     match t.cold.(i) with
     | None -> false
     | Some c ->
-      Fdeque.exists (function Preq r -> r.rid = rid | Wish -> false) c.queue
+      Fdeque.exists
+        (function Preq r -> rid_equal r.rid rid | Wish -> false)
+        c.queue
 
   (* ------------------------------------------------------------------ *)
   (* Small helpers                                                       *)
@@ -826,7 +838,7 @@ module Make (R : Runtime.S) = struct
 
   and receive_enquiry_answer t i ~rid ~answer =
     match loan_of t i with
-    | Some loan when loan.loan_rid = rid -> (
+    | Some loan when rid_equal loan.loan_rid rid -> (
       cancel_enquiry_timer t i;
       match answer with
       | In_cs ->
@@ -907,7 +919,7 @@ module Make (R : Runtime.S) = struct
 
   and transit_of t i rid =
     match t.cold.(i) with
-    | Some c -> List.find_opt (fun tr -> tr.tr_rid = rid) c.transits
+    | Some c -> List.find_opt (fun tr -> rid_equal tr.tr_rid rid) c.transits
     | None -> None
 
   and record_transit t i ~rid ~origin ~next =
@@ -916,7 +928,7 @@ module Make (R : Runtime.S) = struct
     let older =
       List.filter
         (fun tr ->
-          let keep = tr.tr_rid <> rid && !room > 0 in
+          let keep = (not (rid_equal tr.tr_rid rid)) && !room > 0 in
           if keep then decr room else cancel_slot t tr.tr_check;
           keep)
         c.transits
@@ -1135,7 +1147,7 @@ module Make (R : Runtime.S) = struct
       (* Regenerate the pending request towards the new father; remember it
          so that a fruitless adoption is not repeated for this mandate. *)
       let c = cold t i in
-      if not (List.mem k c.mandate_excluded) then
+      if not (mem_node k c.mandate_excluded) then
         c.mandate_excluded <- k :: c.mandate_excluded;
       let rid = Option.get (mrid_opt t i) in
       send t ~src:i ~dst:k (Message.Request { origin = i; rid });
@@ -1218,7 +1230,7 @@ module Make (R : Runtime.S) = struct
       match answer with
       | Holder_ok -> conclude_father t i from_
       | Father_ok ->
-        if List.mem from_ (excluded t i) then
+        if mem_node from_ (excluded t i) then
           (* Adopting this node already failed to produce the token during
              this mandate: treat it as discarded. *)
           s.outstanding <- List.filter (fun k -> k <> from_) s.outstanding
@@ -1226,7 +1238,7 @@ module Make (R : Runtime.S) = struct
       | Try_later -> (
         match s.stage with
         | Probing ->
-          if d = s.phase && List.mem from_ s.outstanding then begin
+          if d = s.phase && mem_node from_ s.outstanding then begin
             s.outstanding <- List.filter (fun k -> k <> from_) s.outstanding;
             s.try_later <- from_ :: s.try_later
           end

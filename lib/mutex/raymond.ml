@@ -96,8 +96,6 @@ module Make (R : Runtime.S) = struct
     (match Ocube_topology.Static_tree.validate tree with
     | Ok () -> ()
     | Error msg -> invalid_arg ("Raymond.create: " ^ msg));
-    let root = ref 0 in
-    Array.iteri (fun i f -> if f = None then root := i) tree;
     let holder_of i =
       (* Initially every holder pointer aims at the father (towards the
          root, which holds the token). *)
@@ -121,7 +119,6 @@ module Make (R : Runtime.S) = struct
         nodes_in_cs = 0;
       }
     in
-    ignore !root;
     for i = 0 to n - 1 do
       R.set_handler net i (fun ~src payload -> handle_message t i ~src payload)
     done;

@@ -175,7 +175,7 @@ and release_occupancy env =
     env.busy_since <- 0.0
   end
 
-let make_obs ~engine ~net ~n =
+let make_obs ~net ~n =
   let reg = Metrics.create ~n () in
   let o =
     {
@@ -209,15 +209,8 @@ let make_obs ~engine ~net ~n =
      origin-attributed messages to the origin's open span. *)
   Net.set_send_hook net (fun ~src ~dst:_ payload ->
       Metrics.incr o.m_messages ~node:src;
-      match Message.origin payload with
-      | Some origin -> Span.note_hop o.spans ~node:origin
-      | None -> ());
-  (* Step observer: event-queue depth watermark, sampled after every
-     executed event alongside (not instead of) any installed oracle. *)
-  ignore
-    (Engine.add_step_hook engine (fun () ->
-         Metrics.set_max o.g_pending ~node:0
-           (float_of_int (Engine.pending engine))));
+      let origin = Message.origin payload in
+      if origin >= 0 then Span.note_hop o.spans ~node:origin);
   o
 
 let make_env ~seed ~n ~delay ~cs ?(trace = false) ?(metrics = false) () =
@@ -228,7 +221,7 @@ let make_env ~seed ~n ~delay ~cs ?(trace = false) ?(metrics = false) () =
   let cs_rng = Rng.split master in
   let trace = if trace then Some (Trace.create ()) else None in
   let net = Net.create ~engine ~rng:net_rng ?trace ~n ~delay () in
-  let obs = if metrics then Some (make_obs ~engine ~net ~n) else None in
+  let obs = if metrics then Some (make_obs ~net ~n) else None in
   {
     engine;
     net;
@@ -275,12 +268,23 @@ let attach env inst =
 
 let trace env = env.trace
 
-let metrics env = match env.obs with Some o -> Some o.reg | None -> None
+(* The event-queue watermark is the engine's own, tracked after every
+   fired event; it is copied into its gauge whenever the registry is
+   read, so no step hook samples it. *)
+let synced_registry env o =
+  Metrics.set_max o.g_pending ~node:0
+    (float_of_int (Engine.pending_max env.engine));
+  o.reg
+
+let metrics env =
+  match env.obs with Some o -> Some (synced_registry env o) | None -> None
 
 let spans env = match env.obs with Some o -> Some o.spans | None -> None
 
 let metrics_snapshot env =
-  match env.obs with Some o -> Some (Metrics.snapshot o.reg) | None -> None
+  match env.obs with
+  | Some o -> Some (Metrics.snapshot (synced_registry env o))
+  | None -> None
 
 let run_arrivals env arrivals =
   List.iter

@@ -85,40 +85,46 @@ module Message = struct
       Format.fprintf ppf "ra_request(%d, %d)" origin clock
     | Ra_reply -> Format.pp_print_string ppf "ra_reply"
 
-  let category = function
-    | Request _ -> "request"
-    | Token _ -> "token"
-    | Enquiry _ -> "enquiry"
-    | Enquiry_answer _ -> "enquiry_answer"
-    | Test _ -> "test"
-    | Test_answer _ -> "test_answer"
-    | Anomaly _ -> "anomaly"
-    | Void _ -> "void"
-    | Census _ -> "census"
-    | Census_reply _ -> "census_reply"
-    | Custody _ -> "custody"
-    | Custody_answer _ -> "custody_answer"
-    | Release -> "release"
-    | Sk_request _ -> "request"
-    | Sk_privilege _ -> "token"
-    | Ra_request _ -> "request"
-    | Ra_reply -> "reply"
+  let category_names =
+    [| "request"; "token"; "enquiry"; "enquiry_answer"; "test"; "test_answer";
+       "anomaly"; "void"; "census"; "census_reply"; "custody";
+       "custody_answer"; "release"; "reply" |]
+
+  let category_index = function
+    | Request _ | Sk_request _ | Ra_request _ -> 0
+    | Token _ | Sk_privilege _ -> 1
+    | Enquiry _ -> 2
+    | Enquiry_answer _ -> 3
+    | Test _ -> 4
+    | Test_answer _ -> 5
+    | Anomaly _ -> 6
+    | Void _ -> 7
+    | Census _ -> 8
+    | Census_reply _ -> 9
+    | Custody _ -> 10
+    | Custody_answer _ -> 11
+    | Release -> 12
+    | Ra_reply -> 13
+
+  let category m = category_names.(category_index m)
+
+  let no_origin = -1
 
   let origin = function
-    | Request { rid; _ } -> Some rid.source
-    | Token { rid = Some r; _ } -> Some r.source
-    | Token { rid = None; _ } -> None
-    | Enquiry { rid } -> Some rid.source
-    | Enquiry_answer { rid; _ } -> Some rid.source
-    | Anomaly { rid } -> Some rid.source
-    | Void { rid } -> Some rid.source
-    | Custody { rid } -> Some rid.source
-    | Custody_answer { rid; _ } -> Some rid.source
-    | Sk_request { origin; _ } -> Some origin
-    | Ra_request { origin; _ } -> Some origin
+    | Request { rid; _ } -> rid.source
+    | Token { rid = Some r; _ } -> r.source
+    | Token { rid = None; _ } -> no_origin
+    | Enquiry { rid } -> rid.source
+    | Enquiry_answer { rid; _ } -> rid.source
+    | Anomaly { rid } -> rid.source
+    | Void { rid } -> rid.source
+    | Custody { rid } -> rid.source
+    | Custody_answer { rid; _ } -> rid.source
+    | Sk_request { origin; _ } -> origin
+    | Ra_request { origin; _ } -> origin
     | Test _ | Test_answer _ | Census _ | Census_reply _ | Release
     | Sk_privilege _ | Ra_reply ->
-      None
+      no_origin
 
   let is_fault_overhead_category = function
     | "enquiry" | "enquiry_answer" | "test" | "test_answer" | "anomaly"

@@ -94,21 +94,30 @@ module Message : sig
 
   val pp : Format.formatter -> t -> unit
 
-  val category : t -> string
+  val category_names : string array
   (** "request" | "token" | "enquiry" | "enquiry_answer" | "test"
       | "test_answer" | "anomaly" | "void" | "census" | "census_reply"
-      | "custody" | "custody_answer" | "release" | "reply". *)
+      | "custody" | "custody_answer" | "release" | "reply": the labels of
+      the per-category message counters, each once. *)
 
-  val origin : t -> node_id option
+  val category_index : t -> int
+  (** The message's position in {!category_names}. The baselines'
+      requests and tokens share the open cube's "request" and "token". *)
+
+  val category : t -> string
+  (** [category_names.(category_index m)]. *)
+
+  val origin : t -> node_id
   (** The node on whose account this message travels: the request chain
       ([Request], [Sk_request], [Ra_request]), the token grant satisfying a
       request ([Token] with a rid), and the per-request fault machinery
-      ([Enquiry]/[Anomaly]/[Void]/[Custody] and answers). [None] for messages that
-      serve the system rather than one wish (loan returns, search probes,
-      census, broadcast privileges, permission replies). The observability
-      layer charges each attributed message to the origin's open request
-      span — a node has at most one outstanding wish, so the origin node
-      identifies the span uniquely. *)
+      ([Enquiry]/[Anomaly]/[Void]/[Custody] and answers). [-1] for messages
+      that serve the system rather than one wish (loan returns, search
+      probes, census, broadcast privileges, permission replies): an int,
+      not an option, so the send tap that reads it allocates nothing. The
+      observability layer charges each attributed message to the origin's
+      open request span — a node has at most one outstanding wish, so the
+      origin node identifies the span uniquely. *)
 
   val is_fault_overhead_category : string -> bool
   (** True for the categories (as returned by {!category}) that exist only

@@ -7,7 +7,9 @@ module type PAYLOAD = sig
 
   val pp : Format.formatter -> t -> unit
 
-  val category : t -> string
+  val category_names : string array
+
+  val category_index : t -> int
 end
 
 type delay_model =
@@ -48,13 +50,15 @@ module Make (P : PAYLOAD) = struct
     mutable drop_handler : (dst:int -> P.t -> unit) option;
     mutable default_handler : (dst:int -> src:int -> P.t -> unit) option;
     mutable send_hook : (src:int -> dst:int -> P.t -> unit) option;
-    categories : (string, int) Hashtbl.t;
+    (* Messages sent per category, indexed by [P.category_index]. *)
+    categories : int array;
     (* In-flight message arena: the hot delivery path schedules a packed
        engine event whose payload word indexes these parallel arrays — no
        per-message closure, no per-message record. Slots recycle through
        [m_free]; a freed slot retains its last [P.t] until reuse, which
        bounds retention by the peak in-flight count. *)
     deliver_cls : Engine.class_id;
+    timer_cls : Engine.class_id;
     mutable m_cap : int;
     mutable m_src : int array;
     mutable m_dst : int array;
@@ -146,11 +150,6 @@ module Make (P : PAYLOAD) = struct
     | Uniform { lo; hi } -> lo +. Rng.float t.rng (hi -. lo)
     | Exponential { mean; cap } -> Float.min cap (Rng.exponential t.rng ~mean)
 
-  let bump_category t payload =
-    let c = P.category payload in
-    let cur = try Hashtbl.find t.categories c with Not_found -> 0 in
-    Hashtbl.replace t.categories c (cur + 1)
-
   (* Fire a packed delivery event: read the message slot into locals,
      recycle it (nested sends reuse it immediately), then run exactly the
      drop/deliver logic the old per-message closure captured. *)
@@ -191,17 +190,30 @@ module Make (P : PAYLOAD) = struct
            is accounted where the handler is defined *)]
     end
 
+  (* Fire a packed timer event: the callback is the event's own thunk,
+     run only if the node is up and still in the incarnation that armed
+     it. *)
+  let[@ocube.zero_alloc] fire_timer t f node inc =
+    let nd = t.nodes.(node) in
+    if (not nd.failed) && nd.incarnation = inc then
+      (f ())
+      [@ocube.alloc_ok
+        (* the protocol's timer callback: what it allocates is accounted
+           where it is defined *)]
+
   let create ~engine ~rng ?trace ~n ~delay () =
     if n < 1 then invalid_arg "Network.create: n must be >= 1";
     validate_model delay;
-    (* The delivery class must be registered before [t] exists; the cell
-       ties the knot. No delivery can fire before [create] returns. *)
+    (* The classes must be registered before [t] exists; the cell ties
+       the knot. No event of theirs can fire before [create] returns. *)
     let cell = ref None in
+    let self () = match !cell with Some t -> t | None -> assert false in
     let deliver_cls =
-      Engine.register_class engine (fun s _ ->
-          match !cell with
-          | Some f -> f s
-          | None -> assert false)
+      Engine.register_class engine (fun _ s _ -> deliver (self ()) s)
+    in
+    let timer_cls =
+      Engine.register_class engine (fun f node inc ->
+          fire_timer (self ()) f node inc)
     in
     let t =
       {
@@ -219,8 +231,9 @@ module Make (P : PAYLOAD) = struct
         drop_handler = None;
         default_handler = None;
         send_hook = None;
-        categories = Hashtbl.create 16;
+        categories = Array.make (Array.length P.category_names) 0;
         deliver_cls;
+        timer_cls;
         m_cap = 0;
         m_src = [||];
         m_dst = [||];
@@ -230,7 +243,7 @@ module Make (P : PAYLOAD) = struct
         m_free = no_msg;
       }
     in
-    cell := Some (deliver t);
+    cell := Some t;
     t
 
   let[@ocube.zero_alloc] send t ~src ~dst payload =
@@ -240,9 +253,12 @@ module Make (P : PAYLOAD) = struct
       invalid_arg
         (Printf.sprintf "Network.send: node %d is failed and cannot send" src);
     t.sent <- t.sent + 1;
-    (bump_category t payload)
-    [@ocube.alloc_ok
-      (* per-category hashtable bump; inside the 64-words/send budget *)];
+    let c =
+      (P.category_index payload)
+      [@ocube.alloc_ok
+        (* functor argument: a constructor match returning a constant *)]
+    in
+    t.categories.(c) <- t.categories.(c) + 1;
     (match t.send_hook with None -> () | Some h -> h ~src ~dst payload)
     [@ocube.alloc_ok (* observer dispatch; absent on the measured path *)];
     (if tracing t then
@@ -253,18 +269,18 @@ module Make (P : PAYLOAD) = struct
     let delay =
       (sample_delay t)
       [@ocube.alloc_ok
-        (* float sampling can box at the Rng call boundary; inside the
-           64-words/send budget *)]
+        (* a sampled delay is boxed at the Rng call boundary; a constant
+           one is returned as stored *)]
     in
     let s = msg_alloc t ~src ~dst ~inc payload in
-    ignore (Engine.schedule_packed t.engine ~delay ~cls:t.deliver_cls ~a:s ~b:0)
+    ignore
+      (Engine.schedule_packed t.engine ~delay ~cls:t.deliver_cls ~a:s ~b:0
+         ignore)
 
-  let set_timer t ~node ~delay f =
+  let[@ocube.zero_alloc] set_timer t ~node ~delay f =
     check_node t node;
-    let nd = t.nodes.(node) in
-    let expected_incarnation = nd.incarnation in
-    Engine.schedule t.engine ~delay (fun () ->
-        if (not nd.failed) && nd.incarnation = expected_incarnation then f ())
+    Engine.schedule_packed t.engine ~delay ~cls:t.timer_cls ~a:node
+      ~b:t.nodes.(node).incarnation f
 
   let cancel_timer t timer = Engine.cancel t.engine timer
 
@@ -307,12 +323,15 @@ module Make (P : PAYLOAD) = struct
   let dropped_total t = t.dropped
 
   let sent_by_category t =
-    Hashtbl.fold (fun c n acc -> (c, n) :: acc) t.categories []
-    |> List.sort compare
+    let acc = ref [] in
+    Array.iteri
+      (fun i n -> if n > 0 then acc := (P.category_names.(i), n) :: !acc)
+      t.categories;
+    List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
   let reset_counters t =
     t.sent <- 0;
     t.delivered <- 0;
     t.dropped <- 0;
-    Hashtbl.reset t.categories
+    Array.fill t.categories 0 (Array.length t.categories) 0
 end

@@ -22,9 +22,13 @@ module type PAYLOAD = sig
 
   val pp : Format.formatter -> t -> unit
 
-  val category : t -> string
-  (** Short label used for per-category message counters
+  val category_names : string array
+  (** Short, distinct labels of the per-category message counters
       ("request", "token", "test", ...). *)
+
+  val category_index : t -> int
+  (** The message's counter: an index into {!category_names}. The send
+      path counts by this index, so it never hashes a label. *)
 end
 
 (** How per-message transit delays are sampled. All models are clamped to
@@ -103,7 +107,10 @@ module Make (P : PAYLOAD) : sig
 
   val set_timer : t -> node:int -> delay:float -> (unit -> unit) -> timer
   (** Schedule a local timeout on a node. The callback is dropped if the
-      node has failed (or changed incarnation) by the time it fires. *)
+      node has failed (or changed incarnation) by the time it fires. The
+      timer is a packed engine event carrying the node and its
+      incarnation, with the callback as its thunk: arming it allocates
+      nothing beyond what the caller built. *)
 
   val cancel_timer : t -> timer -> unit
 

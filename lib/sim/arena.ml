@@ -5,8 +5,9 @@
    FIFO tie-break for equal times), a generation stamp (validates timer
    ids in O(1)), an int-encoded class plus two int payload words, and an
    intrusive [next] link threading free slots onto the freelist without
-   a single heap allocation. Closure events keep their thunk in a side
-   array whose free slots hold a shared dummy.
+   a single heap allocation. Each event's thunk, which the engine hands
+   to its class handler, lives in a side array whose free slots hold a
+   shared no-op.
 
    Slot states are encoded in [kind]:
      kind = -2  free (on the freelist)
@@ -64,8 +65,6 @@ let create () =
     live = 0;
   }
 
-let live t = t.live
-
 let[@ocube.alloc_ok (* amortised doubling: the schedule path pays it
                        O(log n) times total, never per event *)] grow t =
   let ncap = if t.cap = 0 then 64 else 2 * t.cap in
@@ -93,8 +92,8 @@ let[@ocube.alloc_ok (* amortised doubling: the schedule path pays it
 
 (* [alloc] deliberately takes no [time]: a float argument would be boxed
    at this (non-inlined) call boundary on every event. Callers store the
-   fire time through [set_time], which is small enough to inline, so the
-   whole schedule path stays allocation-free. *)
+   fire time into [t.time] themselves, so the whole schedule path stays
+   allocation-free. *)
 let[@ocube.zero_alloc] alloc t ~kind ~a ~b thunk =
   if t.free_head = no_slot then grow t;
   let s = t.free_head in
@@ -110,29 +109,6 @@ let[@ocube.zero_alloc] alloc t ~kind ~a ~b thunk =
 
 let[@ocube.zero_alloc] id_of t s =
   ((t.gen.(s) land gen_mask) lsl slot_bits) lor s
-
-(* True iff [s1] fires strictly before [s2]: earlier time, or same time
-   and scheduled earlier. *)
-let[@ocube.zero_alloc] before t s1 s2 =
-  let t1 = Float.Array.get t.time s1 and t2 = Float.Array.get t.time s2 in
-  if t1 < t2 then true else if t1 > t2 then false else t.seq.(s1) < t.seq.(s2)
-
-let[@ocube.zero_alloc] set_time t s v = Float.Array.set t.time s v
-
-(* Boxing escape hatch: callers in other modules read/write fire times
-   through this array so no float value crosses a (non-inlined) module
-   boundary. Replaced wholesale by [grow] — never cache across alloc. *)
-let times t = t.time
-
-let[@ocube.zero_alloc] kind t s = t.kind.(s)
-
-let payload_a t s = t.a.(s)
-
-let payload_b t s = t.b.(s)
-
-let thunk t s = t.thunk.(s)
-
-let is_tombstone t s = t.kind.(s) = kind_tombstone
 
 let[@ocube.zero_alloc] bump_gen t s =
   t.gen.(s) <- (t.gen.(s) + 1) land gen_mask
@@ -166,70 +142,108 @@ let[@ocube.zero_alloc] cancel t id =
     true
   end
 
-(* --- slot min-heaps -------------------------------------------------------
+(* --- slot min-heap ---------------------------------------------------------
 
-   An int binary heap ordered by the arena's [(time, seq)] key: the
-   engine's event queue. Static int arrays: push/pop allocate nothing
-   once warm. *)
+   An int binary heap of slots ordered by the arena's [(time, seq)] key:
+   the engine's event queue. [push] copies the slot's key into arrays
+   kept in heap order beside the slots, so a sift compares keys stored
+   next to each other instead of chasing every slot index back into the
+   arena's [time]/[seq] arrays. The sifts move a hole. Static arrays:
+   push/pop allocate nothing once warm. *)
 
 module Slot_heap = struct
   type heap = {
     arena : t;
     mutable data : int array;
+    mutable keys : floatarray;  (* fire time of [data.(i)] *)
+    mutable seqs : int array;  (* sequence number of [data.(i)] *)
     mutable size : int;
   }
 
-  let create arena = { arena; data = [||]; size = 0 }
+  let create arena =
+    { arena; data = [||]; keys = Float.Array.create 0; seqs = [||]; size = 0 }
 
-  (* Fill the hole at [i] with slot [s], first moving later-firing
-     parents down into it. *)
-  let[@ocube.zero_alloc] rec sift_up h s i =
-    if i = 0 then h.data.(0) <- s
-    else begin
-      let parent = (i - 1) / 2 in
-      let ps = h.data.(parent) in
-      if before h.arena s ps then begin
-        h.data.(i) <- ps;
-        sift_up h s parent
-      end
-      else h.data.(i) <- s
-    end
-
-  (* Fill the hole at [i] with slot [s], first moving earlier-firing
-     children up into it. *)
-  let[@ocube.zero_alloc] rec sift_down h s i =
-    let l = (2 * i) + 1 in
-    if l >= h.size then h.data.(i) <- s
-    else begin
-      let r = l + 1 in
-      let c =
-        if r < h.size && before h.arena h.data.(r) h.data.(l) then r else l
-      in
-      let cs = h.data.(c) in
-      if before h.arena cs s then begin
-        h.data.(i) <- cs;
-        sift_down h s c
-      end
-      else h.data.(i) <- s
-    end
-
-  let[@ocube.zero_alloc] push h s =
+  let[@ocube.alloc_ok (* amortised doubling *)] grow h =
     let cap = Array.length h.data in
-    if h.size = cap then
-      (let ncap = if cap = 0 then 32 else 2 * cap in
-       let nd = Array.make ncap no_slot in
-       Array.blit h.data 0 nd 0 h.size;
-       h.data <- nd)
-      [@ocube.alloc_ok (* amortised doubling *)];
+    let ncap = if cap = 0 then 32 else 2 * cap in
+    let nd = Array.make ncap no_slot in
+    let nk = Float.Array.create ncap in
+    let ns = Array.make ncap 0 in
+    Array.blit h.data 0 nd 0 h.size;
+    Float.Array.blit h.keys 0 nk 0 h.size;
+    Array.blit h.seqs 0 ns 0 h.size;
+    h.data <- nd;
+    h.keys <- nk;
+    h.seqs <- ns
+
+  (* The sifts are [while] loops: the moving key stays in registers, and
+     a recursive sift would pass it as a float argument and box it. *)
+  let[@ocube.zero_alloc] push h s =
+    if h.size = Array.length h.data then grow h;
+    let data = h.data and keys = h.keys and seqs = h.seqs in
+    let time = Float.Array.get h.arena.time s in
+    let seq = h.arena.seq.(s) in
+    let i = (ref h.size) [@ocube.alloc_ok (* non-escaping local ref *)] in
+    let moving = (ref true) [@ocube.alloc_ok (* non-escaping local ref *)] in
     h.size <- h.size + 1;
-    sift_up h s (h.size - 1)
+    (* Move later-firing parents down into the hole until the key fits. *)
+    while !moving && !i > 0 do
+      let p = (!i - 1) / 2 in
+      let pt = Float.Array.get keys p in
+      if time < pt || (time = pt && seq < seqs.(p)) then begin
+        data.(!i) <- data.(p);
+        Float.Array.set keys !i pt;
+        seqs.(!i) <- seqs.(p);
+        i := p
+      end
+      else moving := false
+    done;
+    data.(!i) <- s;
+    Float.Array.set keys !i time;
+    seqs.(!i) <- seq
 
   let[@ocube.zero_alloc] pop h =
     if h.size = 0 then no_slot
     else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      if h.size > 0 then sift_down h h.data.(h.size) 0;
+      let data = h.data and keys = h.keys and seqs = h.seqs in
+      let top = data.(0) in
+      let n = h.size - 1 in
+      h.size <- n;
+      if n > 0 then begin
+        (* Move the last entry into the hole at the root, first moving
+           earlier-firing children up into it. *)
+        let s = data.(n) in
+        let time = Float.Array.get keys n in
+        let seq = seqs.(n) in
+        let i = (ref 0) [@ocube.alloc_ok (* non-escaping local ref *)] in
+        let moving = (ref true) [@ocube.alloc_ok (* non-escaping local ref *)] in
+        while !moving do
+          let l = (2 * !i) + 1 in
+          if l >= n then moving := false
+          else begin
+            let r = l + 1 in
+            let lt = Float.Array.get keys l in
+            let c =
+              if r < n then begin
+                let rt = Float.Array.get keys r in
+                if rt < lt || (rt = lt && seqs.(r) < seqs.(l)) then r else l
+              end
+              else l
+            in
+            let ct = Float.Array.get keys c in
+            if ct < time || (ct = time && seqs.(c) < seq) then begin
+              data.(!i) <- data.(c);
+              Float.Array.set keys !i ct;
+              seqs.(!i) <- seqs.(c);
+              i := c
+            end
+            else moving := false
+          end
+        done;
+        data.(!i) <- s;
+        Float.Array.set keys !i time;
+        seqs.(!i) <- seq
+      end;
       top
     end
 end

@@ -8,19 +8,35 @@
     to slot recycling, and the [live] counter is the exact number of
     pending (scheduled, uncancelled, unfired) events. *)
 
-type t
+type t = private {
+  mutable cap : int;
+  mutable time : floatarray;  (** fire time, by slot *)
+  mutable seq : int array;  (** allocation order: the FIFO tie-break *)
+  mutable gen : int array;
+  mutable kind : int array;  (** class [>= 0]; tombstone [-1]; free [-2] *)
+  mutable a : int array;
+  mutable b : int array;
+  mutable thunk : (unit -> unit) array;
+  mutable next : int array;
+  mutable free_head : int;
+  mutable next_seq : int;
+  mutable live : int;  (** scheduled, not yet fired, not cancelled *)
+}
+(** The fields are readable so that the engine's per-event path reads a
+    slot without a function call, even when cross-module inlining is off
+    (the dev profile's [-opaque]); only this module writes them, apart
+    from the fire time a scheduler stamps into [time] (see {!alloc}).
+    Every array is replaced wholesale when the arena grows: read the
+    field again after any {!alloc}, never keep the array across one. *)
 
 val create : unit -> t
-
-val live : t -> int
-(** Exactly the live events: scheduled, not yet fired, not cancelled. *)
 
 val alloc : t -> kind:int -> a:int -> b:int -> (unit -> unit) -> int
 (** Claim a slot (growing the arrays if the freelist is empty), stamp it
     with the next sequence number and return it. [kind] must be [>= 0]
-    (a dispatch class); closure events pass their thunk, packed events
-    pass a shared dummy. The caller must stamp the fire time with
-    {!set_time} before handing the slot to a queue — [alloc] takes no
+    (a dispatch class); the thunk is handed to the class handler when
+    the event fires. The caller must stamp the fire time into
+    [time.(slot)] before handing the slot to a queue — [alloc] takes no
     float argument so the schedule path never boxes one. *)
 
 val id_of : t -> int -> int
@@ -35,35 +51,6 @@ val release : t -> int -> unit
 (** Return a surfaced slot (just fired, or a surfacing tombstone) to the
     freelist. Bumps the generation of live slots so their id dies. *)
 
-(** {1 Field access} *)
-
-val set_time : t -> int -> float -> unit
-(** Stamp a just-allocated slot's fire time (see {!alloc}). *)
-
-val times : t -> floatarray
-(** The backing fire-time array, indexed by slot. Hot paths in the
-    engine read and write times through this instead of {!set_time}: a
-    [floatarray] crosses a module boundary as a pointer, so the access
-    never boxes a float even when cross-module inlining is off
-    (dev-profile [-opaque]). The array is replaced wholesale when the
-    arena grows — fetch it again after any {!alloc}, never cache it
-    across one. *)
-
-val kind : t -> int -> int
-(** The dispatch class ([>= 0]) of a live slot; negative for tombstones
-    and free slots. *)
-
-val payload_a : t -> int -> int
-
-val payload_b : t -> int -> int
-
-val thunk : t -> int -> unit -> unit
-
-val is_tombstone : t -> int -> bool
-
-val dummy_thunk : unit -> unit
-(** The shared no-op stored in the thunk slot of packed events. *)
-
 val no_slot : int
 (** [-1]: the nil value of slot links and empty heap results. *)
 
@@ -71,7 +58,9 @@ val no_slot : int
 
     An int binary min-heap of slots over one arena's [(time, seq)] key:
     earlier time first, equal times in allocation order. This is the
-    engine's event queue. *)
+    engine's event queue. [push] copies the slot's key into the heap, so
+    a slot's fire time must be stamped before it is pushed and must not
+    change while it is queued. *)
 
 module Slot_heap : sig
   type heap

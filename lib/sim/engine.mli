@@ -35,20 +35,25 @@ val schedule_at : t -> time:float -> (unit -> unit) -> timer_id
 
     The dominant event populations (message deliveries, protocol timers)
     are homogeneous: same handler, different small arguments. Registering
-    the handler once and scheduling [(class, a, b)] triples keeps the hot
-    path allocation-free — no thunk, no captured environment. *)
+    the handler once and scheduling [(class, a, b, thunk)] events keeps
+    the hot path allocation-free — no wrapper closure, no captured
+    environment beyond what the caller already holds. *)
 
 type class_id
 
-val register_class : t -> (int -> int -> unit) -> class_id
-(** Register a packed-event handler; it receives the two payload words of
-    each fired event of this class. Registration order is part of the
-    deterministic setup, so register classes at construction time. *)
+val register_class : t -> ((unit -> unit) -> int -> int -> unit) -> class_id
+(** Register a packed-event handler; it receives the thunk and the two
+    payload words of each fired event of this class. Registration order
+    is part of the deterministic setup, so register classes at
+    construction time. *)
 
 val schedule_packed :
-  t -> delay:float -> cls:class_id -> a:int -> b:int -> timer_id
-(** Like {!schedule}, but fires [handler a b] for the registered class
-    instead of a closure. Same validation and ordering as {!schedule}. *)
+  t -> delay:float -> cls:class_id -> a:int -> b:int -> (unit -> unit) ->
+  timer_id
+(** [schedule_packed t ~delay ~cls ~a ~b f] fires [handler f a b] for the
+    registered class after [delay]. Classes that need no thunk pass a
+    static one such as [ignore]. Same validation and ordering as
+    {!schedule}. *)
 
 (** {1 Running} *)
 
@@ -60,6 +65,11 @@ val cancel : t -> timer_id -> unit
 val pending : t -> int
 (** Exact number of live pending events: scheduled, not yet fired, not
     cancelled. Cancelled events leave the count immediately. *)
+
+val pending_max : t -> int
+(** The largest {!pending} seen right after a fired event (in {!step}
+    or {!run}) since [create]; [0] before the first event. The metrics
+    layer reports it as the event-queue depth watermark. *)
 
 val step : t -> bool
 (** Execute the earliest pending event. Returns [false] when the queue is
@@ -85,10 +95,10 @@ val clear_step_hook : t -> unit
 type hook_id
 
 val add_step_hook : t -> (unit -> unit) -> hook_id
-(** Register an additional step observer alongside the primary hook (the
-    metrics layer samples watermark gauges this way without displacing an
-    installed oracle). Hooks fire in registration order, which keeps
-    multi-observer runs deterministic. *)
+(** Register an additional step observer alongside the primary hook
+    (benchmarks count events this way without displacing an installed
+    oracle). Hooks fire in registration order, which keeps multi-observer
+    runs deterministic. *)
 
 val remove_step_hook : t -> hook_id -> unit
 (** Unregister an observer. Removing twice is a no-op. *)

@@ -126,6 +126,45 @@ let test_message_categories () =
   Alcotest.(check string) "sk privilege maps to token" "token"
     (Message.category (Message.Sk_privilege { queue = []; ln = [| 0 |] }))
 
+(* The network counts messages by [category_index], so every constructor
+   must land inside [category_names], on the label it has always had, and
+   no label may appear twice (the by-category report keys on it). *)
+let test_category_index_covers_every_constructor () =
+  let open Types in
+  let rid = { source = 2; seq = 5 } in
+  let expected =
+    [
+      (Message.Request { origin = 1; rid }, "request");
+      (Message.Token { lender = Some 1; rid = Some rid }, "token");
+      (Message.Enquiry { rid }, "enquiry");
+      (Message.Enquiry_answer { rid; answer = In_cs }, "enquiry_answer");
+      (Message.Test { d = 1 }, "test");
+      (Message.Test_answer { d = 1; answer = Try_later }, "test_answer");
+      (Message.Anomaly { rid }, "anomaly");
+      (Message.Void { rid }, "void");
+      (Message.Census { round = 1 }, "census");
+      (Message.Census_reply { round = 1; reply = Token_exists }, "census_reply");
+      (Message.Custody { rid }, "custody");
+      (Message.Custody_answer { rid; held = false }, "custody_answer");
+      (Message.Release, "release");
+      (Message.Sk_request { origin = 1; seq = 1 }, "request");
+      (Message.Sk_privilege { queue = []; ln = [| 0 |] }, "token");
+      (Message.Ra_request { origin = 1; clock = 1 }, "request");
+      (Message.Ra_reply, "reply");
+    ]
+  in
+  let names = Message.category_names in
+  List.iter
+    (fun (m, cat) ->
+      let i = Message.category_index m in
+      checkb (cat ^ ": index within category_names") true
+        (i >= 0 && i < Array.length names);
+      Alcotest.(check string) (cat ^ ": label") cat names.(i);
+      Alcotest.(check string) (cat ^ ": category") cat (Message.category m))
+    expected;
+  checki "labels are distinct" (Array.length names)
+    (List.length (List.sort_uniq String.compare (Array.to_list names)))
+
 let test_fault_overhead_classification () =
   let open Types in
   checkb "test is overhead" true
@@ -258,3 +297,7 @@ let suite =
       test_stress_256_nodes;
   ]
   @ List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qcheck_tests
+  @ [
+      Alcotest.test_case "category_index covers every constructor" `Quick
+        test_category_index_covers_every_constructor;
+    ]

@@ -108,10 +108,11 @@ let test_packed_parity () =
     let e = Engine.create () in
     let b = Buffer.create 128 in
     let cls =
-      Engine.register_class e (fun a x -> Printf.bprintf b "%d:%d;" a x)
+      Engine.register_class e (fun _ a x -> Printf.bprintf b "%d:%d;" a x)
     in
     List.iteri
-      (fun i d -> ignore (Engine.schedule_packed e ~delay:d ~cls ~a:i ~b:(2 * i)))
+      (fun i d ->
+        ignore (Engine.schedule_packed e ~delay:d ~cls ~a:i ~b:(2 * i) ignore))
       delays;
     Engine.run e;
     Buffer.contents b
@@ -126,10 +127,10 @@ let test_packed_parity () =
 let test_packed_zero_alloc () =
   let e = Engine.create () in
   let acc = ref 0 in
-  let cls = Engine.register_class e (fun a b -> acc := !acc + a + b) in
+  let cls = Engine.register_class e (fun _ a b -> acc := !acc + a + b) in
   let burst () =
     for i = 1 to 1024 do
-      ignore (Engine.schedule_packed e ~delay:3.0 ~cls ~a:i ~b:1)
+      ignore (Engine.schedule_packed e ~delay:3.0 ~cls ~a:i ~b:1 ignore)
     done;
     Engine.run e
   in

@@ -11,7 +11,10 @@ module P = struct
     | Ping k -> Format.fprintf ppf "ping(%d)" k
     | Pong -> Format.pp_print_string ppf "pong"
 
-  let category = function Ping _ -> "ping" | Pong -> "pong"
+  (* Listed out of name order: [sent_by_category] must still sort. *)
+  let category_names = [| "pong"; "ping" |]
+
+  let category_index = function Ping _ -> 1 | Pong -> 0
 end
 
 module Net = Ocube_net.Network.Make (P)

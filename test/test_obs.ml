@@ -265,6 +265,37 @@ let test_mean_tracks_recurrence () =
               mean predicted rel)
         [ 3; 4; 5 ])
 
+(* --- event-queue watermark ---------------------------------------------------- *)
+
+(* The queue-depth gauge is the engine's own maximum, copied in when the
+   registry is read. A reference step hook, sampling after every fired
+   event, must see exactly the value the gauge reports, on a run with
+   faults and recoveries. *)
+let test_pending_watermark_matches_step_hook () =
+  let env, _ = Exp_common.make_opencube ~seed:17 ~metrics:true ~p:4 () in
+  let engine = Runner.engine env in
+  let reference = ref 0 in
+  ignore
+    (Ocube_sim.Engine.add_step_hook engine (fun () ->
+         reference := max !reference (Ocube_sim.Engine.pending engine)));
+  let rng = Ocube_sim.Rng.create 17 in
+  Runner.run_arrivals env
+    (List.init 48 (fun k ->
+         (0.5 *. float_of_int k, Ocube_sim.Rng.int rng 16)));
+  Runner.schedule_faults env
+    [
+      { Ocube_workload.Faults.at = 3.0; node = 5; recover_after = Some 20.0 };
+      { Ocube_workload.Faults.at = 9.0; node = 11; recover_after = Some 15.0 };
+    ];
+  Runner.run_to_quiescence env;
+  checkb "the run queued events" true (!reference > 1);
+  let snap = Option.get (Runner.metrics_snapshot env) in
+  match Metrics.find_row snap "engine_pending_events_max" with
+  | Some { Metrics.data = Metrics.S_gauge v; _ } ->
+    checki "gauge = reference hook maximum" !reference
+      (int_of_float v.(0))
+  | _ -> Alcotest.fail "engine_pending_events_max gauge missing"
+
 (* --- exporters -------------------------------------------------------------- *)
 
 let run_with_obs () =
@@ -411,3 +442,7 @@ let suite =
       test_metrics_off_is_identical;
   ]
   @ List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qcheck_tests
+  @ [
+      Alcotest.test_case "queue watermark = step-hook maximum" `Quick
+        test_pending_watermark_matches_step_hook;
+    ]

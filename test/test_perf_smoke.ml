@@ -33,7 +33,9 @@ module Counting = struct
     incr pp_calls;
     Format.fprintf ppf "ping(%d)" k
 
-  let category _ = "ping"
+  let category_names = [| "ping" |]
+
+  let category_index _ = 0
 end
 
 module Net = Ocube_net.Network.Make (Counting)
@@ -131,23 +133,29 @@ let test_trace_clear_resets_laziness_counters () =
   checki "fresh thunks counted from zero" 6 (Trace.thunk_count trace);
   checki "still lazy after a clear" 0 !Counting.pp_calls
 
-(* With tracing off the send path must allocate only its fixed engine
-   bookkeeping (the payload box, the scheduled delivery closure, the
-   event-queue slot) — no trace thunks, no format buffers. Minor-word
-   deltas are exact in OCaml, so a per-send word budget is a
-   deterministic guard, not a timing heuristic: re-introducing even one
-   eager closure on the disabled path raises the count, and an eager
-   [Format.asprintf] (~hundreds of words) trips it immediately. *)
+(* With tracing off the send path allocates nothing of its own: the
+   delivery is a packed engine event over the network's message arena,
+   and the per-category count is an array slot. What a send of a fresh
+   [Ping k] allocates is the payload box, 2 words. Minor-word deltas are
+   exact in OCaml, so the budget is a deterministic guard, not a timing
+   heuristic: re-introducing even one eager closure on the disabled path
+   raises the count, and an eager [Format.asprintf] (~hundreds of words)
+   trips it immediately. The warm-up burst grows the arenas and the
+   event heap to steady state first, so their amortised doubling is not
+   charged to the measured sends. *)
 let test_trace_off_send_allocation_budget () =
   let measure ?trace () =
     let engine, net = make_net ?trace () in
     Net.set_handler net 1 (fun ~src:_ _ -> ());
-    (* warm-up: first send pays one-off lazy initialisation *)
-    Net.send net ~src:0 ~dst:1 (Counting.Ping 0);
+    let burst () =
+      for k = 1 to 1000 do
+        Net.send net ~src:0 ~dst:1 (Counting.Ping k)
+      done
+    in
+    burst ();
+    Engine.run engine;
     let before = Gc.minor_words () in
-    for k = 1 to 1000 do
-      Net.send net ~src:0 ~dst:1 (Counting.Ping k)
-    done;
+    burst ();
     let per_send = (Gc.minor_words () -. before) /. 1000.0 in
     Engine.run engine;
     per_send
@@ -158,10 +166,66 @@ let test_trace_off_send_allocation_budget () =
     (off < on);
   checkb
     (Printf.sprintf
-       "zero trace-attributable allocation growth with tracing off (%.1f \
-        words/send, budget 64)"
+       "tracing off allocates only the payload (%.1f words/send, budget 2)"
        off)
-    true (off <= 64.0)
+    true (off <= 2.0)
+
+(* A timer is a packed engine event whose thunk is the callback itself:
+   with the callback built once, arming and firing allocate nothing —
+   no wrapper closure, no boxed fire time. *)
+let test_set_timer_allocation_free () =
+  let engine, net = make_net () in
+  let fired = ref 0 in
+  let callback () = incr fired in
+  let burst () =
+    for k = 0 to 999 do
+      ignore (Net.set_timer net ~node:(k land 3) ~delay:1.0 callback)
+    done;
+    Engine.run engine
+  in
+  (* warm-up grows the event arena and the heap to steady state *)
+  burst ();
+  let before = Gc.minor_words () in
+  burst ();
+  let words = Gc.minor_words () -. before in
+  checki "every timer fired" 2000 !fired;
+  checki "minor words for 1000 arms + fires" 0 (int_of_float words)
+
+(* With metrics on, every send runs the runner's tap: a per-source
+   counter and a hop charged to the origin's open span. The tap reads
+   the origin as an int, so a send of a prebuilt payload allocates
+   nothing, attributed or not, with metrics on as with metrics off. *)
+let test_metrics_send_tap_allocation_free () =
+  let rid = { Types.source = 0; seq = 0 } in
+  let attributed = Types.Message.Request { origin = 0; rid } in
+  let unattributed = Types.Message.Token { lender = None; rid = None } in
+  let words ~metrics =
+    let env =
+      Runner.make_env ~seed:1 ~n:4 ~delay:(Ocube_net.Network.Constant 1.0)
+        ~cs:(Runner.Fixed 1.0) ~metrics ()
+    in
+    (match Runner.spans env with
+    | Some spans -> Ocube_obs.Span.open_span spans ~node:0 ~time:0.0 ~busy:0.0
+    | None -> ());
+    let net = Runner.net env in
+    Types.Net.set_default_handler net (fun ~dst:_ ~src:_ _ -> ());
+    let burst () =
+      for k = 0 to 499 do
+        Types.Net.send net ~src:(k land 3) ~dst:1 attributed;
+        Types.Net.send net ~src:(k land 3) ~dst:2 unattributed
+      done
+    in
+    (* warm-up grows the message and event arenas *)
+    burst ();
+    Runner.run env;
+    let before = Gc.minor_words () in
+    burst ();
+    let words = int_of_float (Gc.minor_words () -. before) in
+    Runner.run env;
+    words
+  in
+  checki "minor words for 1000 sends, metrics off" 0 (words ~metrics:false);
+  checki "minor words for 1000 sends, metrics on" 0 (words ~metrics:true)
 
 (* The fuzz oracle runs [invariant_check] after every event of a
    fault-free run, so each core answers from running tallies instead of
@@ -352,4 +416,8 @@ let suite =
       test_last_son_beats_naive_scan;
     Alcotest.test_case "deque beats the quadratic list queue" `Quick
       test_deque_beats_list_append;
+    Alcotest.test_case "set_timer + fire allocates nothing" `Quick
+      test_set_timer_allocation_free;
+    Alcotest.test_case "metrics send tap allocates nothing" `Quick
+      test_metrics_send_tap_allocation_free;
   ]

@@ -107,21 +107,21 @@ let slot_heap () =
 
 (* Allocate a slot firing at [time] and queue it. *)
 let push_at (a, h) time =
-  let s = Arena.alloc a ~kind:0 ~a:0 ~b:0 Arena.dummy_thunk in
-  Arena.set_time a s time;
+  let s = Arena.alloc a ~kind:0 ~a:0 ~b:0 ignore in
+  Float.Array.set a.Arena.time s time;
   Arena.Slot_heap.push h s;
   s
 
 let pop_time (a, h) =
   let s = Arena.Slot_heap.pop h in
-  if s = Arena.no_slot then None else Some (Float.Array.get (Arena.times a) s)
+  if s = Arena.no_slot then None else Some (Float.Array.get a.Arena.time s)
 
 let rec drain q =
   match Arena.Slot_heap.pop (snd q) with
   | s when s = Arena.no_slot -> []
   | s -> s :: drain q
 
-let times_of (a, _) = List.map (Float.Array.get (Arena.times a))
+let times_of (a, _) = List.map (Float.Array.get a.Arena.time)
 
 let test_heap_ordering () =
   let q = slot_heap () in
@@ -160,7 +160,7 @@ let test_heap_random_against_sort () =
     let slots =
       List.init n (fun _ -> push_at q (float_of_int (Rng.int r 100)))
     in
-    let time = Float.Array.get (Arena.times (fst q)) in
+    let time = Float.Array.get (fst q).Arena.time in
     Alcotest.(check (list int))
       "heap drains like a stable sort by time"
       (List.stable_sort (fun x y -> Float.compare (time x) (time y)) slots)
