@@ -102,31 +102,18 @@ let run_simulate algo n seed rate horizon cs failures recover patience verbose
        export flags leaves the simulation event-for-event identical. *)
     let observe = metrics_out <> None || trace_out <> None in
     let with_trace = trace_out <> None in
+    let cs = Runner.Fixed cs in
     let env, inst =
       match kind with
       | Exp_common.Opencube { census_rounds; fault_tolerance } ->
-        let env =
-          Runner.make_env ~seed ~n ~delay:(Ocube_net.Network.Constant 1.0)
-            ~cs:(Runner.Fixed cs) ~trace:with_trace ~metrics:observe ()
+        let env, algo =
+          Exp_common.make_opencube ~seed ~cs ~census_rounds ~fault_tolerance
+            ~asker_patience:patience ~trace:with_trace ~metrics:observe
+            ~p:(Exp_common.log2i n) ()
         in
-        let p = Exp_common.log2i n in
-        let algo =
-          Opencube_algo.create ~net:(Runner.net env)
-            ~callbacks:(Runner.callbacks env)
-            ~config:
-              {
-                (Opencube_algo.default_config ~p) with
-                census_rounds;
-                fault_tolerance;
-                asker_patience = patience;
-              }
-        in
-        let inst = Opencube_algo.instance algo in
-        Runner.attach env inst;
-        (env, inst)
+        (env, Opencube_algo.instance algo)
       | _ ->
-        Exp_common.make ~seed ~kind ~n ~cs:(Runner.Fixed cs) ~trace:with_trace
-          ~metrics:observe ()
+        Exp_common.make ~seed ~kind ~n ~cs ~trace:with_trace ~metrics:observe ()
     in
     let arrivals =
       Runner.Arrivals.poisson ~rng:(Runner.rng env) ~n ~rate_per_node:rate
@@ -237,69 +224,6 @@ let simulate_cmd =
       const run_simulate $ algo_arg $ nodes_arg $ seed_arg
       $ rate_arg $ horizon_arg $ cs_arg $ failures_arg $ recover_arg
       $ patience_arg $ verbose_arg $ metrics_arg $ trace_out_arg)
-
-(* --- metrics ----------------------------------------------------------------- *)
-
-let run_metrics algo n seed rate horizon cs format =
-  match kind_of_string algo with
-  | Error msg ->
-    prerr_endline msg;
-    1
-  | Ok kind ->
-    let env, _ =
-      Exp_common.make ~seed ~kind ~n ~cs:(Runner.Fixed cs) ~trace:true
-        ~metrics:true ()
-    in
-    let arrivals =
-      Runner.Arrivals.poisson ~rng:(Runner.rng env) ~n ~rate_per_node:rate
-        ~horizon
-    in
-    Runner.run_arrivals env arrivals;
-    Runner.run_to_quiescence ~max_steps:50_000_000 env;
-    let snap = Option.get (Runner.metrics_snapshot env) in
-    (match format with
-    | "prom" ->
-      print_string (Export.prometheus snap);
-      0
-    | "json" ->
-      print_string (Export.json snap);
-      0
-    | "chrome" ->
-      let spans = Option.get (Runner.spans env) in
-      let tr =
-        match Runner.trace env with Some t -> Trace.entries t | None -> []
-      in
-      print_string (Export.chrome_trace ~trace:tr ~spans:(Span.closed spans) ());
-      0
-    | f ->
-      Printf.eprintf "unknown format %S (expected prom, json or chrome)\n" f;
-      1)
-
-let metrics_cmd =
-  let rate_arg =
-    let doc = "Poisson request rate per node per time unit." in
-    Arg.(value & opt float 0.01 & info [ "rate" ] ~docv:"R" ~doc)
-  in
-  let horizon_arg =
-    let doc = "Arrival horizon (virtual time units)." in
-    Arg.(value & opt float 1000.0 & info [ "horizon" ] ~docv:"T" ~doc)
-  in
-  let cs_arg =
-    let doc = "Critical-section duration." in
-    Arg.(value & opt float 1.0 & info [ "cs" ] ~docv:"D" ~doc)
-  in
-  let format_arg =
-    let doc = "Output format: prom (Prometheus text), json, chrome." in
-    Arg.(value & opt string "prom" & info [ "format" ] ~docv:"FMT" ~doc)
-  in
-  let doc =
-    "Run a deterministic workload with the observability layer on and print \
-     the exported metrics (or spans) to stdout."
-  in
-  Cmd.v (Cmd.info "metrics" ~doc)
-    Term.(
-      const run_metrics $ algo_arg $ nodes_arg $ seed_arg
-      $ rate_arg $ horizon_arg $ cs_arg $ format_arg)
 
 (* --- tree ------------------------------------------------------------------- *)
 
@@ -548,11 +472,11 @@ let run_fuzz seed jobs iters time algos max_p no_faults runtime replay
     let jobs = if runtime = Scenario.Proc then 1 else jobs in
     let algos =
       match algos with
-      | [] -> Scenario.all_algos
+      | [] -> Scenario.Spec.all
       | names -> (
         match
           List.map
-            (fun v -> (v, Scenario.algo_of_name v))
+            (fun v -> (v, Scenario.Spec.of_name v))
             (List.concat_map (String.split_on_char ',') names)
         with
         | resolved when List.for_all (fun (_, a) -> a <> None) resolved ->
@@ -919,7 +843,6 @@ let () =
     (Cmd.eval'
        (Cmd.group ~default info
           [
-            experiments_cmd; list_cmd; simulate_cmd; metrics_cmd; tree_cmd;
-            dot_cmd; verify_cmd; walkthrough_cmd; fuzz_cmd; cluster_cmd;
-            sweep_cmd;
+            experiments_cmd; list_cmd; simulate_cmd; tree_cmd; dot_cmd;
+            verify_cmd; walkthrough_cmd; fuzz_cmd; cluster_cmd; sweep_cmd;
           ]))

@@ -4,8 +4,8 @@ module Types = Ocube_mutex.Types
 module Faults = Ocube_workload.Faults
 module Summary = Ocube_stats.Summary
 module Opencube = Ocube_topology.Opencube
-module Static_tree = Ocube_topology.Static_tree
 module Pool = Ocube_par.Pool
+module Pspec = Ocube_proc.Spec
 
 type digest = {
   entries : int;
@@ -44,56 +44,45 @@ type built = {
 }
 
 (* Open-cube shape (Theorem 2.1 via the sound-and-complete recursive check)
-   plus the branch bound r <= pmax - n1 of Prop. 2.3, node by node. *)
-let opencube_structure algo () =
-  match Opencube_algo.check_opencube algo with
-  | Error _ as e -> e
-  | Ok () ->
-    let cube = Opencube.of_fathers (Opencube_algo.snapshot_tree algo) in
-    let pmax = Opencube.pmax cube in
-    let n = Opencube.order cube in
-    let rec loop i =
-      if i = n then Ok ()
-      else
-        let r, n1 = Opencube.branch_stats cube i in
-        if r > pmax - n1 then
-          Error
-            (Printf.sprintf
-               "branch bound violated at node %d: r=%d > pmax-n1=%d" i r
-               (pmax - n1))
-        else loop (i + 1)
-    in
-    loop 0
+   plus the branch bound r <= pmax - n1 of Prop. 2.3, node by node, on the
+   instance's current father array. *)
+let opencube_structure (inst : Types.instance) () =
+  match inst.snapshot_tree () with
+  | None -> Error "open cube: the instance has no father array"
+  | Some fathers -> (
+    let cube = Opencube.of_fathers fathers in
+    match Opencube.check cube with
+    | Error _ as e -> e
+    | Ok () ->
+      let pmax = Opencube.pmax cube in
+      let n = Opencube.order cube in
+      let rec loop i =
+        if i = n then Ok ()
+        else
+          let r, n1 = Opencube.branch_stats cube i in
+          if r > pmax - n1 then
+            Error
+              (Printf.sprintf
+                 "branch bound violated at node %d: r=%d > pmax-n1=%d" i r
+                 (pmax - n1))
+          else loop (i + 1)
+      in
+      loop 0)
+
+module Sim_build = Pspec.Build (Runtime.Sim)
 
 let build (s : Scenario.t) =
-  let n = Scenario.nodes s in
-  let env = Runner.make_env ~seed:s.seed ~n ~delay:s.delay ~cs:s.cs () in
-  let net = Runner.net env in
-  let callbacks = Runner.callbacks env in
-  let inst, structure =
+  let env =
+    Runner.make_env ~seed:s.seed ~n:(Scenario.nodes s) ~delay:s.delay ~cs:s.cs ()
+  in
+  let inst =
+    Sim_build.build s.algo ~params:(Scenario.params s) ~net:(Runner.net env)
+      ~callbacks:(Runner.callbacks env)
+  in
+  let structure =
     match s.algo with
-    | Scenario.Opencube ->
-      let config =
-        {
-          (Opencube_algo.default_config ~p:s.p) with
-          fault_tolerance = s.ft;
-          asker_patience = s.patience;
-          queue_policy = (if s.lifo then Opencube_algo.Lifo else Opencube_algo.Fifo);
-        }
-      in
-      let algo = Opencube_algo.create ~net ~callbacks ~config in
-      (Opencube_algo.instance algo, Some (opencube_structure algo))
-    | Scenario.Raymond ->
-      let tree = Static_tree.build Static_tree.Binomial ~n in
-      (Raymond.instance (Raymond.create ~net ~callbacks ~tree ()), None)
-    | Scenario.Naimi_trehel ->
-      (Naimi_trehel.instance (Naimi_trehel.create ~net ~callbacks ~n ()), None)
-    | Scenario.Central ->
-      (Central.instance (Central.create ~net ~callbacks ~n ()), None)
-    | Scenario.Suzuki_kasami ->
-      (Suzuki_kasami.instance (Suzuki_kasami.create ~net ~callbacks ~n ()), None)
-    | Scenario.Ricart_agrawala ->
-      (Ricart_agrawala.instance (Ricart_agrawala.create ~net ~callbacks ~n ()), None)
+    | Scenario.Opencube -> Some (opencube_structure inst)
+    | _ -> None
   in
   Runner.attach env inst;
   { env; inst; structure }
@@ -149,15 +138,6 @@ let max_steps = 100_000_000
 (* --- process-runtime dispatch -------------------------------------------- *)
 
 module Cluster = Ocube_proc.Cluster
-module Pspec = Ocube_proc.Spec
-
-let proc_algo = function
-  | Scenario.Opencube -> Pspec.Opencube
-  | Scenario.Raymond -> Pspec.Raymond
-  | Scenario.Naimi_trehel -> Pspec.Naimi_trehel
-  | Scenario.Central -> Pspec.Central
-  | Scenario.Suzuki_kasami -> Pspec.Suzuki_kasami
-  | Scenario.Ricart_agrawala -> Pspec.Ricart_agrawala
 
 (* Wall seconds per simulated unit for process replays: small enough that
    a scenario runs in about a second, large enough that a CS still spans
@@ -182,8 +162,8 @@ let proc_config (s : Scenario.t) =
     | Runner.Exponential { mean; _ } -> mean
   in
   {
-    Cluster.algo = proc_algo s.algo;
-    params = { Pspec.p = s.p; ft = s.ft; patience = s.patience; lifo = s.lifo };
+    Cluster.algo = s.algo;
+    params = Scenario.params s;
     tick = proc_tick;
     delta = 1.0;
     cs;

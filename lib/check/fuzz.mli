@@ -41,9 +41,14 @@ type built = {
 }
 
 val build : Scenario.t -> built
-(** Standard builder: environment + algorithm instance per the scenario.
-    Exposed so tests can substitute a sabotaged builder and watch the
-    oracle catch the injected bug. *)
+(** Standard builder: environment + [Spec.Build (Runtime.Sim)] instance
+    per the scenario, with {!opencube_structure} as the open cube's
+    structural check. Exposed so tests can substitute a sabotaged builder
+    and watch the oracle catch the injected bug. *)
+
+val opencube_structure : Types.instance -> unit -> (unit, string) result
+(** Open-cube shape (Theorem 2.1) plus the branch bound of Prop. 2.3 on
+    the instance's current [snapshot_tree]. *)
 
 val spec_of : Scenario.t -> (unit -> (unit, string) result) option -> Oracle.spec
 (** The oracle configuration a scenario warrants: strong token/structure

@@ -3,7 +3,9 @@ module Runner = Ocube_mutex.Runner
 module Rng = Ocube_sim.Rng
 module Arrivals = Ocube_workload.Arrivals
 
-type algo =
+module Spec = Ocube_proc.Spec
+
+type algo = Spec.algo =
   | Opencube
   | Raymond
   | Naimi_trehel
@@ -11,19 +13,9 @@ type algo =
   | Suzuki_kasami
   | Ricart_agrawala
 
-let all_algos =
-  [ Opencube; Raymond; Naimi_trehel; Central; Suzuki_kasami; Ricart_agrawala ]
+let all_algos = Spec.all
 
-let algo_name = function
-  | Opencube -> "opencube"
-  | Raymond -> "raymond"
-  | Naimi_trehel -> "naimi-trehel"
-  | Central -> "central"
-  | Suzuki_kasami -> "suzuki-kasami"
-  | Ricart_agrawala -> "ricart-agrawala"
-
-let algo_of_name s =
-  List.find_opt (fun a -> algo_name a = s) all_algos
+let algo_name = Spec.name
 
 type runtime = Des | Proc
 
@@ -51,6 +43,8 @@ type t = {
 
 let nodes s = 1 lsl s.p
 
+let params s = { Spec.p = s.p; ft = s.ft; patience = s.patience; lifo = s.lifo }
+
 (* --- generation --------------------------------------------------------- *)
 
 type gen_opts = {
@@ -61,7 +55,7 @@ type gen_opts = {
 }
 
 let default_opts =
-  { algos = all_algos; max_p = 5; with_faults = true; runtime = Des }
+  { algos = Spec.all; max_p = 5; with_faults = true; runtime = Des }
 
 let cs_bound = function
   | Runner.Fixed d -> d
@@ -137,7 +131,7 @@ let gen_faults rng ~n =
   |> List.sort compare
 
 let generate ~rng ~opts =
-  let algos = if opts.algos = [] then all_algos else opts.algos in
+  let algos = if opts.algos = [] then Spec.all else opts.algos in
   let algo = Rng.choice rng (Array.of_list algos) in
   (* Process scenarios fork 2^p real processes per run and crash them for
      real: keep the cube small so a campaign stays seconds, not minutes. *)
@@ -298,7 +292,7 @@ let to_string (s : t) =
   Printf.sprintf
     "runtime=%s algo=%s p=%d seed=%d delay=%s cs=%s ft=%b patience=%s \
      lifo=%b serial=%b arrivals=%s faults=%s"
-    (runtime_name s.runtime) (algo_name s.algo) s.p s.seed
+    (runtime_name s.runtime) (Spec.name s.algo) s.p s.seed
     (delay_to_string s.delay) (cs_to_string s.cs) s.ft (fstr s.patience)
     s.lifo s.serial
     (arrivals_to_string s.arrivals)
@@ -389,7 +383,7 @@ let of_string line =
     in
     let algo =
       let v = get "algo" in
-      match algo_of_name v with
+      match Spec.of_name v with
       | Some a -> a
       | None -> pfail "unknown algorithm %S" v
     in
@@ -433,7 +427,9 @@ let validate s =
     s.runtime = Proc
     && List.exists (fun (_, _, r) -> r <> None) s.faults
   then err "proc runtime: faults cannot recover (SIGKILL is forever)"
-  else if s.runtime = Proc && s.faults <> [] && not (s.algo = Opencube && s.ft)
+  else if
+    s.runtime = Proc && s.faults <> []
+    && not (Spec.fault_tolerant s.algo && s.ft)
   then err "proc runtime: kill schedules need the fault-tolerant open cube"
   else if s.patience <= 0.0 then err "patience must be positive"
   else if

@@ -14,8 +14,11 @@
 
 module Network = Ocube_net.Network
 module Runner = Ocube_mutex.Runner
+module Spec = Ocube_proc.Spec
 
-type algo =
+(** The algorithm catalogue is {!Ocube_proc.Spec}'s; scripts name an
+    algorithm with [Spec.name]. *)
+type algo = Spec.algo =
   | Opencube
   | Raymond
   | Naimi_trehel
@@ -24,10 +27,10 @@ type algo =
   | Ricart_agrawala
 
 val all_algos : algo list
+(** [Spec.all], kept for the benchmark harness in [perfbench/]. *)
 
 val algo_name : algo -> string
-
-val algo_of_name : string -> algo option
+(** [Spec.name], kept for the benchmark harness in [perfbench/]. *)
 
 type runtime =
   | Des  (** the deterministic discrete-event simulator *)
@@ -56,6 +59,9 @@ type t = {
 }
 
 val nodes : t -> int
+
+val params : t -> Spec.params
+(** The construction parameters [Spec.Build] takes for this scenario. *)
 
 (** {1 Generation} *)
 

@@ -48,35 +48,6 @@ let log2i n =
   let rec go acc m = if m = 1 then acc else go (acc + 1) (m lsr 1) in
   go 0 n
 
-let make ?(seed = 42) ?(delay = Ocube_net.Network.Constant 1.0)
-    ?(cs = Runner.Fixed 1.0) ?(trace = false) ?(metrics = false) ~kind ~n () =
-  let env = Runner.make_env ~seed ~n ~delay ~cs ~trace ~metrics () in
-  let net = Runner.net env in
-  let callbacks = Runner.callbacks env in
-  let inst =
-    match kind with
-    | Opencube { census_rounds; fault_tolerance } ->
-      let p = log2i n in
-      let config =
-        { (Opencube_algo.default_config ~p) with census_rounds; fault_tolerance }
-      in
-      Opencube_algo.instance (Opencube_algo.create ~net ~callbacks ~config)
-    | Raymond shape ->
-      let tree = Static_tree.build shape ~n in
-      Raymond.instance (Raymond.create ~net ~callbacks ~tree ())
-    | Naimi_trehel -> Naimi_trehel.instance (Naimi_trehel.create ~net ~callbacks ~n ())
-    | Central -> Central.instance (Central.create ~net ~callbacks ~n ())
-    | Suzuki_kasami ->
-      Suzuki_kasami.instance (Suzuki_kasami.create ~net ~callbacks ~n ())
-    | Ricart_agrawala ->
-      Ricart_agrawala.instance (Ricart_agrawala.create ~net ~callbacks ~n ())
-    | Generic rule ->
-      let tree = Static_tree.build Static_tree.Binomial ~n in
-      Generic_scheme.instance (Generic_scheme.create ~net ~callbacks ~tree ~rule ())
-  in
-  Runner.attach env inst;
-  (env, inst)
-
 let make_opencube ?(seed = 42) ?(delay = Ocube_net.Network.Constant 1.0)
     ?(cs = Runner.Fixed 1.0) ?(census_rounds = 2) ?(fault_tolerance = true)
     ?(asker_patience = 1.0) ?(queue_policy = Opencube_algo.Fifo)
@@ -98,6 +69,43 @@ let make_opencube ?(seed = 42) ?(delay = Ocube_net.Network.Constant 1.0)
   in
   Runner.attach env (Opencube_algo.instance algo);
   (env, algo)
+
+let make ?(seed = 42) ?(delay = Ocube_net.Network.Constant 1.0)
+    ?(cs = Runner.Fixed 1.0) ?(trace = false) ?(metrics = false) ~kind ~n () =
+  let attached create =
+    let env = Runner.make_env ~seed ~n ~delay ~cs ~trace ~metrics () in
+    let inst = create ~net:(Runner.net env) ~callbacks:(Runner.callbacks env) in
+    Runner.attach env inst;
+    (env, inst)
+  in
+  match kind with
+  | Opencube { census_rounds; fault_tolerance } ->
+    let env, algo =
+      make_opencube ~seed ~delay ~cs ~census_rounds ~fault_tolerance ~trace
+        ~metrics ~p:(log2i n) ()
+    in
+    (env, Opencube_algo.instance algo)
+  | Raymond shape ->
+    let tree = Static_tree.build shape ~n in
+    attached (fun ~net ~callbacks ->
+        Raymond.instance (Raymond.create ~net ~callbacks ~tree ()))
+  | Naimi_trehel ->
+    attached (fun ~net ~callbacks ->
+        Naimi_trehel.instance (Naimi_trehel.create ~net ~callbacks ~n ()))
+  | Central ->
+    attached (fun ~net ~callbacks ->
+        Central.instance (Central.create ~net ~callbacks ~n ()))
+  | Suzuki_kasami ->
+    attached (fun ~net ~callbacks ->
+        Suzuki_kasami.instance (Suzuki_kasami.create ~net ~callbacks ~n ()))
+  | Ricart_agrawala ->
+    attached (fun ~net ~callbacks ->
+        Ricart_agrawala.instance (Ricart_agrawala.create ~net ~callbacks ~n ()))
+  | Generic rule ->
+    let tree = Static_tree.build Static_tree.Binomial ~n in
+    attached (fun ~net ~callbacks ->
+        Generic_scheme.instance
+          (Generic_scheme.create ~net ~callbacks ~tree ~rule ()))
 
 let probe env node =
   let before = Runner.messages_sent env in

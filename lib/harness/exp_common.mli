@@ -51,7 +51,7 @@ val make_opencube :
   unit ->
   Runner.env * Opencube_algo.t
 (** Like {!make} but keeps the concrete open-cube handle for
-    introspection. *)
+    introspection. {!make}'s open-cube kinds build through it. *)
 
 val probe : Runner.env -> int -> int
 (** [probe env node]: issue one wish, run to quiescence, return the number

@@ -21,36 +21,20 @@ module Make (R : Runtime.S) : sig
   val instance : t -> instance
 
   val queue_length : t -> int
+  (** Pending requests at the coordinator. *)
 
   val in_cs : t -> node_id -> bool
 
   val in_cs_count : t -> int
+  (** Running tally of the nodes in their CS, kept by the one setter of
+      the in-CS flag. *)
 
   val invariant_check : t -> (unit, string) result
+  (** O(1) over the tallies (see {!Types.instance}). *)
 end
 
 (** {1 Simulator instantiation}
 
     [Make (Runtime.Sim)], re-exported under the historical interface. *)
 
-type t
-
-val create : net:Net.t -> callbacks:callbacks -> n:int -> unit -> t
-
-val request_cs : t -> node_id -> unit
-
-val release_cs : t -> node_id -> unit
-
-val instance : t -> instance
-
-val queue_length : t -> int
-(** Pending requests at the coordinator. *)
-
-val in_cs : t -> node_id -> bool
-
-val in_cs_count : t -> int
-(** Running tally of the nodes in their CS, kept by the one setter of
-    the in-CS flag. *)
-
-val invariant_check : t -> (unit, string) result
-(** O(1) over the tallies (see {!Types.instance}). *)
+include module type of Make (Runtime.Sim)

@@ -39,12 +39,17 @@ module Make (R : Runtime.S) : sig
     rule:rule ->
     unit ->
     t
+  (** The token starts at the root of [tree]. For [Opencube_rule] the tree
+      must be a valid open-cube.
+      @raise Invalid_argument on size mismatch or invalid tree. *)
 
   val request_cs : t -> node_id -> unit
 
   val release_cs : t -> node_id -> unit
 
   val instance : t -> instance
+
+  (** {1 Introspection} *)
 
   val father : t -> node_id -> node_id option
 
@@ -55,51 +60,18 @@ module Make (R : Runtime.S) : sig
   val in_cs : t -> node_id -> bool
 
   val holder_count : t -> int
+  (** Running tally of the token holders, kept by the one setter of the
+      token flag; {!token_holders} is the O(N) scan it must agree with. *)
 
   val in_cs_count : t -> int
+  (** Running tally of the nodes in their CS, kept the same way. *)
 
   val invariant_check : t -> (unit, string) result
+  (** O(1) over the tallies (see {!Types.instance}). *)
 end
 
 (** {1 Simulator instantiation}
 
     [Make (Runtime.Sim)], re-exported under the historical interface. *)
 
-type t
-
-val create :
-  net:Net.t ->
-  callbacks:callbacks ->
-  tree:node_id option array ->
-  rule:rule ->
-  unit ->
-  t
-(** The token starts at the root of [tree]. For [Opencube_rule] the tree
-    must be a valid open-cube.
-    @raise Invalid_argument on size mismatch or invalid tree. *)
-
-val request_cs : t -> node_id -> unit
-
-val release_cs : t -> node_id -> unit
-
-val instance : t -> instance
-
-(** {1 Introspection} *)
-
-val father : t -> node_id -> node_id option
-
-val snapshot_tree : t -> node_id option array
-
-val token_holders : t -> node_id list
-
-val in_cs : t -> node_id -> bool
-
-val holder_count : t -> int
-(** Running tally of the token holders, kept by the one setter of the
-    token flag; {!token_holders} is the O(N) scan it must agree with. *)
-
-val in_cs_count : t -> int
-(** Running tally of the nodes in their CS, kept the same way. *)
-
-val invariant_check : t -> (unit, string) result
-(** O(1) over the tallies (see {!Types.instance}). *)
+include module type of Make (Runtime.Sim)

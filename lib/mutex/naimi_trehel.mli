@@ -14,6 +14,8 @@ module Make (R : Runtime.S) : sig
   type t
 
   val create : net:R.t -> callbacks:callbacks -> n:int -> unit -> t
+  (** Initially node 0 owns the token and every other node's probable owner
+      chain points at it (a star). *)
 
   val request_cs : t -> node_id -> unit
 
@@ -21,61 +23,35 @@ module Make (R : Runtime.S) : sig
 
   val instance : t -> instance
 
+  (** {1 Introspection} *)
+
   val probable_owner : t -> node_id -> node_id option
+  (** The node's [father] pointer; [None] when the node believes it is the
+      last requester (tail of the distributed queue). *)
 
   val next_pointer : t -> node_id -> node_id option
 
   val token_holders : t -> node_id list
 
   val longest_owner_chain : t -> int
+  (** Length of the longest probable-owner chain — the quantity whose
+      unboundedness gives the O(n) worst case. *)
 
   val in_cs : t -> node_id -> bool
 
   val holder_count : t -> int
+  (** Running tally of the token holders, kept by the one setter of the
+      token flag; {!token_holders} is the O(N) scan it must agree with. *)
 
   val in_cs_count : t -> int
+  (** Running tally of the nodes in their CS, kept the same way. *)
 
   val invariant_check : t -> (unit, string) result
+  (** O(1) over the tallies (see {!Types.instance}). *)
 end
 
 (** {1 Simulator instantiation}
 
     [Make (Runtime.Sim)], re-exported under the historical interface. *)
 
-type t
-
-val create : net:Net.t -> callbacks:callbacks -> n:int -> unit -> t
-(** Initially node 0 owns the token and every other node's probable owner
-    chain points at it (a star). *)
-
-val request_cs : t -> node_id -> unit
-
-val release_cs : t -> node_id -> unit
-
-val instance : t -> instance
-
-(** {1 Introspection} *)
-
-val probable_owner : t -> node_id -> node_id option
-(** The node's [father] pointer; [None] when the node believes it is the
-    last requester (tail of the distributed queue). *)
-
-val next_pointer : t -> node_id -> node_id option
-
-val token_holders : t -> node_id list
-
-val longest_owner_chain : t -> int
-(** Length of the longest probable-owner chain — the quantity whose
-    unboundedness gives the O(n) worst case. *)
-
-val in_cs : t -> node_id -> bool
-
-val holder_count : t -> int
-(** Running tally of the token holders, kept by the one setter of the
-    token flag; {!token_holders} is the O(N) scan it must agree with. *)
-
-val in_cs_count : t -> int
-(** Running tally of the nodes in their CS, kept the same way. *)
-
-val invariant_check : t -> (unit, string) result
-(** O(1) over the tallies (see {!Types.instance}). *)
+include module type of Make (Runtime.Sim)

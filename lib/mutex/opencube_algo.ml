@@ -7,24 +7,27 @@ type queue_policy = Fifo | Lifo | Random_order
 
 type config = {
   p : int;
-  cs_estimate : float;
   fault_tolerance : bool;
   asker_patience : float;
   census_rounds : int;
-  dedup_window : int;
   queue_policy : queue_policy;
 }
 
 let default_config ~p =
   {
     p;
-    cs_estimate = 1.0;
     fault_tolerance = true;
     asker_patience = 1.0;
     census_rounds = 2;
-    dedup_window = 32;
     queue_policy = Fifo;
   }
+
+let cs_estimate = 1.0
+(** [e], the estimated critical-section duration used in the lender's
+    timeouts (Section 5). *)
+
+let dedup_window = 32
+(** How many recently-served request ids each node remembers. *)
 
 type pending = Wish | Preq of { origin : node_id; rid : request_id }
 
@@ -270,11 +273,11 @@ module Make (R : Runtime.S) = struct
 
   let set_lts t i v = t.st.last_token_seen.{i} <- v
 
-  let fresh_cold t =
+  let fresh_cold () =
     {
       mandate_excluded = [];
       queue = Fdeque.empty;
-      recent_rids = Ringbuf.create ~capacity:t.config.dedup_window;
+      recent_rids = Ringbuf.create ~capacity:dedup_window;
       loan = None;
       loan_timer = None;
       enquiry_timer = None;
@@ -289,7 +292,7 @@ module Make (R : Runtime.S) = struct
     match t.cold.(i) with
     | Some c -> c
     | None ->
-      let c = fresh_cold t in
+      let c = fresh_cold () in
       t.cold.(i) <- Some c;
       c
 
@@ -453,8 +456,8 @@ module Make (R : Runtime.S) = struct
       | None -> ()
       | Some loan ->
         let delay =
-          if loan.direct then (2.0 *. delta t) +. t.config.cs_estimate
-          else (float_of_int (t.pmax + 1) *. delta t) +. t.config.cs_estimate
+          if loan.direct then (2.0 *. delta t) +. cs_estimate
+          else (float_of_int (t.pmax + 1) *. delta t) +. cs_estimate
         in
         c.loan_timer <-
           Some (R.set_timer t.net ~node:i ~delay (fun () -> loan_timeout t i))
@@ -1089,7 +1092,7 @@ module Make (R : Runtime.S) = struct
     s.phase_timer <-
       Some
         (R.set_timer t.net ~node:i
-           ~delay:(answer_wait t +. t.config.cs_estimate)
+           ~delay:(answer_wait t +. cs_estimate)
            (fun () -> phase_timeout t i s))
 
   and census_round_over t i s round =
@@ -1131,7 +1134,7 @@ module Make (R : Runtime.S) = struct
         reset_mandate_history t i;
         stop_search t i;
         let backoff =
-          ((2.0 *. delta t) +. t.config.cs_estimate)
+          ((2.0 *. delta t) +. cs_estimate)
           *. (1.0 +. (float_of_int i /. float_of_int (4 * t.n)))
         in
         ignore

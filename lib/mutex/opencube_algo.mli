@@ -45,9 +45,6 @@ type queue_policy = Fifo | Lifo | Random_order
 
 type config = {
   p : int;  (** open-cube dimension: [n = 2^p] nodes *)
-  cs_estimate : float;
-      (** [e], the estimated critical-section duration used in the lender's
-          timeouts (Section 5). *)
   fault_tolerance : bool;
       (** Arm timers, enquiries and search_father. When [false] the
           algorithm is exactly the Section 3 fault-free protocol. *)
@@ -66,15 +63,14 @@ type config = {
           phase of [search_father] failed. [0] reproduces the paper's
           immediate regeneration (unsafe in rootless transients); the
           default is [2] (see DESIGN.md §5). *)
-  dedup_window : int;
-      (** How many recently-served request ids each node remembers. *)
   queue_policy : queue_policy;
       (** Waiting-queue service order; default [Fifo]. *)
 }
 
 val default_config : p:int -> config
-(** [cs_estimate = 1.0], fault tolerance on, patience 1.0, 2 census rounds,
-    window 32. *)
+(** Fault tolerance on, patience 1.0, 2 census rounds, FIFO. The
+    critical-section estimate [e] in the lender's timeouts (1.0) and the
+    per-node window of remembered request ids (32) are fixed. *)
 
 (** Counters accumulated since creation. *)
 type stats = {
@@ -105,14 +101,28 @@ module Make (R : Runtime.S) : sig
   type t
 
   val create : net:R.t -> callbacks:callbacks -> config:config -> t
+  (** Builds the initial open-cube (node 0 root, holding the token), installs
+      the message handlers of all [2^p] nodes on [net] and returns the
+      instance.
+      @raise Invalid_argument if [R.size net <> 2^p]. *)
 
   val request_cs : t -> node_id -> unit
+  (** The node wishes to enter its critical section. Wishes issued while the
+      node is busy are queued; issuing a wish on a failed node is ignored. *)
 
   val release_cs : t -> node_id -> unit
+  (** The node exits its critical section; gives the token back to its lender
+      if it borrowed it.
+      @raise Invalid_argument if the node is not in its critical section. *)
 
   val on_recovered : t -> node_id -> unit
+  (** Reset the node's volatile state after {!Types.Net.recover} and start the
+      reconnection protocol (search_father from phase 1). *)
 
   val instance : t -> instance
+  (** Adapt to the generic runner interface. *)
+
+  (** {1 Introspection (tests, experiments)} *)
 
   val father : t -> node_id -> node_id option
 
@@ -131,86 +141,34 @@ module Make (R : Runtime.S) : sig
   val searching : t -> node_id -> bool
 
   val describe : t -> node_id -> string
+  (** One-line state dump of a node, for debugging embeddings. *)
 
   val stats : t -> stats
 
   val holder_count : t -> int
+  (** Running tally of the nodes whose token flag is set, kept by the one
+      setter of the flag. Unlike {!token_holders} it counts a failed node's
+      frozen flag. *)
 
   val in_cs_count : t -> int
+  (** Running tally of the nodes whose in-CS flag is set. *)
 
   val invariant_check : t -> (unit, string) result
+  (** Fault-free invariants, read off the tallies in O(1) without
+      allocating on success: at most one node in its CS, at most one token
+      holder (the error names them), and exactly one token, held or in
+      flight. It does not check the father pointers; {!check_opencube} does,
+      at quiescence. A failed node's frozen flags count, so the result is
+      meaningful only while no node has failed. *)
 
   val check_opencube : t -> (unit, string) result
+  (** Full open-cube structural check of the current father array. Only
+      meaningful at quiescent instants of fault-free runs (the tree is
+      legitimately "open" while a request or token is in flight). *)
 end
 
 (** {1 Simulator instantiation}
 
     [Make (Runtime.Sim)], re-exported under the historical interface. *)
 
-type t
-
-val create : net:Net.t -> callbacks:callbacks -> config:config -> t
-(** Builds the initial open-cube (node 0 root, holding the token), installs
-    the message handlers of all [2^p] nodes on [net] and returns the
-    instance.
-    @raise Invalid_argument if [Net.size net <> 2^p]. *)
-
-val request_cs : t -> node_id -> unit
-(** The node wishes to enter its critical section. Wishes issued while the
-    node is busy are queued; issuing a wish on a failed node is ignored. *)
-
-val release_cs : t -> node_id -> unit
-(** The node exits its critical section; gives the token back to its lender
-    if it borrowed it.
-    @raise Invalid_argument if the node is not in its critical section. *)
-
-val on_recovered : t -> node_id -> unit
-(** Reset the node's volatile state after {!Types.Net.recover} and start the
-    reconnection protocol (search_father from phase 1). *)
-
-val instance : t -> instance
-(** Adapt to the generic runner interface. *)
-
-(** {1 Introspection (tests, experiments)} *)
-
-val father : t -> node_id -> node_id option
-
-val snapshot_tree : t -> node_id option array
-
-val power : t -> node_id -> int
-
-val token_holders : t -> node_id list
-
-val is_asking : t -> node_id -> bool
-
-val in_cs : t -> node_id -> bool
-
-val queue_length : t -> node_id -> int
-
-val searching : t -> node_id -> bool
-
-val describe : t -> node_id -> string
-(** One-line state dump of a node, for debugging embeddings. *)
-
-val stats : t -> stats
-
-val holder_count : t -> int
-(** Running tally of the nodes whose token flag is set, kept by the one
-    setter of the flag. Unlike {!token_holders} it counts a failed node's
-    frozen flag. *)
-
-val in_cs_count : t -> int
-(** Running tally of the nodes whose in-CS flag is set. *)
-
-val invariant_check : t -> (unit, string) result
-(** Fault-free invariants, read off the tallies in O(1) without
-    allocating on success: at most one node in its CS, at most one token
-    holder (the error names them), and exactly one token, held or in
-    flight. It does not check the father pointers; {!check_opencube} does,
-    at quiescence. A failed node's frozen flags count, so the result is
-    meaningful only while no node has failed. *)
-
-val check_opencube : t -> (unit, string) result
-(** Full open-cube structural check of the current father array. Only
-    meaningful at quiescent instants of fault-free runs (the tree is
-    legitimately "open" while a request or token is in flight). *)
+include module type of Make (Runtime.Sim)

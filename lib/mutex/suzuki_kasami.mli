@@ -15,6 +15,7 @@ module Make (R : Runtime.S) : sig
   type t
 
   val create : net:R.t -> callbacks:callbacks -> n:int -> unit -> t
+  (** Node 0 holds the token initially. *)
 
   val request_cs : t -> node_id -> unit
 
@@ -22,49 +23,28 @@ module Make (R : Runtime.S) : sig
 
   val instance : t -> instance
 
+  (** {1 Introspection} *)
+
   val token_holders : t -> node_id list
 
   val token_queue : t -> node_id list
+  (** The waiting queue carried by the token (holder-side view). *)
 
   val in_cs : t -> node_id -> bool
 
   val holder_count : t -> int
+  (** Running tally of the token holders, kept by the one setter of the
+      token flag; {!token_holders} is the O(N) scan it must agree with. *)
 
   val in_cs_count : t -> int
+  (** Running tally of the nodes in their CS, kept the same way. *)
 
   val invariant_check : t -> (unit, string) result
+  (** O(1) over the tallies (see {!Types.instance}). *)
 end
 
 (** {1 Simulator instantiation}
 
     [Make (Runtime.Sim)], re-exported under the historical interface. *)
 
-type t
-
-val create : net:Net.t -> callbacks:callbacks -> n:int -> unit -> t
-(** Node 0 holds the token initially. *)
-
-val request_cs : t -> node_id -> unit
-
-val release_cs : t -> node_id -> unit
-
-val instance : t -> instance
-
-(** {1 Introspection} *)
-
-val token_holders : t -> node_id list
-
-val token_queue : t -> node_id list
-(** The waiting queue carried by the token (holder-side view). *)
-
-val in_cs : t -> node_id -> bool
-
-val holder_count : t -> int
-(** Running tally of the token holders, kept by the one setter of the
-    token flag; {!token_holders} is the O(N) scan it must agree with. *)
-
-val in_cs_count : t -> int
-(** Running tally of the nodes in their CS, kept the same way. *)
-
-val invariant_check : t -> (unit, string) result
-(** O(1) over the tallies (see {!Types.instance}). *)
+include module type of Make (Runtime.Sim)

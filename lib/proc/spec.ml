@@ -27,43 +27,41 @@ let default_params ~p = { p; ft = false; patience = 1.0; lifo = false }
 
 let fault_tolerant = function Opencube -> true | _ -> false
 
-(* Mirrors [Ocube_check.Fuzz.build]'s construction parameters exactly:
-   the conformance suite counts on a scenario building the *same*
-   automaton in both runtimes, so any divergence here would show up as a
-   digest mismatch, not a protocol bug. *)
+module Opencube_algo = Ocube_mutex.Opencube_algo
+
+let opencube_config params =
+  {
+    (Opencube_algo.default_config ~p:params.p) with
+    fault_tolerance = params.ft;
+    asker_patience = params.patience;
+    queue_policy =
+      (if params.lifo then Opencube_algo.Lifo else Opencube_algo.Fifo);
+  }
+
+(* The only construction of the six cores from a spec: the fuzzer's
+   builder ([Ocube_check.Fuzz.build]) calls [Build (Runtime.Sim)] and a
+   cluster child [Build (Proc_runtime)], so a fuzz scenario and its
+   process replay run identical protocol instances. *)
 module Build (R : Ocube_mutex.Runtime.S) = struct
-  module Opencube_algo = Ocube_mutex.Opencube_algo
+  module Open = Opencube_algo.Make (R)
+  module Ray = Ocube_mutex.Raymond.Make (R)
+  module Nt = Ocube_mutex.Naimi_trehel.Make (R)
+  module Cen = Ocube_mutex.Central.Make (R)
+  module Sk = Ocube_mutex.Suzuki_kasami.Make (R)
+  module Ra = Ocube_mutex.Ricart_agrawala.Make (R)
 
   let build algo ~(params : params) ~net ~callbacks =
     let n = 1 lsl params.p in
     if R.size net <> n then invalid_arg "Spec.build: runtime size <> 2^p";
     match algo with
     | Opencube ->
-      let module A = Opencube_algo.Make (R) in
-      let config =
-        {
-          (Opencube_algo.default_config ~p:params.p) with
-          fault_tolerance = params.ft;
-          asker_patience = params.patience;
-          queue_policy =
-            (if params.lifo then Opencube_algo.Lifo else Opencube_algo.Fifo);
-        }
-      in
-      A.instance (A.create ~net ~callbacks ~config)
+      Open.instance
+        (Open.create ~net ~callbacks ~config:(opencube_config params))
     | Raymond ->
-      let module A = Ocube_mutex.Raymond.Make (R) in
       let tree = Static_tree.build Static_tree.Binomial ~n in
-      A.instance (A.create ~net ~callbacks ~tree ())
-    | Naimi_trehel ->
-      let module A = Ocube_mutex.Naimi_trehel.Make (R) in
-      A.instance (A.create ~net ~callbacks ~n ())
-    | Central ->
-      let module A = Ocube_mutex.Central.Make (R) in
-      A.instance (A.create ~net ~callbacks ~n ())
-    | Suzuki_kasami ->
-      let module A = Ocube_mutex.Suzuki_kasami.Make (R) in
-      A.instance (A.create ~net ~callbacks ~n ())
-    | Ricart_agrawala ->
-      let module A = Ocube_mutex.Ricart_agrawala.Make (R) in
-      A.instance (A.create ~net ~callbacks ~n ())
+      Ray.instance (Ray.create ~net ~callbacks ~tree ())
+    | Naimi_trehel -> Nt.instance (Nt.create ~net ~callbacks ~n ())
+    | Central -> Cen.instance (Cen.create ~net ~callbacks ~n ())
+    | Suzuki_kasami -> Sk.instance (Sk.create ~net ~callbacks ~n ())
+    | Ricart_agrawala -> Ra.instance (Ra.create ~net ~callbacks ~n ())
 end

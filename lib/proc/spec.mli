@@ -2,9 +2,10 @@
 
     One spec value builds the same automaton in either runtime:
     [Build (Runtime.Sim)] for the simulator, [Build (Proc_runtime)]
-    inside a cluster child. The construction parameters mirror the
-    fuzzer's builder ([Ocube_check.Fuzz.build]) so a fuzz scenario and
-    its process replay run identical protocol instances. *)
+    inside a cluster child. It is also the algorithm catalogue: the
+    fuzzer's scenarios name their algorithm with {!algo} and its builder
+    ([Ocube_check.Fuzz.build]) calls [Build (Runtime.Sim)], so a fuzz
+    scenario and its process replay run identical protocol instances. *)
 
 type algo =
   | Opencube
@@ -33,6 +34,10 @@ val default_params : p:int -> params
 val fault_tolerant : algo -> bool
 (** Whether the algorithm survives crash faults (only the open-cube
     algorithm does); kill schedules demand a fault-tolerant spec. *)
+
+val opencube_config : params -> Ocube_mutex.Opencube_algo.config
+(** The open-cube configuration [Build] uses: the core's
+    [default_config] with [ft], [patience] and [lifo] applied. *)
 
 module Build (R : Ocube_mutex.Runtime.S) : sig
   val build :

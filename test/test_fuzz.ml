@@ -197,9 +197,11 @@ let test_regression_suspicion_livelock () =
 (* --- tallies against the scans they replaced ------------------------------ *)
 
 (* Every core's [invariant_check] reads token and in-CS tallies kept at
-   the flag setters. This build constructs the same cores [Fuzz.build]
-   does and, on fault-free scenarios, adds a second step hook beside the
-   oracle's that recounts both with O(N) scans after every event. *)
+   the flag setters. This build constructs the cores [Fuzz.build] does,
+   through their concrete modules (the open cube with
+   [Spec.opencube_config]), and, on fault-free scenarios, adds a second
+   step hook beside the oracle's that recounts both with O(N) scans after
+   every event. *)
 type tally_log = {
   mutable mismatches : string list;
   mutable events : (string * int) list;  (* checked events per algorithm *)
@@ -220,15 +222,7 @@ let tally_build log (s : Scenario.t) =
   let inst, counts =
     match s.algo with
     | Scenario.Opencube ->
-      let config =
-        {
-          (Opencube_algo.default_config ~p:s.p) with
-          fault_tolerance = s.ft;
-          asker_patience = s.patience;
-          queue_policy =
-            (if s.lifo then Opencube_algo.Lifo else Opencube_algo.Fifo);
-        }
-      in
+      let config = Scenario.Spec.opencube_config (Scenario.params s) in
       let a = Opencube_algo.create ~net ~callbacks ~config in
       ( Opencube_algo.instance a,
         fun () ->
@@ -430,6 +424,40 @@ let test_forged_token_names_both_holders () =
         checkb (Printf.sprintf "error %S names both holders" e) true (has 0))
     [ Scenario.Naimi_trehel; Scenario.Raymond ]
 
+(* The open cube's quiescence check reads the instance's father array. A
+   real fault-free open-cube run whose [snapshot_tree] reports a star
+   (node 0 fathering 1, 2 and 3, which is not a 2-open-cube) must fail
+   with the shape error, and the same run unwrapped must pass. *)
+let star = [| None; Some 0; Some 0; Some 0 |]
+
+let star_tree_build (s : Scenario.t) =
+  let b = Fuzz.build s in
+  let inst = { b.Fuzz.inst with Types.snapshot_tree = (fun () -> Some star) } in
+  { b with Fuzz.inst; structure = Some (Fuzz.opencube_structure inst) }
+
+let test_structure_reads_instance () =
+  let s =
+    {
+      overlapping_scenario with
+      Scenario.algo = Scenario.Opencube;
+      p = 2;
+      cs = Runner.Fixed 1.0;
+      arrivals = [ (1.0, 3); (2.0, 1) ];
+    }
+  in
+  (match Fuzz.run s with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "unwrapped open cube failed: %s" e);
+  let shape =
+    match Ocube_topology.Opencube.(check (of_fathers star)) with
+    | Ok () -> Alcotest.fail "the star passed the open-cube check"
+    | Error m -> m
+  in
+  match Fuzz.run ~build:star_tree_build s with
+  | Ok _ -> Alcotest.fail "oracle missed a father array that is not an open cube"
+  | Error e ->
+    Alcotest.(check string) "shape error" ("structure at quiescence: " ^ shape) e
+
 (* With a buggy algorithm the parallel campaign must converge on the
    stream's *smallest* failing index — even though later indices in the
    same chunk also fail — and shrink it to the same reproducer. *)
@@ -488,5 +516,7 @@ let suite =
       test_forged_token_names_both_holders;
     Alcotest.test_case "tallies equal the O(N) scans at every event" `Quick
       test_tallies_match_scans;
+    Alcotest.test_case "open-cube shape check reads the instance" `Quick
+      test_structure_reads_instance;
   ]
   @ List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qcheck_tests

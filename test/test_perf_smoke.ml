@@ -269,7 +269,7 @@ let test_invariant_check_allocation_free () =
       done;
       let words = Gc.minor_words () -. before in
       checki (name ^ ": minor words for 1000 checks") 0 (int_of_float words))
-    Ocube_check.Scenario.all_algos
+    Ocube_check.Scenario.Spec.all
 
 (* --- trace on/off equivalence -------------------------------------------- *)
 
