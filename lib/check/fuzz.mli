@@ -56,7 +56,11 @@ val spec_of : Scenario.t -> (unit -> (unit, string) result) option -> Oracle.spe
     quiescence liveness always. *)
 
 val run : ?build:(Scenario.t -> built) -> Scenario.t -> (digest, string) result
-(** One full checked run. [Error] carries the violated invariant. *)
+(** One full checked run. [Error] carries the violated invariant. A
+    simulated run that goes on without a CS entry or an input event (wish,
+    fault, recovery) for longer than a bound derived from the scenario's
+    δ bound, cube size, patience, CS length and recovery delays is cut
+    there, with an error that starts with ["liveness"]. *)
 
 val shrink :
   ?build:(Scenario.t -> built) -> ?max_runs:int -> Scenario.t -> Scenario.t

@@ -204,8 +204,8 @@ let ambient_table () =
 
 let run () =
   controlled_table () ^ "\n" ^ ambient_table ()
-  ^ "Overhead counts enquiry/answer/test-probe/anomaly/census/custody \
-     messages;\nthe paper counted only its own repair messages, so absolute values \
+  ^ "Overhead counts enquiry/answer/test-probe/anomaly/census/custody/\
+     wait-for-probe messages;\nthe paper counted only its own repair messages, so absolute values \
      here run\nhigher, but the shape matches: roughly flat-to-logarithmic \
      in N, nowhere\nnear linear. The violations column is the reproduction \
      finding: the paper's\nimmediate post-search regeneration is unsafe \

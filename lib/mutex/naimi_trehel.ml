@@ -75,7 +75,8 @@ module Make (R : Runtime.S) = struct
     | Message.Enquiry _ | Message.Enquiry_answer _ | Message.Test _
     | Message.Test_answer _ | Message.Anomaly _ | Message.Void _ | Message.Census _
     | Message.Census_reply _ | Message.Custody _
-    | Message.Custody_answer _ | Message.Release | Message.Sk_request _
+    | Message.Custody_answer _ | Message.Probe _
+    | Message.Release | Message.Sk_request _
     | Message.Sk_privilege _ | Message.Ra_request _ | Message.Ra_reply ->
       invalid_arg "Naimi_trehel: unexpected message kind"
 

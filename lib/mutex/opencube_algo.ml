@@ -108,6 +108,8 @@ type stats = {
   defensive_drops : int;
   custody_queries : int;
   custody_confirmed : int;
+  probe_walks : int;
+  cycles_detected : int;
 }
 
 let dist = Opencube.dist
@@ -159,8 +161,13 @@ module Make (R : Runtime.S) = struct
         (* the custody query to the father, then the search deadline *)
     mutable custody_father : node_id;
         (* father a custody query is outstanding to, -1 = none *)
-    mutable custody_held : int;
-        (* consecutive "held" answers for the current mandate *)
+    mutable probe_due : float;
+        (* virtual time from which a "held" answer starts a wait-for probe
+           walk for the current mandate: [infinity] until its first held
+           answer schedules one, [neg_infinity] at once *)
+    mutable walk_out : bool;
+        (* a walk is out and the end of its chain has not answered; it
+           stands in for the custody query until the deadline *)
     mutable search : search option;
     mutable transits : transit list;
         (* newest first; each transit lowers our power by one, so pmax
@@ -192,6 +199,8 @@ module Make (R : Runtime.S) = struct
     mutable s_defensive_drops : int;
     mutable s_custody_queries : int;
     mutable s_custody_confirmed : int;
+    mutable s_probe_walks : int;
+    mutable s_cycles_detected : int;
   }
 
   (* ------------------------------------------------------------------ *)
@@ -283,7 +292,8 @@ module Make (R : Runtime.S) = struct
       enquiry_timer = None;
       asker_timer = None;
       custody_father = -1;
-      custody_held = 0;
+      probe_due = infinity;
+      walk_out = false;
       search = None;
       transits = [];
     }
@@ -317,7 +327,7 @@ module Make (R : Runtime.S) = struct
     match t.cold.(i) with
     | Some c ->
       c.mandate_excluded <- [];
-      c.custody_held <- 0
+      c.probe_due <- infinity
     | None -> ()
 
   let queued t i rid =
@@ -362,9 +372,9 @@ module Make (R : Runtime.S) = struct
     | Message.Request _ | Message.Enquiry _ | Message.Enquiry_answer _
     | Message.Test _ | Message.Test_answer _ | Message.Anomaly _
     | Message.Void _ | Message.Census _ | Message.Census_reply _
-    | Message.Custody _ | Message.Custody_answer _ | Message.Release
-    | Message.Sk_request _ | Message.Sk_privilege _ | Message.Ra_request _
-    | Message.Ra_reply ->
+    | Message.Custody _ | Message.Custody_answer _ | Message.Probe _
+    | Message.Release | Message.Sk_request _ | Message.Sk_privilege _
+    | Message.Ra_request _ | Message.Ra_reply ->
       ());
     R.send t.net ~src ~dst payload
 
@@ -388,7 +398,8 @@ module Make (R : Runtime.S) = struct
     | Some c ->
       cancel_slot t c.asker_timer;
       c.asker_timer <- None;
-      c.custody_father <- -1
+      c.custody_father <- -1;
+      c.walk_out <- false
 
   let cancel_loan_timer t i =
     match t.cold.(i) with
@@ -416,30 +427,27 @@ module Make (R : Runtime.S) = struct
       c.enquiry_timer <- None
 
   (* Section 5 lets an asker suspect its father after 2·pmax·δ (times the
-     patience). Under load, queueing alone outlasts that, so the asker
-     first asks its father whether it still holds the request, one answer
-     wait before the deadline, so that a dead father is still suspected at
-     the paper's deadline. The query is never sent before half of the
+     patience). *)
+  let asker_deadline t =
+    t.config.asker_patience *. 2.0 *. float_of_int t.pmax *. delta t
+
+  (* Under load, queueing alone outlasts the deadline, so the asker first
+     asks its father whether it still holds the request, one answer wait
+     before the deadline, so that a dead father is still suspected at the
+     paper's deadline. The query is never sent before half of the
      deadline, so it cannot overtake the request: where the deadline is
      shorter than two answer waits (pmax <= 2 at patience 1) there is no
      room for it, and the asker suspects at the deadline as the paper
-     does. After pmax consecutive "held" answers for one mandate the
-     asker stops asking and searches (waiting cycles answer "held"
-     forever; DESIGN.md §5). *)
+     does. Waiting cycles answer "held" forever; the wait-for probe finds
+     them (DESIGN.md §5). *)
   let rec arm_asker_timer t i =
     if t.config.fault_tolerance then begin
       let c = cold t i in
       cancel_asker t i;
-      let deadline =
-        t.config.asker_patience *. 2.0 *. float_of_int t.pmax *. delta t
-      in
+      let deadline = asker_deadline t in
       c.asker_timer <-
         Some
-          (if
-             c.custody_held >= t.pmax
-             || fget t i < 0
-             || deadline < 2.0 *. answer_wait t
-           then
+          (if fget t i < 0 || deadline < 2.0 *. answer_wait t then
              R.set_timer t.net ~node:i ~delay:deadline (fun () ->
                  asker_timeout t i)
            else
@@ -898,7 +906,11 @@ module Make (R : Runtime.S) = struct
     && not (searching_now t i)
 
   and asker_timeout t i =
-    (match t.cold.(i) with Some c -> c.custody_father <- -1 | None -> ());
+    (match t.cold.(i) with
+    | Some c ->
+      c.custody_father <- -1;
+      c.walk_out <- false
+    | None -> ());
     if awaiting_grant t i then
       start_search t i ~phase:(power_of t i + 1) ~resume:true
 
@@ -969,6 +981,12 @@ module Make (R : Runtime.S) = struct
         tr.tr_check <- None;
         if not held then
           send t ~src:i ~dst:tr.tr_origin (Message.Custody_answer { rid; held })
+      | _ when c.walk_out ->
+        (* The end of our walk answers. Unless our own request is held
+           nowhere, the chain makes progress: resume the custody queries.
+           Otherwise the deadline armed with the walk decides, which
+           leaves time for a grant already on its way. *)
+        if held || not (mrid_is t i rid) then arm_asker_timer t i
       | _ when not (mrid_is t i rid) -> ()
       | _ when not held ->
         (* From our father, or from a transit node up the request's path
@@ -978,9 +996,70 @@ module Make (R : Runtime.S) = struct
       | _ ->
         if c.custody_father = from_ then begin
           t.s_custody_confirmed <- t.s_custody_confirmed + 1;
-          c.custody_held <- c.custody_held + 1;
-          arm_asker_timer t i
+          (* Custody is confirmed, so the wait-for edge to [from_] exists.
+             Walk the chain behind it once pmax deadlines have passed
+             since the first confirmation, and again every pmax deadlines
+             (at once when a search made the edge). *)
+          let deadline = asker_deadline t in
+          if c.probe_due = infinity then
+            c.probe_due <- now t +. (float_of_int (t.pmax - 1) *. deadline);
+          if now t >= c.probe_due then start_walk t i ~father:from_ ~rid
+          else arm_asker_timer t i
         end)
+
+  (* The wait-for probe (DESIGN.md §5): a walk along the chain of nodes
+     that hold the request, which stands in for the next custody query.
+     It comes back to its initiator only around a waiting cycle, whose
+     members answer each other "held" forever; otherwise the end of the
+     chain answers. Until the deadline, silence is the only other
+     outcome. *)
+  and start_walk t i ~father ~rid =
+    let c = cold t i in
+    cancel_asker t i;
+    t.s_probe_walks <- t.s_probe_walks + 1;
+    c.probe_due <- now t +. (float_of_int t.pmax *. asker_deadline t);
+    c.walk_out <- true;
+    send t ~src:i ~dst:father (Message.Probe { initiator = i; rid; hops = 0 });
+    c.asker_timer <-
+      Some
+        (R.set_timer t.net ~node:i ~delay:(asker_deadline t) (fun () ->
+             asker_timeout t i))
+
+  (* One hop of a walk. A node that holds [rid] (its mandate, or in its
+     queue) and waits on its own mandate passes the walk to its father;
+     one that forwarded [rid] in transit, to the next hop. Anywhere else
+     the chain ends, and the node answers the initiator: "held" where the
+     request waits on a node that makes progress by itself (it holds the
+     token or is in its CS, awaits a loan's return, or searches), "not
+     held" where the request went missing. A walk that has made N hops is
+     dropped: it ran into a cycle without its initiator, whose members
+     break it themselves. *)
+  and receive_probe t i ~initiator ~rid ~hops =
+    let held_here = mrid_is t i rid || queued t i rid in
+    if initiator = i && held_here && awaiting_grant t i then begin
+      t.s_cycles_detected <- t.s_cycles_detected + 1;
+      cancel_asker t i;
+      asker_timeout t i
+    end
+    else if hops < t.n then begin
+      let answer held =
+        if initiator <> i then
+          send t ~src:i ~dst:initiator (Message.Custody_answer { rid; held })
+      in
+      let forward ~dst rid =
+        send t ~src:i ~dst (Message.Probe { initiator; rid; hops = hops + 1 })
+      in
+      if held_here then
+        match mrid_opt t i with
+        | Some m when awaiting_grant t i && (not (has_loan t i)) && fget t i >= 0
+          ->
+          forward ~dst:(fget t i) m
+        | _ -> answer true
+      else
+        match transit_of t i rid with
+        | Some tr -> forward ~dst:tr.tr_next rid
+        | None -> answer false
+    end
 
   and start_search t i ~phase ~resume =
     (* A node holding the token (or inside its CS) is the attach point
@@ -1152,6 +1231,8 @@ module Make (R : Runtime.S) = struct
       let c = cold t i in
       if not (mem_node k c.mandate_excluded) then
         c.mandate_excluded <- k :: c.mandate_excluded;
+      (* Searches are how waiting cycles form: walk at once. *)
+      c.probe_due <- neg_infinity;
       let rid = Option.get (mrid_opt t i) in
       send t ~src:i ~dst:k (Message.Request { origin = i; rid });
       arm_asker_timer t i
@@ -1296,6 +1377,8 @@ module Make (R : Runtime.S) = struct
     | Message.Custody { rid } -> receive_custody t i ~from_:src ~rid
     | Message.Custody_answer { rid; held } ->
       receive_custody_answer t i ~from_:src ~rid ~held
+    | Message.Probe { initiator; rid; hops } ->
+      receive_probe t i ~initiator ~rid ~hops
     | Message.Release | Message.Sk_request _ | Message.Sk_privilege _
     | Message.Ra_request _ | Message.Ra_reply ->
       t.s_defensive_drops <- t.s_defensive_drops + 1
@@ -1385,6 +1468,8 @@ module Make (R : Runtime.S) = struct
         s_defensive_drops = 0;
         s_custody_queries = 0;
         s_custody_confirmed = 0;
+        s_probe_walks = 0;
+        s_cycles_detected = 0;
       }
     in
     (* One shared handler instead of 2^p per-node closures: dispatch is
@@ -1399,9 +1484,9 @@ module Make (R : Runtime.S) = struct
         | Message.Request _ | Message.Enquiry _ | Message.Enquiry_answer _
         | Message.Test _ | Message.Test_answer _ | Message.Anomaly _
         | Message.Void _ | Message.Census _ | Message.Census_reply _
-        | Message.Custody _ | Message.Custody_answer _ | Message.Release
-        | Message.Sk_request _ | Message.Sk_privilege _ | Message.Ra_request _
-        | Message.Ra_reply ->
+        | Message.Custody _ | Message.Custody_answer _ | Message.Probe _
+        | Message.Release | Message.Sk_request _ | Message.Sk_privilege _
+        | Message.Ra_request _ | Message.Ra_reply ->
           ());
     t
 
@@ -1483,20 +1568,18 @@ module Make (R : Runtime.S) = struct
       | Some r -> Format.asprintf "%a" pp_request_id r
     in
     let mand = mandator_raw t i in
-    let custody_held, custody_father =
-      match t.cold.(i) with
-      | Some c -> (c.custody_held, c.custody_father)
-      | None -> (0, -1)
+    let custody_father =
+      match t.cold.(i) with Some c -> c.custody_father | None -> -1
     in
     Printf.sprintf
-      "node %d: father=%s power=%d token=%b asking=%b in_cs=%b lender=%d      mandator=%s rid=%s queue=%d searching=%b custody_held=%d/%d custody_query=%s"
+      "node %d: father=%s power=%d token=%b asking=%b in_cs=%b lender=%d      mandator=%s rid=%s queue=%d searching=%b custody_query=%s"
       i
       (fmt_opt (father t i))
       (power_of t i) (has_token t i) (is_asking t i) (is_in_cs t i)
       (lender_of t i)
       (fmt_opt (if mand < 0 then None else Some mand))
       (fmt_rid (mrid_opt t i))
-      (queue_length t i) (searching_now t i) custody_held t.pmax
+      (queue_length t i) (searching_now t i)
       (fmt_opt (if custody_father < 0 then None else Some custody_father))
 
   let stats t =
@@ -1514,6 +1597,8 @@ module Make (R : Runtime.S) = struct
       defensive_drops = t.s_defensive_drops;
       custody_queries = t.s_custody_queries;
       custody_confirmed = t.s_custody_confirmed;
+      probe_walks = t.s_probe_walks;
+      cycles_detected = t.s_cycles_detected;
     }
 
   let holder_count t = t.tokens_held

@@ -33,7 +33,10 @@
     regenerated requests; stale token grants are bounced back to their
     lender; token holders answer probes with a conclusive [Holder_ok];
     repeat searches for one mandate sweep from phase 1 with an exclusion
-    list; and a token census guards search-driven regeneration. *)
+    list; a token census guards search-driven regeneration; and an asker
+    asks its father whether it still holds the request before suspecting
+    it, walking the wait-for chain from time to time to find waiting
+    cycles. *)
 
 open Types
 
@@ -53,9 +56,10 @@ type config = {
           deadline by which an asker whose father went silent starts
           search_father. The paper's value (1.0) is a lower bound. Before
           suspecting, the asker asks its father whether it still holds
-          the request (a custody query, DESIGN.md §5); up to [pmax]
-          "held" answers postpone the search, so queueing alone rarely
-          triggers one. Larger values cut custody queries at the cost of
+          the request (a custody query, DESIGN.md §5); a "held" answer
+          postpones the search, and a wait-for probe along the chain of
+          holders detects waiting cycles, so queueing alone does not
+          trigger one. Larger values cut custody queries at the cost of
           proportionally slower failure detection. *)
   census_rounds : int;
       (** Hardening beyond the paper: how many token-census confirmation
@@ -91,6 +95,10 @@ type stats = {
       (** custody queries an asker sent its father before suspecting it *)
   custody_confirmed : int;
       (** "held" answers that postponed a father search *)
+  probe_walks : int;
+      (** wait-for probe walks started by askers after a "held" answer *)
+  cycles_detected : int;
+      (** walks that came back to their initiator: waiting cycles found *)
 }
 
 (** The protocol core, abstracted over its runtime ({!Runtime.S}). All

@@ -24,6 +24,7 @@ module Message = struct
     | Census_reply of { round : int; reply : census_reply }
     | Custody of { rid : request_id }
     | Custody_answer of { rid : request_id; held : bool }
+    | Probe of { initiator : node_id; rid : request_id; hops : int }
     | Release
     | Sk_request of { origin : node_id; seq : int }
     | Sk_privilege of { queue : node_id list; ln : int array }
@@ -75,6 +76,8 @@ module Message = struct
     | Custody_answer { rid; held } ->
       Format.fprintf ppf "custody_answer(%a, %s)" pp_request_id rid
         (if held then "held" else "not-held")
+    | Probe { initiator; rid; hops } ->
+      Format.fprintf ppf "probe(%d, %a, %d)" initiator pp_request_id rid hops
     | Release -> Format.pp_print_string ppf "release"
     | Sk_request { origin; seq } ->
       Format.fprintf ppf "sk_request(%d, %d)" origin seq
@@ -88,7 +91,7 @@ module Message = struct
   let category_names =
     [| "request"; "token"; "enquiry"; "enquiry_answer"; "test"; "test_answer";
        "anomaly"; "void"; "census"; "census_reply"; "custody";
-       "custody_answer"; "release"; "reply" |]
+       "custody_answer"; "release"; "reply"; "probe" |]
 
   let category_index = function
     | Request _ | Sk_request _ | Ra_request _ -> 0
@@ -105,6 +108,7 @@ module Message = struct
     | Custody_answer _ -> 11
     | Release -> 12
     | Ra_reply -> 13
+    | Probe _ -> 14
 
   let category m = category_names.(category_index m)
 
@@ -120,6 +124,7 @@ module Message = struct
     | Void { rid } -> rid.source
     | Custody { rid } -> rid.source
     | Custody_answer { rid; _ } -> rid.source
+    | Probe { rid; _ } -> rid.source
     | Sk_request { origin; _ } -> origin
     | Ra_request { origin; _ } -> origin
     | Test _ | Test_answer _ | Census _ | Census_reply _ | Release
@@ -128,7 +133,8 @@ module Message = struct
 
   let is_fault_overhead_category = function
     | "enquiry" | "enquiry_answer" | "test" | "test_answer" | "anomaly"
-    | "void" | "census" | "census_reply" | "custody" | "custody_answer" ->
+    | "void" | "census" | "census_reply" | "custody" | "custody_answer"
+    | "probe" ->
       true
     | _ -> false
 

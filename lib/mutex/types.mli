@@ -5,8 +5,8 @@
     per-category message accounting. Each algorithm uses its own subset:
 
     - open-cube (paper, Sections 3 and 5): [Request], [Token], [Enquiry],
-      [Enquiry_answer], [Test], [Test_answer], [Anomaly], [Census],
-      [Census_reply], [Custody], [Custody_answer];
+      [Enquiry_answer], [Test], [Test_answer], [Anomaly], [Void],
+      [Census], [Census_reply], [Custody], [Custody_answer], [Probe];
     - Raymond: [Request] (origin unused), [Token];
     - Naimi–Trehel: [Request], [Token];
     - centralized: [Request], [Token], [Release];
@@ -78,6 +78,13 @@ module Message : sig
             its father, an asker asks it whether it still holds [rid] as
             its mandate or in its wait queue. *)
     | Custody_answer of { rid : request_id; held : bool }
+    | Probe of { initiator : node_id; rid : request_id; hops : int }
+        (** Hardening beyond the paper (DESIGN.md §5): an edge-chasing
+            wait-for probe. [initiator] is the asker that started the
+            walk, [rid] the request the receiver is asked to hold, [hops]
+            the hops walked so far. Each holder forwards it along its own
+            wait; a walk that comes back to [initiator] proves a waiting
+            cycle. *)
     | Release
         (** Centralized baseline only: give the token back to the
             coordinator. *)
@@ -97,8 +104,8 @@ module Message : sig
   val category_names : string array
   (** "request" | "token" | "enquiry" | "enquiry_answer" | "test"
       | "test_answer" | "anomaly" | "void" | "census" | "census_reply"
-      | "custody" | "custody_answer" | "release" | "reply": the labels of
-      the per-category message counters, each once. *)
+      | "custody" | "custody_answer" | "release" | "reply" | "probe": the
+      labels of the per-category message counters, each once. *)
 
   val category_index : t -> int
   (** The message's position in {!category_names}. The baselines'
@@ -111,7 +118,7 @@ module Message : sig
   (** The node on whose account this message travels: the request chain
       ([Request], [Sk_request], [Ra_request]), the token grant satisfying a
       request ([Token] with a rid), and the per-request fault machinery
-      ([Enquiry]/[Anomaly]/[Void]/[Custody] and answers). [-1] for messages
+      ([Enquiry]/[Anomaly]/[Void]/[Custody]/[Probe] and answers). [-1] for messages
       that serve the system rather than one wish (loan returns, search
       probes, census, broadcast privileges, permission replies): an int,
       not an option, so the send tap that reads it allocates nothing. The
@@ -122,7 +129,8 @@ module Message : sig
   val is_fault_overhead_category : string -> bool
   (** True for the categories (as returned by {!category}) that exist only
       because of the fault-tolerance machinery: enquiry, test probes,
-      anomaly, void, census, custody query, and their answers. The single
+      anomaly, void, census, custody query, wait-for probe, and their
+      answers. The single
       source of this classification; message counters keyed by category
       use it directly. *)
 

@@ -163,6 +163,11 @@ let encode_to b (m : Message.t) =
     Buffer.add_char b '\016';
     add_rid b rid;
     Buffer.add_char b (if held then '\001' else '\000')
+  | Message.Probe { initiator; rid; hops } ->
+    Buffer.add_char b '\017';
+    add_int b initiator;
+    add_rid b rid;
+    add_int b hops
 
 let encode m =
   let b = Buffer.create 16 in
@@ -219,6 +224,11 @@ let decode_cursor c : Message.t =
       match read_byte c with 0 -> false | 1 -> true | _ -> corrupt "bad held flag"
     in
     Message.Custody_answer { rid; held }
+  | 17 ->
+    let initiator = read_int c in
+    let rid = read_rid c in
+    let hops = read_int c in
+    Message.Probe { initiator; rid; hops }
   | _ -> corrupt "bad message tag"
 
 let decode s =

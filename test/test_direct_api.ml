@@ -146,6 +146,7 @@ let test_category_index_covers_every_constructor () =
       (Message.Census_reply { round = 1; reply = Token_exists }, "census_reply");
       (Message.Custody { rid }, "custody");
       (Message.Custody_answer { rid; held = false }, "custody_answer");
+      (Message.Probe { initiator = 1; rid; hops = 0 }, "probe");
       (Message.Release, "release");
       (Message.Sk_request { origin = 1; seq = 1 }, "request");
       (Message.Sk_privilege { queue = []; ln = [| 0 |] }, "token");
@@ -176,11 +177,13 @@ let test_fault_overhead_classification () =
     (Message.is_fault_overhead (Message.Custody { rid }));
   checkb "custody answer is overhead" true
     (Message.is_fault_overhead (Message.Custody_answer { rid; held = true }));
+  checkb "wait-for probe is overhead" true
+    (Message.is_fault_overhead (Message.Probe { initiator = 1; rid; hops = 3 }));
   List.iter
     (fun cat ->
       checkb (cat ^ " category is overhead") true
         (Message.is_fault_overhead_category cat))
-    [ "custody"; "custody_answer"; "enquiry"; "test" ];
+    [ "custody"; "custody_answer"; "probe"; "enquiry"; "test" ];
   checkb "request category is not" false
     (Message.is_fault_overhead_category "request");
   checkb "request is not" false

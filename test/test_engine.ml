@@ -263,12 +263,15 @@ let qcheck_script_reference =
 (* The full protocol stack (all algorithms, faults, delay models) depends
    on the engine's fire order; this slice's in-order digest checksum was
    recorded when the timing wheel and the heap were both in use and
-   agreed on it. CI pins the 10k-scenario checksum the same way. *)
+   agreed on it. CI pins the 10k-scenario checksum the same way. It was
+   re-pinned when the wait-for probe replaced the custody cap: 3 of the
+   250 digests moved, all open-cube runs with the fault machinery armed
+   whose searches were followed by probe walks. *)
 let test_fuzz_checksum_pinned () =
   let r = Fuzz.campaign ~iters:250 ~fuzz_seed:90210 () in
   checkb "no failure" true (r.Fuzz.failure = None);
   checki "all scenarios ran" 250 r.Fuzz.ran;
-  checki "pinned digest checksum" 290361193519531730 r.Fuzz.checksum
+  checki "pinned digest checksum" (-3784147227965975421) r.Fuzz.checksum
 
 let suite =
   [

@@ -481,10 +481,45 @@ let test_custody_saturated_fault_free () =
   checki "same entries" e_off e_ft;
   checki "no custody query with Section 5 off" 0 off_queries;
   checkb "custody queries were sent" true (queries > 0);
-  checkb "searches stay near zero" true (searches <= 2);
+  checki "no search" 0 searches;
   let per m e = float_of_int m /. float_of_int e in
   checkb "msgs/request within 3x of the control" true
     (per m_ft e_ft <= 3.0 *. per m_off e_off)
+
+(* No search behind a live queue: fault-free, Section 5 armed, N = 256 at
+   0.6 wishes per delta, twice the load above. Waits outlast pmax
+   deadlines (pmax·D = 8·16δ = 128δ), where the custody cap used to send
+   every asker to search_father (9 to 66 searches per seed). Custody stays
+   confirmed and no wait-for probe walk finds a cycle, so none starts. *)
+let test_no_search_behind_live_queue () =
+  let p = 8 in
+  let n = 1 lsl p in
+  let deadline = 2.0 *. float_of_int p in
+  List.iter
+    (fun seed ->
+      let env =
+        Runner.make_env ~seed ~n ~delay:(Ocube_net.Network.Constant 1.0)
+          ~cs:(Runner.Fixed 1.0) ()
+      in
+      let algo =
+        Opencube_algo.create ~net:(Runner.net env)
+          ~callbacks:(Runner.callbacks env)
+          ~config:(Opencube_algo.default_config ~p)
+      in
+      Runner.attach env (Opencube_algo.instance algo);
+      Runner.run_source env
+        (Ocube_workload.Source.poisson ~rng:(Runner.rng env) ~n ~rate:0.6
+           ~horizon:100.0);
+      Runner.run_to_quiescence env;
+      checki "violations" 0 (Runner.violations env);
+      checki "all served" (Runner.issued env) (Runner.cs_entries env);
+      checkb "waits outlast pmax deadlines" true
+        (Ocube_stats.Summary.max_value (Runner.wait_stats env)
+        > float_of_int p *. deadline);
+      let st = Opencube_algo.stats algo in
+      checkb "walks were sent" true (st.Opencube_algo.probe_walks > 0);
+      checki "no search" 0 st.searches_started)
+    [ 1; 3 ]
 
 (* The father dies while holding the child's request: the child's search
    starts at the paper's deadline, 2·pmax·δ after the request left. At
@@ -520,12 +555,13 @@ let test_custody_dead_father_deadline_p1 =
   dead_father_case ~p:1 ~kill_at:2.5 ~queries:0
 
 (* A waiting cycle: 1 and 2 are each other's father and each holds the
-   other's request in its queue, so both always answer "held". After pmax
-   confirmations per mandate the askers fall back to search_father; without
-   the cap neither would ever search. The cycle is built by injecting an
-   anomaly (which starts a search) and a forged ok answer naming the
-   other node as father. *)
-let test_custody_cap_breaks_waiting_cycle () =
+   other's request in its queue, so both always answer "held". The cycle
+   is built by injecting an anomaly (which starts a search) and a forged
+   ok answer naming the other node as father. A search made each edge, so
+   the first "held" answer starts a wait-for probe walk, 1 -> 2 -> 1 (or
+   2 -> 1 -> 2): it comes back within one round trip (2δ) and its
+   initiator searches. *)
+let test_probe_breaks_waiting_cycle () =
   let p = 3 in
   let s = make ~cs:(Runner.Fixed 1000.0) p in
   Runner.submit s.env 0;
@@ -544,12 +580,20 @@ let test_custody_cap_breaks_waiting_cycle () =
   Runner.run ~until:4.0 s.env;
   checkb "1 -> 2" true (Opencube_algo.father s.algo 1 = Some 2);
   checkb "2 -> 1" true (Opencube_algo.father s.algo 2 = Some 1);
-  let searches0 = (Opencube_algo.stats s.algo).searches_started in
-  Runner.run ~until:40.0 s.env;
-  let st = Opencube_algo.stats s.algo in
-  checkb "the search fallback ran" true (st.searches_started > searches0);
-  checki "pmax confirmations per asker, then no more" (2 * p)
-    st.custody_confirmed;
+  let stats () = Opencube_algo.stats s.algo in
+  let searches0 = (stats ()).searches_started in
+  let engine = Runner.engine s.env in
+  while (stats ()).custody_confirmed = 0 && Ocube_sim.Engine.step engine do
+    ()
+  done;
+  let first_held = Runner.now s.env in
+  checkb "a held answer came" true ((stats ()).custody_confirmed > 0);
+  checki "no search before the walk" searches0 (stats ()).searches_started;
+  Runner.run ~until:(first_held +. 2.0) s.env;
+  let st = stats () in
+  checkb "a walk left" true (st.probe_walks >= 1);
+  checkb "the walk found the cycle" true (st.cycles_detected >= 1);
+  checkb "its initiator searched" true (st.searches_started > searches0);
   quiesce s;
   assert_safe s;
   checki "every wish served" 3 (Runner.cs_entries s.env)
@@ -606,6 +650,8 @@ let suite =
       test_custody_dead_father_deadline;
     Alcotest.test_case "custody: p = 1 suspects at the deadline" `Quick
       test_custody_dead_father_deadline_p1;
-    Alcotest.test_case "custody: cap breaks a waiting cycle" `Quick
-      test_custody_cap_breaks_waiting_cycle;
+    Alcotest.test_case "probe breaks a waiting cycle" `Quick
+      test_probe_breaks_waiting_cycle;
+    Alcotest.test_case "no search behind a live queue" `Quick
+      test_no_search_behind_live_queue;
   ]

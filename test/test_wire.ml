@@ -51,6 +51,9 @@ let gen_msg =
         (oneofl [ Types.Token_exists; Types.Census_defer ]);
       map (fun rid -> Message.Custody { rid }) gen_rid;
       map2 (fun rid held -> Message.Custody_answer { rid; held }) gen_rid bool;
+      map3
+        (fun initiator rid hops -> Message.Probe { initiator; rid; hops })
+        gen_id gen_rid gen_id;
       return Message.Release;
       map2 (fun origin seq -> Message.Sk_request { origin; seq }) gen_id gen_id;
       map2
