@@ -309,8 +309,8 @@ let () =
   bench_scale_probe 12;
   bench_scale_probe 14
 
-(* Trace on vs off over the same workload: with lazy details the gap is
-   one closure+cons per event, not a Format.asprintf per message. *)
+(* The runner's structured record on vs off over the same workload: the
+   gap is one plain entry and list cell per event, nothing formatted. *)
 let bench_scale_trace trace name =
   let env, _ = Exp_common.make_opencube ~fault_tolerance:false ~trace ~p:6 () in
   let rng = Rng.create 7 in

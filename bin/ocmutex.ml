@@ -15,7 +15,6 @@ module Registry = Ocube_harness.Registry
 module Exp_common = Ocube_harness.Exp_common
 module Export = Ocube_obs.Export
 module Span = Ocube_obs.Span
-module Trace = Ocube_sim.Trace
 module Exp_sweep = Ocube_harness.Exp_sweep
 
 (* --- shared arguments ---------------------------------------------------- *)
@@ -43,12 +42,44 @@ let algo_arg =
   in
   Arg.(value & opt string "opencube" & info [ "a"; "algo" ] ~docv:"ALGO" ~doc)
 
+let metrics_arg =
+  let doc =
+    "Write the run's metrics snapshot to $(docv) (Prometheus text, or \
+     JSON when the file ends in .json)."
+  in
+  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+
+let trace_out_arg =
+  let doc =
+    "Write the request spans as Chrome trace_event JSON to $(docv) (load \
+     in chrome://tracing or Perfetto)."
+  in
+  Arg.(
+    value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+
 let kind_of_string = Exp_common.kind_of_string
 
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
   close_out oc
+
+(* The exports of [simulate] and [cluster]: the metrics snapshot as
+   Prometheus text (JSON when the file ends in .json), the spans and
+   instants as a Chrome trace. [label] prints what went where. *)
+let write_exports ~label ~metrics_out ~trace_out snapshot spans instants =
+  (match (metrics_out, snapshot) with
+  | Some path, Some snap ->
+    write_file path
+      (if Filename.check_suffix path ".json" then Export.json snap
+       else Export.prometheus snap);
+    Printf.printf label "metrics" path
+  | _ -> ());
+  Option.iter
+    (fun path ->
+      write_file path (Export.chrome_trace ~instants ~spans ());
+      Printf.printf label "trace" path)
+    trace_out
 
 (* --- experiments --------------------------------------------------------- *)
 
@@ -100,20 +131,11 @@ let run_simulate algo n seed rate horizon cs failures recover patience verbose
   | Ok kind ->
     (* The observability layer is a passive tap: turning it on for the
        export flags leaves the simulation event-for-event identical. *)
-    let observe = metrics_out <> None || trace_out <> None in
-    let with_trace = trace_out <> None in
-    let cs = Runner.Fixed cs in
     let env, inst =
-      match kind with
-      | Exp_common.Opencube { census_rounds; fault_tolerance } ->
-        let env, algo =
-          Exp_common.make_opencube ~seed ~cs ~census_rounds ~fault_tolerance
-            ~asker_patience:patience ~trace:with_trace ~metrics:observe
-            ~p:(Exp_common.log2i n) ()
-        in
-        (env, Opencube_algo.instance algo)
-      | _ ->
-        Exp_common.make ~seed ~kind ~n ~cs ~trace:with_trace ~metrics:observe ()
+      Exp_common.make ~seed ~kind ~n ~cs:(Runner.Fixed cs)
+        ~asker_patience:patience ~trace:(trace_out <> None)
+        ~metrics:(metrics_out <> None || trace_out <> None)
+        ()
     in
     let arrivals =
       Runner.Arrivals.poisson ~rng:(Runner.rng env) ~n ~rate_per_node:rate
@@ -151,24 +173,10 @@ let run_simulate algo n seed rate horizon cs failures recover patience verbose
         (fun (c, k) -> Printf.printf "  %-15s %d\n" c k)
         (Runner.messages_by_category env)
     end;
-    (match (metrics_out, Runner.metrics_snapshot env) with
-    | Some path, Some snap ->
-      let body =
-        if Filename.check_suffix path ".json" then Export.json snap
-        else Export.prometheus snap
-      in
-      write_file path body;
-      Printf.printf "metrics          -> %s\n" path
-    | _, _ -> ());
-    (match (trace_out, Runner.spans env) with
-    | Some path, Some spans ->
-      let tr =
-        match Runner.trace env with Some t -> Trace.entries t | None -> []
-      in
-      write_file path
-        (Export.chrome_trace ~trace:tr ~spans:(Span.closed spans) ());
-      Printf.printf "trace            -> %s\n" path
-    | _, _ -> ());
+    write_exports ~label:"%-17s-> %s\n" ~metrics_out ~trace_out
+      (Runner.metrics_snapshot env)
+      (Option.fold ~none:[] ~some:Span.closed (Runner.spans env))
+      (Runner.instants env);
     if Runner.violations env = 0 then 0 else 2
 
 let simulate_cmd =
@@ -201,21 +209,6 @@ let simulate_cmd =
   let verbose_arg =
     let doc = "Print the per-category message breakdown." in
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
-  in
-  let metrics_arg =
-    let doc =
-      "Write the run's metrics snapshot to $(docv) (Prometheus text, or \
-       JSON when the file ends in .json)."
-    in
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let trace_out_arg =
-    let doc =
-      "Write the request spans as Chrome trace_event JSON to $(docv) (load \
-       in chrome://tracing or Perfetto)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
   let doc = "Simulate one algorithm under a Poisson workload." in
   Cmd.v
@@ -592,7 +585,8 @@ module Rng = Ocube_sim.Rng
 
 type kill_mode = K_none | K_leader | K_random | K_cascade
 
-let run_cluster seed algo n kill cs tick per_node deadline no_ft log_file =
+let run_cluster seed algo n kill cs tick per_node deadline no_ft log_file
+    metrics_out trace_out =
   match Pspec.of_name algo with
   | None ->
     Printf.eprintf "unknown algorithm %S (expected one of: %s)\n" algo
@@ -665,6 +659,8 @@ let run_cluster seed algo n kill cs tick per_node deadline no_ft log_file =
           close_out oc;
           Printf.printf "log      : %d events -> %s\n"
             (List.length o.Cluster.events) path);
+        write_exports ~label:"%-9s: -> %s\n" ~metrics_out ~trace_out
+          o.Cluster.snapshot o.Cluster.spans [];
         match Cluster.oracle_clean o with
         | Ok () ->
           print_endline
@@ -740,7 +736,8 @@ let cluster_cmd =
   Cmd.v (Cmd.info "cluster" ~doc)
     Term.(
       const run_cluster $ seed_arg $ algo_arg $ n_arg $ kill_arg $ cs_arg
-      $ tick_arg $ per_node_arg $ deadline_arg $ no_ft_arg $ log_arg)
+      $ tick_arg $ per_node_arg $ deadline_arg $ no_ft_arg $ log_arg
+      $ metrics_arg $ trace_out_arg)
 
 (* --- sweep ------------------------------------------------------------------- *)
 

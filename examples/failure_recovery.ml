@@ -37,7 +37,7 @@ let () =
   Runner.run_to_quiescence env;
 
   print_endline "Message trace:";
-  print_string (Ocube_sim.Trace.render (Option.get (Runner.trace env)));
+  print_string (Runner.render_trace env);
 
   let st = Opencube_algo.stats algo in
   Printf.printf

@@ -35,7 +35,7 @@ let () =
   Runner.run_to_quiescence env;
 
   print_endline "Message trace:";
-  print_string (Ocube_sim.Trace.render (Option.get (Runner.trace env)));
+  print_string (Runner.render_trace env);
 
   Printf.printf "\n%d critical sections served with %d messages.\n"
     (Runner.cs_entries env) (Runner.messages_sent env);

@@ -71,7 +71,8 @@ let make_opencube ?(seed = 42) ?(delay = Ocube_net.Network.Constant 1.0)
   (env, algo)
 
 let make ?(seed = 42) ?(delay = Ocube_net.Network.Constant 1.0)
-    ?(cs = Runner.Fixed 1.0) ?(trace = false) ?(metrics = false) ~kind ~n () =
+    ?(cs = Runner.Fixed 1.0) ?asker_patience ?(trace = false) ?(metrics = false)
+    ~kind ~n () =
   let attached create =
     let env = Runner.make_env ~seed ~n ~delay ~cs ~trace ~metrics () in
     let inst = create ~net:(Runner.net env) ~callbacks:(Runner.callbacks env) in
@@ -81,8 +82,8 @@ let make ?(seed = 42) ?(delay = Ocube_net.Network.Constant 1.0)
   match kind with
   | Opencube { census_rounds; fault_tolerance } ->
     let env, algo =
-      make_opencube ~seed ~delay ~cs ~census_rounds ~fault_tolerance ~trace
-        ~metrics ~p:(log2i n) ()
+      make_opencube ~seed ~delay ~cs ~census_rounds ~fault_tolerance
+        ?asker_patience ~trace ~metrics ~p:(log2i n) ()
     in
     (env, Opencube_algo.instance algo)
   | Raymond shape ->

@@ -27,6 +27,7 @@ val make :
   ?seed:int ->
   ?delay:Ocube_net.Network.delay_model ->
   ?cs:Runner.cs_model ->
+  ?asker_patience:float ->
   ?trace:bool ->
   ?metrics:bool ->
   kind:algo_kind ->
@@ -35,7 +36,9 @@ val make :
   Runner.env * Types.instance
 (** Fresh environment + attached algorithm over [n] nodes. [n] must be a
     power of two for the open-cube and generic kinds. Default delay:
-    [Constant 1.0]; default CS duration: [Fixed 1.0]; default seed 42. *)
+    [Constant 1.0]; default CS duration: [Fixed 1.0]; default seed 42.
+    [asker_patience] is the open cube's (see {!make_opencube}); the other
+    kinds ignore it. *)
 
 val make_opencube :
   ?seed:int ->

@@ -207,9 +207,9 @@ let check_ident ctx (loc : Location.t) raw ty =
   if banned_by Rules.io_banned raw then
     emit ctx Rules.Io_hygiene loc
       (Printf.sprintf
-         "console I/O or exit in library code (%s); route output through \
-          Trace or return it as a string (the Obs.Export pattern: renderers \
-          build bytes, bin/ decides where they go)"
+         "console I/O or exit in library code (%s); return output as a \
+          string or a record (the Obs.Export pattern: renderers build \
+          bytes, bin/ decides where they go)"
          name);
   if not (Hashtbl.mem ctx.handled_heads loc) then begin
     match poly_compare_name raw with

@@ -15,7 +15,7 @@
     - [handler-totality]: a [match]/[function] over the protocol message
       type must name every constructor; no [_] or binding catch-all arm.
     - [io-hygiene]: no direct stdout/stderr printing and no [exit] in
-      [lib/]; output flows through [Trace] or returned strings.
+      [lib/]; output flows through returned strings or records.
     - [mli-coverage]: every [.ml] in [lib/] has a [.mli].
 
     Interprocedural rules (fixpoints over the {!Callgraph}):

@@ -1568,11 +1568,15 @@ module Make (R : Runtime.S) = struct
       | Some r -> Format.asprintf "%a" pp_request_id r
     in
     let mand = mandator_raw t i in
-    let custody_father =
-      match t.cold.(i) with Some c -> c.custody_father | None -> -1
+    let custody_father, walk_out, transits =
+      match t.cold.(i) with
+      | Some c -> (c.custody_father, c.walk_out, List.length c.transits)
+      | None -> (-1, false, 0)
     in
     Printf.sprintf
-      "node %d: father=%s power=%d token=%b asking=%b in_cs=%b lender=%d      mandator=%s rid=%s queue=%d searching=%b custody_query=%s"
+      "node %d: father=%s power=%d token=%b asking=%b in_cs=%b lender=%d \
+       mandator=%s rid=%s queue=%d searching=%b custody_query=%s \
+       walk_out=%b transits=%d"
       i
       (fmt_opt (father t i))
       (power_of t i) (has_token t i) (is_asking t i) (is_in_cs t i)
@@ -1581,6 +1585,7 @@ module Make (R : Runtime.S) = struct
       (fmt_rid (mrid_opt t i))
       (queue_length t i) (searching_now t i)
       (fmt_opt (if custody_father < 0 then None else Some custody_father))
+      walk_out transits
 
   let stats t =
     {

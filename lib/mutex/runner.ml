@@ -3,31 +3,23 @@ module Arrivals = Ocube_workload.Arrivals
 module Faults = Ocube_workload.Faults
 module Engine = Ocube_sim.Engine
 module Rng = Ocube_sim.Rng
-module Trace = Ocube_sim.Trace
 module Summary = Ocube_stats.Summary
 module Metrics = Ocube_obs.Metrics
-module Span = Ocube_obs.Span
+module Export = Ocube_obs.Export
+module Recorder = Ocube_obs.Recorder
 
 type cs_model = Fixed of float | Exponential of { mean : float; cap : float }
 
-(* Observability bundle: the registry, the span table and the handles of
-   every runner-defined metric. Built once in [make_env] when metrics are
-   requested; [None] keeps the hot path free of even the enabled-flag
-   loads. *)
-type obs = {
-  reg : Metrics.t;
-  spans : Span.t;
-  m_wishes : Metrics.counter;
-  m_entries : Metrics.counter;
-  m_messages : Metrics.counter;
-  m_faults : Metrics.counter;
-  m_recoveries : Metrics.counter;
-  m_violations : Metrics.counter;
-  m_abandoned : Metrics.counter;
-  h_hops : Metrics.hist;
-  h_wait_ms : Metrics.hist;
-  g_pending : Metrics.gauge;
-}
+type step =
+  | Wish
+  | Enter
+  | Exit
+  | Send of { dst : node_id; msg : Message.t }
+  | Fault
+  | Recover
+  | Violation
+
+type entry = { time : float; node : node_id; step : step }
 
 type env = {
   engine : Engine.t;
@@ -35,7 +27,8 @@ type env = {
   workload_rng : Rng.t;
   cs_rng : Rng.t;
   cs : cs_model;
-  trace : Trace.t option;
+  tracing : bool;
+  mutable rev_trace : entry list;
   mutable inst : instance option;
   (* per-node bookkeeping — byte flags, not bool arrays: one byte per node
      instead of one word keeps the runner's footprint flat at N ≈ 1M *)
@@ -54,15 +47,8 @@ type env = {
   mutable dropped_wishes : int;
   wait_stats : Summary.t;
   mutable rev_waits : float list;
-  (* observability *)
-  obs : obs option;
-  (* Busy-time integral: accumulated virtual time during which at least
-     one node was inside its critical section. The spans layer derives
-     the queueing/transit split of a wait from differences of this
-     integral. Only maintained when [obs] is on. *)
-  mutable cs_occupancy : int;
-  mutable busy_acc : float;
-  mutable busy_since : float;
+  (* [None] keeps the hot path free of every telemetry tap. *)
+  recorder : Recorder.t option;
 }
 
 let flag b i = Bytes.get b i <> '\000'
@@ -75,21 +61,21 @@ let set_in_cs env i v =
     env.in_cs_count <- (env.in_cs_count + if v then 1 else -1)
   end
 
-let busy_now env =
-  if env.cs_occupancy > 0 then
-    env.busy_acc +. (Engine.now env.engine -. env.busy_since)
-  else env.busy_acc
-
 let instance env =
   match env.inst with
   | Some i -> i
   | None -> failwith "Runner: no algorithm attached"
 
-(* [detail] is a thunk, never evaluated when tracing is off. *)
-let record env ?node ~tag detail =
-  match env.trace with
+(* The structured record: plain values, rendered only when read. *)
+let log env node step =
+  if env.tracing then
+    env.rev_trace <- { time = Engine.now env.engine; node; step } :: env.rev_trace
+
+(* One telemetry tap, a no-op without a recorder. *)
+let tap env f node =
+  match env.recorder with
   | None -> ()
-  | Some tr -> Trace.record_thunk tr ~time:(Engine.now env.engine) ?node ~tag detail
+  | Some r -> f r ~node ~time:(Engine.now env.engine)
 
 let cs_duration env =
   match env.cs with
@@ -104,41 +90,18 @@ let rec submit env node =
     set_flag env.waiting node true;
     env.issue_time.(node) <- Engine.now env.engine;
     env.issued <- env.issued + 1;
-    record env ~node ~tag:"wish" (fun () -> "requests CS");
-    (match env.obs with
-    | None -> ()
-    | Some o ->
-      Metrics.incr o.m_wishes ~node;
-      Span.open_span o.spans ~node ~time:(Engine.now env.engine)
-        ~busy:(busy_now env));
+    log env node Wish;
+    tap env Recorder.wish node;
     (instance env).request_cs node
   end
 
 and on_enter_cb env node =
   if env.in_cs_count > 0 then begin
     env.violations <- env.violations + 1;
-    record env ~node ~tag:"violation"
-      (fun () -> "entered CS while another node is inside");
-    match env.obs with
-    | None -> ()
-    | Some o -> Metrics.incr o.m_violations ~node
+    log env node Violation;
+    Option.iter (fun r -> Recorder.violation r ~node) env.recorder
   end;
-  (match env.obs with
-  | None -> ()
-  | Some o ->
-    (* The busy integral is read before this entry raises the occupancy:
-       the queueing phase of the entering span counts only time blocked
-       behind *other* nodes' critical sections. *)
-    let now = Engine.now env.engine in
-    Metrics.incr o.m_entries ~node;
-    Span.enter o.spans ~node ~time:now ~busy:(busy_now env);
-    if flag env.waiting node then begin
-      let wait = now -. env.issue_time.(node) in
-      Metrics.observe o.h_wait_ms ~node
-        (int_of_float (Float.round (wait *. 1000.0)))
-    end;
-    if env.cs_occupancy = 0 then env.busy_since <- now;
-    env.cs_occupancy <- env.cs_occupancy + 1);
+  tap env Recorder.enter node;
   if flag env.waiting node then begin
     set_flag env.waiting node false;
     let wait = Engine.now env.engine -. env.issue_time.(node) in
@@ -147,7 +110,7 @@ and on_enter_cb env node =
   end;
   set_in_cs env node true;
   env.entries <- env.entries + 1;
-  record env ~node ~tag:"cs" (fun () -> "enter");
+  log env node Enter;
   let d = cs_duration env in
   ignore
     (Net.set_timer env.net ~node ~delay:d (fun () ->
@@ -158,60 +121,9 @@ and on_enter_cb env node =
          end))
 
 and on_exit_cb env node =
-  (match env.obs with
-  | None -> ()
-  | Some o ->
-    if flag env.in_cs node then release_occupancy env;
-    (match Span.close o.spans ~node ~time:(Engine.now env.engine) with
-    | Some sp -> Metrics.observe o.h_hops ~node sp.Span.hops
-    | None -> ()));
+  tap env Recorder.exit node;
   set_in_cs env node false;
-  record env ~node ~tag:"cs" (fun () -> "exit")
-
-and release_occupancy env =
-  env.cs_occupancy <- env.cs_occupancy - 1;
-  if env.cs_occupancy = 0 then begin
-    env.busy_acc <- env.busy_acc +. (Engine.now env.engine -. env.busy_since);
-    env.busy_since <- 0.0
-  end
-
-let make_obs ~net ~n =
-  let reg = Metrics.create ~n () in
-  let o =
-    {
-      reg;
-      spans = Span.create ~n;
-      m_wishes = Metrics.counter reg ~name:"wishes_total" ~help:"CS wishes issued";
-      m_entries = Metrics.counter reg ~name:"cs_entries_total" ~help:"critical sections entered";
-      m_messages =
-        Metrics.counter reg ~name:"messages_sent_total"
-          ~help:"protocol messages sent, by source node";
-      m_faults = Metrics.counter reg ~name:"faults_total" ~help:"fail-stop events";
-      m_recoveries = Metrics.counter reg ~name:"recoveries_total" ~help:"node recoveries";
-      m_violations =
-        Metrics.counter reg ~name:"violations_total"
-          ~help:"mutual-exclusion safety violations (must stay 0)";
-      m_abandoned =
-        Metrics.counter reg ~name:"abandoned_total"
-          ~help:"requests lost to the requester's failure";
-      h_hops =
-        Metrics.hist reg ~name:"request_hops"
-          ~help:"messages attributed to one request span";
-      h_wait_ms =
-        Metrics.hist reg ~name:"request_wait_ms"
-          ~help:"wish-to-entry latency in milli-time-units";
-      g_pending =
-        Metrics.gauge reg ~name:"engine_pending_events_max"
-          ~help:"event-queue depth watermark (node 0 carries the value)";
-    }
-  in
-  (* Message tap: count every send against its source and charge
-     origin-attributed messages to the origin's open span. *)
-  Net.set_send_hook net (fun ~src ~dst:_ payload ->
-      Metrics.incr o.m_messages ~node:src;
-      let origin = Message.origin payload in
-      if origin >= 0 then Span.note_hop o.spans ~node:origin);
-  o
+  log env node Exit
 
 let make_env ~seed ~n ~delay ~cs ?(trace = false) ?(metrics = false) () =
   let engine = Engine.create () in
@@ -219,34 +131,46 @@ let make_env ~seed ~n ~delay ~cs ?(trace = false) ?(metrics = false) () =
   let net_rng = Rng.split master in
   let workload_rng = Rng.split master in
   let cs_rng = Rng.split master in
-  let trace = if trace then Some (Trace.create ()) else None in
-  let net = Net.create ~engine ~rng:net_rng ?trace ~n ~delay () in
-  let obs = if metrics then Some (make_obs ~net ~n) else None in
-  {
-    engine;
-    net;
-    workload_rng;
-    cs_rng;
-    cs;
-    trace;
-    inst = None;
-    waiting = Bytes.make n '\000';
-    in_cs = Bytes.make n '\000';
-    in_cs_count = 0;
-    backlog = Array.make n 0;
-    issue_time = Array.make n 0.0;
-    issued = 0;
-    entries = 0;
-    violations = 0;
-    abandoned = 0;
-    dropped_wishes = 0;
-    wait_stats = Summary.create ();
-    rev_waits = [];
-    obs;
-    cs_occupancy = 0;
-    busy_acc = 0.0;
-    busy_since = 0.0;
-  }
+  let net = Net.create ~engine ~rng:net_rng ~n ~delay () in
+  let env =
+    {
+      engine;
+      net;
+      workload_rng;
+      cs_rng;
+      cs;
+      tracing = trace;
+      rev_trace = [];
+      inst = None;
+      waiting = Bytes.make n '\000';
+      in_cs = Bytes.make n '\000';
+      in_cs_count = 0;
+      backlog = Array.make n 0;
+      issue_time = Array.make n 0.0;
+      issued = 0;
+      entries = 0;
+      violations = 0;
+      abandoned = 0;
+      dropped_wishes = 0;
+      wait_stats = Summary.create ();
+      rev_waits = [];
+      recorder = (if metrics then Some (Recorder.create ~n) else None);
+    }
+  in
+  (* Message tap: count every send against its source, charge it to its
+     origin's open span, and log it when tracing. *)
+  (match (env.recorder, trace) with
+  | Some r, false ->
+    Net.set_send_hook net (fun ~src ~dst:_ msg ->
+        Recorder.send r ~src ~origin:(Message.origin msg))
+  | _, true ->
+    Net.set_send_hook net (fun ~src ~dst msg ->
+        (match env.recorder with
+        | Some r -> Recorder.send r ~src ~origin:(Message.origin msg)
+        | None -> ());
+        log env src (Send { dst; msg }))
+  | None, false -> ());
+  env
 
 let net env = env.net
 
@@ -262,29 +186,56 @@ let attach env inst =
   | Some _ -> invalid_arg "Runner.attach: instance already attached"
   | None ->
     env.inst <- Some inst;
-    (match env.obs with
-    | Some o -> Metrics.set_algo o.reg inst.algo_name
-    | None -> ())
+    Option.iter
+      (fun r -> Metrics.set_algo (Recorder.registry r) inst.algo_name)
+      env.recorder
 
-let trace env = env.trace
+(* --- the structured record ---------------------------------------------- *)
+
+let trace env = List.rev env.rev_trace
+
+let tag = function
+  | Wish -> "wish"
+  | Enter | Exit -> "cs"
+  | Send _ -> "send"
+  | Fault | Recover -> "fault"
+  | Violation -> "violation"
+
+let detail = function
+  | Wish -> "requests CS"
+  | Enter -> "enter"
+  | Exit -> "exit"
+  | Send { dst; msg } -> Format.asprintf "-> %d: %a" dst Message.pp msg
+  | Fault -> "failed"
+  | Recover -> "recovering"
+  | Violation -> "entered CS while another node is inside"
+
+let pp_entry ppf e =
+  Format.fprintf ppf "t=%.2f [%d] %s: %s" e.time e.node (tag e.step)
+    (detail e.step)
+
+let render_trace env =
+  String.concat "" (List.map (Format.asprintf "%a\n" pp_entry) (trace env))
+
+let instants env =
+  List.map
+    (fun { time; node; step } ->
+      { Export.time; node; name = tag step; detail = detail step })
+    (trace env)
+
+(* --- observability -------------------------------------------------------- *)
+
+let spans env = Option.map Recorder.spans env.recorder
 
 (* The event-queue watermark is the engine's own, tracked after every
    fired event; it is copied into its gauge whenever the registry is
    read, so no step hook samples it. *)
-let synced_registry env o =
-  Metrics.set_max o.g_pending ~node:0
-    (float_of_int (Engine.pending_max env.engine));
-  o.reg
-
-let metrics env =
-  match env.obs with Some o -> Some (synced_registry env o) | None -> None
-
-let spans env = match env.obs with Some o -> Some o.spans | None -> None
-
 let metrics_snapshot env =
-  match env.obs with
-  | Some o -> Some (Metrics.snapshot (synced_registry env o))
-  | None -> None
+  Option.map
+    (fun r ->
+      Recorder.pending_max r (float_of_int (Engine.pending_max env.engine));
+      Metrics.snapshot (Recorder.registry r))
+    env.recorder
 
 let run_arrivals env arrivals =
   List.iter
@@ -311,18 +262,7 @@ let run_source env source =
 
 let fail_node env node =
   (* The node dies: whatever it was doing evaporates with it. *)
-  (match env.obs with
-  | None -> ()
-  | Some o ->
-    Metrics.incr o.m_faults ~node;
-    if flag env.waiting node then Metrics.incr o.m_abandoned ~node;
-    if flag env.in_cs node then release_occupancy env;
-    (* Close the victim's span first (it does not overlap its own
-       death), then mark the fault on every other open span. *)
-    ignore
-      (Span.abandon o.spans ~node ~time:(Engine.now env.engine)
-         ~busy:(busy_now env));
-    Span.fault_tick o.spans);
+  tap env Recorder.fault node;
   if flag env.waiting node then begin
     set_flag env.waiting node false;
     env.abandoned <- env.abandoned + 1
@@ -332,16 +272,12 @@ let fail_node env node =
   set_in_cs env node false;
   env.backlog.(node) <- 0;
   Net.fail env.net node;
-  record env ~node ~tag:"fault" (fun () -> "failed")
+  log env node Fault
 
 let recover_node env node =
-  (match env.obs with
-  | None -> ()
-  | Some o ->
-    Metrics.incr o.m_recoveries ~node;
-    Span.fault_tick o.spans);
+  Option.iter (fun r -> Recorder.recover r ~node) env.recorder;
   Net.recover env.net node;
-  record env ~node ~tag:"fault" (fun () -> "recovering");
+  log env node Recover;
   (instance env).on_recovered node
 
 let schedule_faults env (faults : Faults.t) =

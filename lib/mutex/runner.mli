@@ -40,12 +40,12 @@ val make_env :
   ?metrics:bool ->
   unit ->
   env
-(** Fresh engine, RNG, network (and optionally a trace and an
-    observability layer). With [~metrics:true] the runner owns an
-    {!Ocube_obs.Metrics} registry (wishes, entries, per-source message
-    counts, faults, hop and wait histograms, an event-queue watermark
-    gauge) and an {!Ocube_obs.Span} table tracking every request from
-    wish to CS exit; both are passive taps — a metrics run is
+(** Fresh engine, RNG and network. With [~trace:true] the runner keeps
+    the structured record of {!trace}. With [~metrics:true] it drives an
+    {!Ocube_obs.Recorder}: the request metrics (wishes, entries,
+    per-source message counts, faults, hop and wait histograms, an
+    event-queue watermark gauge) and a span per request from wish to CS
+    exit. Both are passive taps — a traced or metrics run is
     event-for-event identical to a plain one. *)
 
 val net : env -> Net.t
@@ -61,12 +61,36 @@ val callbacks : env -> callbacks
 val attach : env -> instance -> unit
 (** Must be called exactly once, after the algorithm is created. *)
 
-val trace : env -> Ocube_sim.Trace.t option
+(** {1 The structured record} *)
+
+type step =
+  | Wish
+  | Enter
+  | Exit
+  | Send of { dst : node_id; msg : Message.t }
+  | Fault
+  | Recover
+  | Violation  (** entered its CS while another node was inside *)
+
+type entry = { time : float; node : node_id; step : step }
+
+val trace : env -> entry list
+(** Every send (with its message), wish, CS entry and exit, fault,
+    recovery and violation of a [~trace:true] env, in order; [[]]
+    otherwise. Entries are plain values: nothing is formatted until
+    {!pp_entry}, {!render_trace} or {!instants} reads them. *)
+
+val pp_entry : Format.formatter -> entry -> unit
+(** ["t=12.00 [3] send: -> 1: request(origin=3, ...)"]. *)
+
+val render_trace : env -> string
+(** The record, one {!pp_entry} line per entry. *)
+
+val instants : env -> Ocube_obs.Export.instant list
+(** The record as Chrome-trace instants, named by kind ("wish", "cs",
+    "send", "fault", "violation") with the rendered detail. *)
 
 (** {1 Observability} *)
-
-val metrics : env -> Ocube_obs.Metrics.t option
-(** The registry, when the env was built with [~metrics:true]. *)
 
 val spans : env -> Ocube_obs.Span.t option
 (** The request-span table, when the env was built with [~metrics:true]. *)

@@ -56,7 +56,7 @@ module Make (R : Runtime.S) = struct
     set_token t nd false;
     t.tokens_in_flight <- t.tokens_in_flight + 1;
     R.send t.net ~src:nd.id ~dst
-      (Message.Sk_privilege { queue = Fdeque.to_list nd.tq; ln = Array.copy nd.ln })
+      (Message.Sk_privilege { queue = Fdeque.to_list nd.tq; ln = nd.ln })
 
   (* Holder-side: after a release (or on receiving a request while idle),
      update the token queue with every node whose request is newer than the
@@ -89,7 +89,9 @@ module Make (R : Runtime.S) = struct
       t.tokens_in_flight <- t.tokens_in_flight - 1;
       set_token t nd true;
       nd.tq <- Fdeque.of_list queue;
-      nd.ln <- ln;
+      (* A sent message is a value that observers may still hold: adopt a
+         copy of its array, never the array itself. *)
+      nd.ln <- Array.copy ln;
       (* The token only travels towards a requester. *)
       enter t nd
     | Message.Request _ | Message.Token _ | Message.Enquiry _

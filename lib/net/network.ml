@@ -1,11 +1,8 @@
 module Engine = Ocube_sim.Engine
 module Rng = Ocube_sim.Rng
-module Trace = Ocube_sim.Trace
 
 module type PAYLOAD = sig
   type t
-
-  val pp : Format.formatter -> t -> unit
 
   val category_names : string array
 
@@ -40,7 +37,6 @@ module Make (P : PAYLOAD) = struct
   type t = {
     engine : Engine.t;
     rng : Rng.t;
-    trace : Trace.t option;
     nodes : node array;
     delay : delay_model;
     delta : float;
@@ -127,23 +123,6 @@ module Make (P : PAYLOAD) = struct
 
   let set_send_hook t h = t.send_hook <- Some h
 
-  let clear_send_hook t = t.send_hook <- None
-
-  (* [detail] is a thunk: with tracing off it is never called, so the hot
-     path allocates no format buffers; with tracing on it is stored
-     unevaluated and rendered only when the trace is read.
-
-     Call sites whose thunk captures anything (the payload, a peer id)
-     must guard on [tracing] {e before} building the closure: the [fun]
-     expression itself allocates, and at N≈1M nodes a per-send closure
-     that exists only to be discarded dominates the minor heap. *)
-  let tracing t = t.trace <> None
-
-  let record t ?node ~tag detail =
-    match t.trace with
-    | None -> ()
-    | Some tr -> Trace.record_thunk tr ~time:(Engine.now t.engine) ?node ~tag detail
-
   let sample_delay t =
     match t.delay with
     | Constant d -> d
@@ -162,10 +141,6 @@ module Make (P : PAYLOAD) = struct
     let dst_node = t.nodes.(dst) in
     if dst_node.failed || dst_node.incarnation <> expected_incarnation then begin
       t.dropped <- t.dropped + 1;
-      (if tracing t then
-         record t ~node:dst ~tag:"drop" (fun () ->
-             Format.asprintf "from %d: %a (node down)" src P.pp payload))
-      [@ocube.alloc_ok (* closure only built with tracing on *)];
       (match t.drop_handler with
        | Some h -> h ~dst payload
        | None -> ())
@@ -173,10 +148,6 @@ module Make (P : PAYLOAD) = struct
     end
     else begin
       t.delivered <- t.delivered + 1;
-      (if tracing t then
-         record t ~node:dst ~tag:"recv" (fun () ->
-             Format.asprintf "from %d: %a" src P.pp payload))
-      [@ocube.alloc_ok (* closure only built with tracing on *)];
       (match dst_node.handler with
        | Some h -> h ~src payload
        | None -> (
@@ -201,7 +172,7 @@ module Make (P : PAYLOAD) = struct
         (* the protocol's timer callback: what it allocates is accounted
            where it is defined *)]
 
-  let create ~engine ~rng ?trace ~n ~delay () =
+  let create ~engine ~rng ~n ~delay () =
     if n < 1 then invalid_arg "Network.create: n must be >= 1";
     validate_model delay;
     (* The classes must be registered before [t] exists; the cell ties
@@ -219,7 +190,6 @@ module Make (P : PAYLOAD) = struct
       {
         engine;
         rng;
-        trace;
         nodes =
           Array.init n (fun _ ->
               { handler = None; failed = false; incarnation = 0 });
@@ -261,10 +231,6 @@ module Make (P : PAYLOAD) = struct
     t.categories.(c) <- t.categories.(c) + 1;
     (match t.send_hook with None -> () | Some h -> h ~src ~dst payload)
     [@ocube.alloc_ok (* observer dispatch; absent on the measured path *)];
-    (if tracing t then
-       record t ~node:src ~tag:"send" (fun () ->
-           Format.asprintf "-> %d: %a" dst P.pp payload))
-    [@ocube.alloc_ok (* closure only built with tracing on *)];
     let inc = t.nodes.(dst).incarnation in
     let delay =
       (sample_delay t)
@@ -289,8 +255,7 @@ module Make (P : PAYLOAD) = struct
     let nd = t.nodes.(i) in
     if not nd.failed then begin
       nd.failed <- true;
-      nd.incarnation <- nd.incarnation + 1;
-      record t ~node:i ~tag:"fault" (fun () -> "fail-stop")
+      nd.incarnation <- nd.incarnation + 1
     end
 
   let recover t i =
@@ -298,8 +263,7 @@ module Make (P : PAYLOAD) = struct
     let nd = t.nodes.(i) in
     if not nd.failed then invalid_arg "Network.recover: node is not failed";
     nd.failed <- false;
-    nd.incarnation <- nd.incarnation + 1;
-    record t ~node:i ~tag:"fault" (fun () -> "recover")
+    nd.incarnation <- nd.incarnation + 1
 
   let is_failed t i =
     check_node t i;

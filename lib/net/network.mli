@@ -20,8 +20,6 @@
 module type PAYLOAD = sig
   type t
 
-  val pp : Format.formatter -> t -> unit
-
   val category_names : string array
   (** Short, distinct labels of the per-category message counters
       ("request", "token", "test", ...). *)
@@ -50,7 +48,6 @@ module Make (P : PAYLOAD) : sig
   val create :
     engine:Ocube_sim.Engine.t ->
     rng:Ocube_sim.Rng.t ->
-    ?trace:Ocube_sim.Trace.t ->
     n:int ->
     delay:delay_model ->
     unit ->
@@ -85,12 +82,11 @@ module Make (P : PAYLOAD) : sig
   val set_send_hook : t -> (src:int -> dst:int -> P.t -> unit) -> unit
   (** Passive observer invoked synchronously on every {!send}, before the
       delivery is scheduled (so it also sees messages later lost to a
-      failed destination, mirroring {!sent_total}). The observability
-      layer attributes messages to request spans through this. The hook
-      must not send, fail or otherwise touch the simulation — it is a
-      pure tap. At most one; a second call replaces the first. *)
-
-  val clear_send_hook : t -> unit
+      failed destination, mirroring {!sent_total}). The runner's
+      telemetry recorder and structured record read sends through this.
+      The hook must not send, fail or otherwise touch the simulation — it
+      is a pure tap. At most one; a second call replaces the first (and
+      so the runner's tap). *)
 
   (** {1 Communication} *)
 

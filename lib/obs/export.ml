@@ -8,8 +8,6 @@
    to them. Rows are emitted in snapshot order (sorted by metric name),
    nodes ascending, span events in close order — all deterministic. *)
 
-module Trace = Ocube_sim.Trace
-
 let metric_prefix = "ocube_"
 
 (* %.12g keeps gauge rendering stable across platforms while printing
@@ -187,24 +185,25 @@ let chrome_span buf ~first (sp : Span.span) =
             ("transit", float_str sp.Span.transit);
           ]))
 
-let chrome_trace_entry buf ~first (e : Trace.entry) =
+type instant = { time : float; node : int; name : string; detail : string }
+
+let chrome_instant buf ~first i =
   if not !first then Buffer.add_char buf ',';
   first := false;
   Buffer.add_string buf "{\"name\":";
-  Json.escape_to buf e.Trace.tag;
+  Json.escape_to buf i.name;
   Buffer.add_string buf ",\"cat\":\"trace\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
-  Buffer.add_string buf (ts e.Trace.time);
+  Buffer.add_string buf (ts i.time);
   Buffer.add_string buf
-    (Printf.sprintf ",\"pid\":0,\"tid\":%d,\"args\":{\"detail\":"
-       (match e.Trace.node with Some n -> n | None -> -1));
-  Json.escape_to buf e.Trace.detail;
+    (Printf.sprintf ",\"pid\":0,\"tid\":%d,\"args\":{\"detail\":" i.node);
+  Json.escape_to buf i.detail;
   Buffer.add_string buf "}}"
 
-let chrome_trace ?(trace = []) ~spans () =
+let chrome_trace ?(instants = []) ~spans () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   let first = ref true in
   List.iter (chrome_span buf ~first) spans;
-  List.iter (chrome_trace_entry buf ~first) trace;
+  List.iter (chrome_instant buf ~first) instants;
   Buffer.add_string buf "]}";
   Buffer.contents buf

@@ -20,13 +20,15 @@ val json : Metrics.snapshot -> string
     "values"}, ...]}]. Histogram values are per-node arrays of
     [[value, count]] pairs. *)
 
-val chrome_trace :
-  ?trace:Ocube_sim.Trace.entry list -> spans:Span.span list -> unit -> string
+type instant = { time : float; node : int; name : string; detail : string }
+(** A point event on a node's track: [name] is its kind, [detail] the
+    rendered text. *)
+
+val chrome_trace : ?instants:instant list -> spans:Span.span list -> unit -> string
 (** Chrome [trace_event] JSON (load in [chrome://tracing] or Perfetto).
     Each span becomes complete ("X") events on track [tid = node]: a
     [wait] slice from wish to CS entry (args carry hops and the
     queueing/transit split) and a [cs] slice from entry to exit; spans
-    that never entered emit a single [wait] slice. Trace entries, when
-    given, become instant ("i") events named by their tag with the
-    rendered detail in [args]. One simulated time unit displays as one
-    millisecond. *)
+    that never entered emit a single [wait] slice. Instants, when given,
+    follow as instant ("i") events with the detail in [args]. One
+    simulated time unit displays as one millisecond. *)

@@ -1,9 +1,9 @@
 (** Metrics registry: typed counters, gauges and value histograms keyed
     by [(metric, node, algorithm)].
 
-    A registry belongs to one simulation environment: the node dimension
-    is fixed at creation, the algorithm label is attached when the
-    runner learns it. Handles returned at registration time make the hot
+    A registry belongs to one run (a simulation environment or a
+    process cluster): the node dimension is fixed at creation, the
+    algorithm label is attached once the algorithm is known. Handles returned at registration time make the hot
     path one boolean load plus one array write — no lookup, and {e zero}
     work or allocation while the registry is disabled. Values recorded
     while disabled are dropped outright, so a disable/enable cycle can
@@ -65,7 +65,7 @@ type hist
 val hist : t -> name:string -> help:string -> hist
 (** Integer-valued histogram per node ({!Ocube_stats.Histogram}).
     Latencies are recorded in scaled integer units chosen by the caller
-    (the runner uses milli-time-units). *)
+    (the recorder uses milli-time-units). *)
 
 val observe : hist -> node:int -> int -> unit
 

@@ -1,7 +1,7 @@
 (* Request spans.
 
    A span opens when a node's wish is issued and closes when the node
-   leaves its critical section (or dies). The runner feeds the span
+   leaves its critical section (or dies). The recorder feeds the span
    table the running integral of "some node is in its CS" time (busy
    time); the difference of that integral between two instants is
    exactly how much of the interval was spent queueing behind other

@@ -1,8 +1,8 @@
 (** Request spans: one per critical-section wish, opened at wish arrival
     and closed at CS exit (or at the owning node's failure).
 
-    The runner drives the lifecycle and supplies two clocks: the virtual
-    time and the running integral of "some node is inside its CS" time.
+    {!Recorder} drives the lifecycle and supplies two clocks: the time
+    and the running integral of "some node is inside its CS" time.
     The busy-integral difference over the waiting interval is the span's
     {e queueing} phase (blocked behind other critical sections); the rest
     of the wait is the {e transit} phase (requests climbing, token
@@ -41,11 +41,11 @@ val note_hop : t -> node:int -> unit
 
 val enter : t -> node:int -> time:float -> busy:float -> unit
 (** The node entered its CS: fixes the queueing/transit split. No-op when
-    no span is open (entries triggered outside the runner's wish flow). *)
+    no span is open (entries triggered outside the wish flow). *)
 
 val close : t -> node:int -> time:float -> span option
 (** Normal CS exit: the span moves to the closed list and is returned
-    (the runner feeds its hop count to the metrics histograms). [None]
+    (the recorder feeds its hop count to the hop histogram). [None]
     when no span is open. @raise Invalid_argument if the span never
     entered. *)
 

@@ -1,6 +1,8 @@
 module Types = Ocube_mutex.Types
 module Wire = Ocube_mutex.Wire
 module Metrics = Ocube_obs.Metrics
+module Recorder = Ocube_obs.Recorder
+module Span = Ocube_obs.Span
 
 (* --- configuration ------------------------------------------------------ *)
 
@@ -74,6 +76,7 @@ type outcome = {
   digests : string array;
   events : (float * event) list;
   snapshot : Metrics.snapshot option;
+  spans : Span.span list;
 }
 
 let oracle_clean o =
@@ -123,28 +126,20 @@ let run cfg =
   (* -- observation state -- *)
   let events = ref [] in
   let push ev = events := (now (), ev) :: !events in
-  let reg =
+  let recorder =
     if cfg.metrics then begin
-      let r = Metrics.create ~n () in
-      Metrics.set_algo r (Spec.name cfg.algo);
+      let r = Recorder.create ~n in
+      Metrics.set_algo (Recorder.registry r) (Spec.name cfg.algo);
       Some r
     end
     else None
   in
-  let count name =
-    match reg with
-    | None -> fun ~node:_ -> ()
-    | Some r ->
-      let c = Metrics.counter r ~name ~help:name in
-      fun ~node -> Metrics.incr c ~node
+  (* The recorder's clock is simulated time: wall seconds over the tick. *)
+  let tap f node =
+    match recorder with
+    | None -> ()
+    | Some r -> f r ~node ~time:(now () /. cfg.tick)
   in
-  let m_wishes = count "cluster_wishes"
-  and m_entries = count "cluster_entries"
-  and m_exits = count "cluster_exits"
-  and m_sends = count "cluster_sends"
-  and m_drops = count "cluster_drops"
-  and m_kills = count "cluster_kills"
-  and m_violations = count "cluster_violations" in
   let entries = ref 0 in
   let wishes = ref 0 in
   let served = ref 0 in
@@ -211,7 +206,7 @@ let run cfg =
   Fun.protect ~finally @@ fun () ->
   let violate node info =
     violations := (node, info) :: !violations;
-    m_violations ~node;
+    Option.iter (fun r -> Recorder.violation r ~node) recorder;
     push (Ev_violation { node; info })
   in
   let reap ?(block = false) c =
@@ -236,7 +231,7 @@ let run cfg =
     if to_child c Ctrl.Wish then begin
       incr wishes;
       c.outstanding <- c.outstanding + 1;
-      m_wishes ~node:c.idx;
+      tap Recorder.wish c.idx;
       push (Ev_wish c.idx)
     end
   in
@@ -268,6 +263,7 @@ let run cfg =
      abandoned, and its CS interval (if any) ended with the process —
      the kernel released the witness lock at death. *)
   let write_off c =
+    tap Recorder.fault c.idx;
     let had_outstanding = c.outstanding > 0 in
     abandoned := !abandoned + c.outstanding;
     c.outstanding <- 0;
@@ -284,30 +280,28 @@ let run cfg =
     match Ctrl.decode_to_parent raw with
     | Ctrl.Send { dst; msg } ->
       c.digest <- Wire.mix_raw c.digest ~dst msg;
-      m_sends ~node:c.idx;
-      let category =
+      let category, origin =
         (* observability only: the payload is routed opaquely, so a
            catch-all cannot drop a message *)
         (match Wire.decode msg with
-         | m -> Types.Message.category m
+         | m -> (Types.Message.category m, Types.Message.origin m)
          | exception Wire.Corrupt e ->
            violate c.idx ("corrupt payload: " ^ e);
-           "corrupt")
+           ("corrupt", -1))
         [@ocube.lint.allow "handler-totality"]
       in
+      Option.iter (fun r -> Recorder.send r ~src:c.idx ~origin) recorder;
       push (Ev_send { src = c.idx; dst; category });
       if dst < 0 || dst >= n then violate c.idx "send to out-of-range node"
       else begin
         let d = children.(dst) in
-        if not (to_child d (Ctrl.Deliver { src = c.idx; msg })) then begin
-          m_drops ~node:c.idx;
+        if not (to_child d (Ctrl.Deliver { src = c.idx; msg })) then
           push (Ev_drop { src = c.idx; dst })
-        end
       end
     | Ctrl.Enter ->
       incr entries;
       incr enter_count;
-      m_entries ~node:c.idx;
+      tap Recorder.enter c.idx;
       (match !in_cs with
       | [] -> ()
       | other :: _ ->
@@ -321,7 +315,7 @@ let run cfg =
       incr served;
       c.outstanding <- max 0 (c.outstanding - 1);
       in_cs := List.filter (fun i -> i <> c.idx) !in_cs;
-      m_exits ~node:c.idx;
+      tap Recorder.exit c.idx;
       push (Ev_exit c.idx);
       after_exit c
     | Ctrl.Violation info -> violate c.idx info
@@ -376,7 +370,6 @@ let run cfg =
       reap ~block:true c;
       c.alive <- false;
       killed := c.idx :: !killed;
-      m_kills ~node:c.idx;
       push (Ev_kill c.idx);
       while c.open_fd do
         match
@@ -520,5 +513,7 @@ let run cfg =
     clean_exit;
     digests = Array.map (fun c -> c.digest) children;
     events = List.rev !events;
-    snapshot = Option.map Metrics.snapshot reg;
+    snapshot = Option.map (fun r -> Metrics.snapshot (Recorder.registry r)) recorder;
+    spans =
+      Option.fold ~none:[] ~some:(fun r -> Span.closed (Recorder.spans r)) recorder;
   }

@@ -78,6 +78,12 @@ type outcome = {
           deterministic for crash-free [Lockstep] runs *)
   events : (float * event) list;  (** the merged log, in receipt order *)
   snapshot : Ocube_obs.Metrics.snapshot option;
+      (** the request metrics of {!Ocube_obs.Recorder}, as the simulator
+          reports them; [None] unless [config.metrics] *)
+  spans : Ocube_obs.Span.span list;
+      (** the closed request spans, in close order, times in simulated
+          units (wall seconds over the tick); [[]] unless
+          [config.metrics] *)
 }
 
 val oracle_clean : outcome -> (unit, string) result

@@ -21,13 +21,19 @@ type case = {
 
 val case_name : case -> string
 
+val des_run : case -> Ocube_mutex.Runner.env
+(** Run the case in the simulator with the structured record and the
+    telemetry recorder on. @raise Failure if the DES run misbehaves. *)
+
+val proc_run : case -> Cluster.outcome
+(** Run the case as a process cluster (metrics and spans on).
+    @raise Failure if the cluster run is not oracle-clean. *)
+
 val des_digests : case -> string array
-(** Run the case in the simulator; per-node send checksums.
-    @raise Failure if the DES run itself misbehaves. *)
+(** Per-node send checksums of {!des_run}, folded over its record. *)
 
 val proc_digests : case -> string array
-(** Run the case as a process cluster; per-node send checksums.
-    @raise Failure if the cluster run is not oracle-clean. *)
+(** Per-node send checksums of {!proc_run}. *)
 
 val check : case -> (unit, string) result
 (** Both runs, compared node by node. *)

@@ -413,14 +413,6 @@ let test_seed_sweep_hardened_safety () =
   done;
   checki "250 failures injected in total" 250 !total_failures
 
-let test_describe () =
-  let s = make 3 in
-  let d = Opencube_algo.describe s.algo 0 in
-  checkb "describe mentions token" true (Tutil.contains d "token=true");
-  checkb "describe mentions father nil" true (Tutil.contains d "father=nil");
-  let d5 = Opencube_algo.describe s.algo 5 in
-  checkb "node 5 dump" true (Tutil.contains d5 "node 5: father=4")
-
 let test_stats_counters_plausible () =
   let s = make ~cs:(Runner.Fixed 1.0) 4 in
   Runner.schedule_faults s.env [ Runner.Faults.at 0.5 8 ~recover_after:30.0 () ];
@@ -561,7 +553,7 @@ let test_custody_dead_father_deadline_p1 =
    the first "held" answer starts a wait-for probe walk, 1 -> 2 -> 1 (or
    2 -> 1 -> 2): it comes back within one round trip (2δ) and its
    initiator searches. *)
-let test_probe_breaks_waiting_cycle () =
+let waiting_cycle () =
   let p = 3 in
   let s = make ~cs:(Runner.Fixed 1000.0) p in
   Runner.submit s.env 0;
@@ -580,6 +572,10 @@ let test_probe_breaks_waiting_cycle () =
   Runner.run ~until:4.0 s.env;
   checkb "1 -> 2" true (Opencube_algo.father s.algo 1 = Some 2);
   checkb "2 -> 1" true (Opencube_algo.father s.algo 2 = Some 1);
+  s
+
+let test_probe_breaks_waiting_cycle () =
+  let s = waiting_cycle () in
   let stats () = Opencube_algo.stats s.algo in
   let searches0 = (stats ()).searches_started in
   let engine = Runner.engine s.env in
@@ -597,6 +593,36 @@ let test_probe_breaks_waiting_cycle () =
   quiesce s;
   assert_safe s;
   checki "every wish served" 3 (Runner.cs_entries s.env)
+
+let test_describe () =
+  let s = make 3 in
+  let d = Opencube_algo.describe s.algo 0 in
+  checkb "describe mentions token" true (Tutil.contains d "token=true");
+  checkb "describe mentions father nil" true (Tutil.contains d "father=nil");
+  checkb "fields are single-spaced" false (Tutil.contains d "  ");
+  checkb "no walk, no transit" true
+    (Tutil.contains d "walk_out=false transits=0");
+  let d5 = Opencube_algo.describe s.algo 5 in
+  checkb "node 5 dump" true (Tutil.contains d5 "node 5: father=4");
+  (* 7's request climbs through 6 and 4 as transit nodes (the first half
+     of their b-transformations); each keeps a transit record. *)
+  Runner.submit s.env 7;
+  quiesce s;
+  checkb "transit node 6 counts its record" true
+    (Tutil.contains (Opencube_algo.describe s.algo 6) "transits=1");
+  (* A wait-for walk out of a waiting cycle shows at its initiator. *)
+  let s = waiting_cycle () in
+  let engine = Runner.engine s.env in
+  while
+    (Opencube_algo.stats s.algo).probe_walks = 0
+    && Ocube_sim.Engine.step engine
+  do
+    ()
+  done;
+  checkb "a walk is out" true
+    (List.exists
+       (fun i -> Tutil.contains (Opencube_algo.describe s.algo i) "walk_out=true")
+       [ 1; 2 ])
 
 let suite =
   [

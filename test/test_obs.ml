@@ -328,13 +328,9 @@ let test_json_outputs_are_valid () =
   | Ok () -> ()
   | Error m -> Alcotest.failf "metrics JSON invalid: %s" m);
   let spans = Option.get (Runner.spans env) in
-  let trace =
-    match Runner.trace env with
-    | Some t -> Ocube_sim.Trace.entries t
-    | None -> []
-  in
-  checkb "trace has entries" true (List.length trace > 0);
-  match Json.check (Export.chrome_trace ~trace ~spans:(Span.closed spans) ()) with
+  let instants = Runner.instants env in
+  checkb "trace has entries" true (List.length instants > 0);
+  match Json.check (Export.chrome_trace ~instants ~spans:(Span.closed spans) ()) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "chrome trace JSON invalid: %s" m
 

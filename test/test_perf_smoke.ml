@@ -3,9 +3,9 @@
 
    Two kinds of check:
 
-   - laziness: with tracing off (or an unread trace), the network layer
-     must never invoke the payload printer — verified by counting calls,
-     not by timing;
+   - laziness: the network layer never invokes a payload printer, and
+     the runner's record formats nothing until it is read — verified by
+     counting calls and minor words, not by timing;
    - complexity shape: the indexed operations must beat the naive O(N)
      scans they replaced by a wide margin — verified by relative timing
      against a baseline reimplemented here, with a deliberately generous
@@ -15,15 +15,15 @@
 open Ocube_mutex
 module Engine = Ocube_sim.Engine
 module Rng = Ocube_sim.Rng
-module Trace = Ocube_sim.Trace
 module Fdeque = Ocube_sim.Fdeque
 module Opencube = Ocube_topology.Opencube
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-(* A payload whose printer counts invocations: any eager [Format] work on
-   the trace path shows up as a nonzero count. *)
+(* A payload whose printer counts invocations. The network's payload
+   signature has no printer, so nothing in it can reach [pp]; the counts
+   below keep the send, delivery and drop paths pinned format-free. *)
 module Counting = struct
   let pp_calls = ref 0
 
@@ -40,10 +40,10 @@ end
 
 module Net = Ocube_net.Network.Make (Counting)
 
-let make_net ?trace () =
+let make_net () =
   let engine = Engine.create () in
   let net =
-    Net.create ~engine ~rng:(Rng.create 1) ?trace ~n:4
+    Net.create ~engine ~rng:(Rng.create 1) ~n:4
       ~delay:(Ocube_net.Network.Constant 1.0) ()
   in
   (engine, net)
@@ -77,75 +77,57 @@ let test_trace_off_drop_path_formats_nothing () =
   checki "dropped counter" 1 (Net.dropped_total net);
   checki "no Format calls on the drop path" 0 !Counting.pp_calls
 
+(* With [~trace:true] the runner logs each send as a plain entry holding
+   the message; nothing is formatted until the record is read. A send of
+   a prebuilt payload then costs the entry, its [Send] step and the list
+   cell — a few words, where one eager [Format.asprintf] costs hundreds —
+   and nothing at all with tracing off. *)
 let test_trace_on_formats_only_when_read () =
-  Counting.pp_calls := 0;
-  let trace = Trace.create () in
-  let engine, net = make_net ~trace () in
-  Net.set_handler net 1 (fun ~src:_ _ -> ());
-  for k = 1 to 10 do
-    Net.send net ~src:0 ~dst:1 (Counting.Ping k)
-  done;
-  Engine.run engine;
-  checki "recording alone renders nothing" 0 !Counting.pp_calls;
-  checki "entries were recorded" 20 (Trace.length trace) (* 10 send + 10 recv *);
-  (* The trace's own laziness counters agree with the payload counter:
-     all thunks pending, none forced. *)
-  checki "thunks recorded" 20 (Trace.thunk_count trace);
-  checki "nothing forced yet" 0 (Trace.forced_count trace);
-  checki "all pending" 20 (Trace.pending_thunks trace);
-  ignore (Trace.render trace);
-  let after_first_read = !Counting.pp_calls in
-  checkb "reading the trace renders details" true (after_first_read > 0);
-  checki "forcing is observable" 20 (Trace.forced_count trace);
-  checki "none left pending" 0 (Trace.pending_thunks trace);
-  ignore (Trace.render trace);
-  checki "details are memoized across reads" after_first_read !Counting.pp_calls;
-  checki "memoized reads do not re-force" 20 (Trace.forced_count trace)
+  let msg = Types.Message.Request { origin = 0; rid = { Types.source = 0; seq = 0 } } in
+  let words ~trace =
+    let env =
+      Runner.make_env ~seed:1 ~n:4 ~delay:(Ocube_net.Network.Constant 1.0)
+        ~cs:(Runner.Fixed 1.0) ~trace ()
+    in
+    let net = Runner.net env in
+    Types.Net.set_default_handler net (fun ~dst:_ ~src:_ _ -> ());
+    let burst () =
+      for _ = 1 to 1000 do
+        Types.Net.send net ~src:0 ~dst:1 msg
+      done
+    in
+    burst ();
+    Runner.run env;
+    let before = Gc.minor_words () in
+    burst ();
+    let per_send = (Gc.minor_words () -. before) /. 1000.0 in
+    Runner.run env;
+    (per_send, env)
+  in
+  let off, _ = words ~trace:false in
+  let on, env = words ~trace:true in
+  checkb "tracing off allocates nothing per send" true (off = 0.0);
+  checkb
+    (Printf.sprintf "tracing on records without formatting (%.1f words/send)" on)
+    true
+    (on > off && on <= 16.0);
+  checki "every send recorded" 2000 (List.length (Runner.trace env));
+  checkb "reading renders the sends" true
+    (Tutil.contains (Runner.render_trace env) "[0] send: -> 1: request(origin=0")
 
-(* Regression: Trace.clear used to drop the entries but keep the
-   thunk/forced counters, so a reused trace reported phantom pending
-   thunks and the laziness assertions above broke on the second
-   workload. A cleared trace must be indistinguishable from a fresh
-   one. *)
-let test_trace_clear_resets_laziness_counters () =
-  Counting.pp_calls := 0;
-  let trace = Trace.create () in
-  let engine, net = make_net ~trace () in
-  Net.set_handler net 1 (fun ~src:_ _ -> ());
-  for k = 1 to 5 do
-    Net.send net ~src:0 ~dst:1 (Counting.Ping k)
-  done;
-  Engine.run engine;
-  ignore (Trace.render trace);
-  checkb "counters are hot before the clear" true
-    (Trace.thunk_count trace > 0 && Trace.forced_count trace > 0);
-  Trace.clear trace;
-  checki "no entries" 0 (Trace.length trace);
-  checki "thunk counter reset" 0 (Trace.thunk_count trace);
-  checki "forced counter reset" 0 (Trace.forced_count trace);
-  checki "pending reset" 0 (Trace.pending_thunks trace);
-  (* The cleared trace keeps working as a fresh one. *)
-  Counting.pp_calls := 0;
-  for k = 1 to 3 do
-    Net.send net ~src:0 ~dst:1 (Counting.Ping k)
-  done;
-  Engine.run engine;
-  checki "fresh thunks counted from zero" 6 (Trace.thunk_count trace);
-  checki "still lazy after a clear" 0 !Counting.pp_calls
-
-(* With tracing off the send path allocates nothing of its own: the
+(* The network's send path allocates nothing of its own: the
    delivery is a packed engine event over the network's message arena,
    and the per-category count is an array slot. What a send of a fresh
    [Ping k] allocates is the payload box, 2 words. Minor-word deltas are
    exact in OCaml, so the budget is a deterministic guard, not a timing
-   heuristic: re-introducing even one eager closure on the disabled path
-   raises the count, and an eager [Format.asprintf] (~hundreds of words)
+   heuristic: re-introducing even one closure on the send path raises
+   the count, and an eager [Format.asprintf] (~hundreds of words)
    trips it immediately. The warm-up burst grows the arenas and the
    event heap to steady state first, so their amortised doubling is not
    charged to the measured sends. *)
 let test_trace_off_send_allocation_budget () =
-  let measure ?trace () =
-    let engine, net = make_net ?trace () in
+  let measure () =
+    let engine, net = make_net () in
     Net.set_handler net 1 (fun ~src:_ _ -> ());
     let burst () =
       for k = 1 to 1000 do
@@ -161,9 +143,6 @@ let test_trace_off_send_allocation_budget () =
     per_send
   in
   let off = measure () in
-  let on = measure ~trace:(Trace.create ()) () in
-  checkb "tracing off allocates strictly less per send than tracing on" true
-    (off < on);
   checkb
     (Printf.sprintf
        "tracing off allocates only the payload (%.1f words/send, budget 2)"
@@ -273,44 +252,33 @@ let test_invariant_check_allocation_free () =
 
 (* --- trace on/off equivalence -------------------------------------------- *)
 
-(* Same seed, same workload, tracing on vs off: laziness must not change
-   the simulation — identical CS entry order and message counts. *)
+(* Same seed, same workload, tracing on vs off: the record must not
+   change the simulation — identical CS entry order and message counts. *)
 let run_workload ~trace =
-  let engine = Engine.create () in
-  let rng = Rng.create 11 in
-  let tr = if trace then Some (Trace.create ()) else None in
-  let net =
-    Types.Net.create ~engine ~rng ?trace:tr ~n:16
+  let env =
+    Runner.make_env ~seed:11 ~n:16
       ~delay:(Ocube_net.Network.Uniform { lo = 0.5; hi = 2.0 })
-      ()
+      ~cs:(Runner.Fixed 2.0) ~trace ()
   in
   let entered = ref [] in
-  let algo = ref None in
-  let callbacks =
-    {
-      Types.on_enter =
-        (fun i ->
-          entered := i :: !entered;
-          ignore
-            (Types.Net.set_timer net ~node:i ~delay:2.0 (fun () ->
-                 Opencube_algo.release_cs (Option.get !algo) i)));
-      on_exit = ignore;
-    }
+  let cb = Runner.callbacks env in
+  let on_enter i =
+    entered := i :: !entered;
+    cb.Types.on_enter i
   in
   let a =
-    Opencube_algo.create ~net ~callbacks
+    Opencube_algo.create ~net:(Runner.net env)
+      ~callbacks:{ cb with on_enter }
       ~config:
         { (Opencube_algo.default_config ~p:4) with fault_tolerance = false }
   in
-  algo := Some a;
-  List.iteri
-    (fun k node ->
-      ignore
-        (Engine.schedule engine ~delay:(0.3 *. float_of_int k) (fun () ->
-             Opencube_algo.request_cs a node)))
-    [ 5; 9; 7; 3; 12; 0; 9; 14; 1; 7 ];
-  Engine.run engine;
-  (List.rev !entered, Types.Net.sent_total net)
+  Runner.attach env (Opencube_algo.instance a);
+  Runner.run_arrivals env
+    (List.mapi
+       (fun k node -> (0.3 *. float_of_int k, node))
+       [ 5; 9; 7; 3; 12; 0; 9; 14; 1; 7 ]);
+  Runner.run_to_quiescence env;
+  (List.rev !entered, Runner.messages_sent env)
 
 let test_trace_off_vs_on_equivalence () =
   let order_off, sent_off = run_workload ~trace:false in
@@ -404,8 +372,6 @@ let suite =
       test_trace_off_drop_path_formats_nothing;
     Alcotest.test_case "trace on: formatting deferred until read" `Quick
       test_trace_on_formats_only_when_read;
-    Alcotest.test_case "Trace.clear resets the laziness counters" `Quick
-      test_trace_clear_resets_laziness_counters;
     Alcotest.test_case "trace off: per-send allocation budget holds" `Quick
       test_trace_off_send_allocation_budget;
     Alcotest.test_case "invariant_check allocates nothing" `Quick

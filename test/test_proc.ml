@@ -8,6 +8,8 @@ module Spec = Ocube_proc.Spec
 module Cluster = Ocube_proc.Cluster
 module Conformance = Ocube_proc.Conformance
 module Metrics = Ocube_obs.Metrics
+module Span = Ocube_obs.Span
+module Runner = Ocube_mutex.Runner
 module Scenario = Ocube_check.Scenario
 module Fuzz = Ocube_check.Fuzz
 
@@ -50,9 +52,49 @@ let test_proc_digests_stable () =
     (fun i d -> Alcotest.(check string) (Printf.sprintf "node %d" i) d b.(i))
     a
 
+(* Both runtimes drive the same telemetry recorder, so a crash-free
+   lockstep case must report the same request spans and the same
+   per-node counters in the DES and in the cluster — and every cluster
+   request must stay within the paper's log2 N + 1 messages. *)
+let test_span_parity () =
+  List.iter
+    (fun algo ->
+      let c = { Conformance.algo; p = 3; cs = 1.0; rounds = 2 } in
+      let name = Conformance.case_name c in
+      let env = Conformance.des_run c in
+      let o = Conformance.proc_run c in
+      let hops spans = List.map (fun s -> (s.Span.node, s.Span.hops)) spans in
+      let des_hops = hops (Span.closed (Option.get (Runner.spans env))) in
+      let proc_hops = hops o.Cluster.spans in
+      checki (name ^ ": one span per wish") 16 (List.length proc_hops);
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": per-request hops") des_hops proc_hops;
+      List.iter
+        (fun (node, h) ->
+          if h > c.p + 1 then
+            Alcotest.failf "%s: a request of node %d cost %d messages (bound %d)"
+              name node h (c.p + 1))
+        proc_hops;
+      let des = Option.get (Runner.metrics_snapshot env) in
+      let proc = Option.get o.Cluster.snapshot in
+      let names s = List.map (fun r -> r.Metrics.name) s.Metrics.rows in
+      Alcotest.(check (list string)) (name ^ ": metric names") (names des)
+        (names proc);
+      List.iter
+        (fun metric ->
+          let per_node s =
+            match Metrics.find_row s metric with
+            | Some { Metrics.data = Metrics.S_counter a; _ } -> a
+            | _ -> Alcotest.failf "%s: counter %s missing" name metric
+          in
+          Alcotest.(check (array int))
+            (name ^ ": " ^ metric) (per_node des) (per_node proc))
+        [ "wishes_total"; "cs_entries_total"; "messages_sent_total" ])
+    [ Spec.Opencube; Spec.Raymond ]
+
 (* --- plain cluster runs --------------------------------------------------- *)
 
-let test_cluster_closed_loop () =
+let test_closed_loop_drains () =
   let o =
     Cluster.run
       {
@@ -70,11 +112,11 @@ let test_cluster_closed_loop () =
   | None -> ()
   | Some s ->
     checki "metrics entries" o.Cluster.entries
-      (Metrics.total_of s "cluster_entries");
+      (Metrics.total_of s "cs_entries_total");
     checki "metrics wishes" o.Cluster.wishes
-      (Metrics.total_of s "cluster_wishes")
+      (Metrics.total_of s "wishes_total")
 
-let test_cluster_log_shape () =
+let test_merged_log_shape () =
   let o =
     Cluster.run
       {
@@ -133,7 +175,22 @@ let test_kill_leader_mid_cs () =
        o.Cluster.events);
   (* its wish died with it; everyone else's was served *)
   checki "abandoned" 1 o.Cluster.abandoned;
-  checki "served" (o.Cluster.wishes - 1) o.Cluster.served
+  checki "served" (o.Cluster.wishes - 1) o.Cluster.served;
+  (* the recorder saw the same: one fault, the victim's span closed
+     uncompleted, and both exports are valid JSON *)
+  let snap = Option.get o.Cluster.snapshot in
+  checki "faults_total" 1 (Metrics.total_of snap "faults_total");
+  checki "one uncompleted span" 1
+    (List.length (List.filter (fun s -> not s.Span.completed) o.Cluster.spans));
+  List.iter
+    (fun (what, json) ->
+      match Ocube_obs.Json.check json with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s export invalid: %s" what e)
+    [
+      ("metrics", Ocube_obs.Export.json snap);
+      ("chrome", Ocube_obs.Export.chrome_trace ~spans:o.Cluster.spans ());
+    ]
 
 let test_kill_cascade () =
   let o =
@@ -200,10 +257,12 @@ let suite =
     Alcotest.test_case "DES digests stable" `Quick test_des_digests_stable;
     Alcotest.test_case "process digests stable" `Quick
       test_proc_digests_stable;
+    Alcotest.test_case "DES and cluster spans and counters agree" `Quick
+      test_span_parity;
     Alcotest.test_case "closed-loop cluster drains clean" `Quick
-      test_cluster_closed_loop;
+      test_closed_loop_drains;
     Alcotest.test_case "merged log is well-formed" `Quick
-      test_cluster_log_shape;
+      test_merged_log_shape;
     Alcotest.test_case "kill -9 token holder mid-CS recovers" `Quick
       test_kill_leader_mid_cs;
     Alcotest.test_case "cascading kills recover" `Quick test_kill_cascade;

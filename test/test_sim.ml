@@ -1,10 +1,8 @@
-(* Tests for the simulation kernel: RNG, the engine's slot heap, engine,
-   trace. *)
+(* Tests for the simulation kernel: RNG, the engine's slot heap, engine. *)
 
 module Rng = Ocube_sim.Rng
 module Arena = Ocube_sim.Arena
 module Engine = Ocube_sim.Engine
-module Trace = Ocube_sim.Trace
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -253,34 +251,6 @@ let test_engine_step () =
   checkb "step 2" true (Engine.step e);
   checkb "no more" false (Engine.step e)
 
-(* --- trace --------------------------------------------------------------- *)
-
-let test_trace_roundtrip () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~node:3 ~tag:"send" "hello";
-  Trace.record tr ~time:2.0 ~tag:"global" "world";
-  checki "length" 2 (Trace.length tr);
-  let es = Trace.entries tr in
-  checki "two entries" 2 (List.length es);
-  (match es with
-  | [ e1; e2 ] ->
-    Alcotest.(check string) "tag 1" "send" e1.Trace.tag;
-    Alcotest.(check (option int)) "node 1" (Some 3) e1.Trace.node;
-    Alcotest.(check (option int)) "node 2" None e2.Trace.node
-  | _ -> Alcotest.fail "expected two entries");
-  let rendered = Trace.render tr in
-  checkb "rendering mentions payload" true (Tutil.contains rendered "hello");
-  checkb "rendering mentions node" true (Tutil.contains rendered "[3]")
-
-let test_trace_find_and_clear () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~tag:"a" "x";
-  Trace.record tr ~time:2.0 ~tag:"b" "y";
-  Trace.record tr ~time:3.0 ~tag:"a" "z";
-  checki "find_all a" 2 (List.length (Trace.find_all tr ~tag:"a"));
-  Trace.clear tr;
-  checki "cleared" 0 (Trace.length tr)
-
 let test_rng_copy_is_independent () =
   let a = Rng.create 31 in
   ignore (Rng.bits64 a);
@@ -332,15 +302,6 @@ let test_heap_duplicates () =
   Alcotest.(check (list int))
     "all duplicates kept, in allocation order" slots (drain q)
 
-let test_trace_max_entries () =
-  let tr = Trace.create () in
-  for i = 1 to 10 do
-    Trace.record tr ~time:(float_of_int i) ~tag:"t" (string_of_int i)
-  done;
-  let r = Trace.render ~max_entries:3 tr in
-  checkb "truncated" true (Tutil.contains r "t=1.00");
-  checkb "late entries dropped" false (Tutil.contains r "t=9.00")
-
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -372,9 +333,6 @@ let suite =
     Alcotest.test_case "engine input validation" `Quick
       test_engine_rejects_bad_times;
     Alcotest.test_case "engine single stepping" `Quick test_engine_step;
-    Alcotest.test_case "trace roundtrip" `Quick test_trace_roundtrip;
-    Alcotest.test_case "trace find/clear" `Quick test_trace_find_and_clear;
-    Alcotest.test_case "trace truncation" `Quick test_trace_max_entries;
     Alcotest.test_case "rng copy" `Quick test_rng_copy_is_independent;
     Alcotest.test_case "rng choice edge cases" `Quick test_rng_choice_singleton;
     Alcotest.test_case "engine quiescent after cancels" `Quick
