@@ -124,35 +124,20 @@ let list_cmd =
 
 let run_simulate algo n seed rate horizon cs failures recover patience verbose
     metrics_out trace_out =
-  match kind_of_string algo with
-  | Error msg ->
+  (* The observability layer is a passive tap: turning it on for the
+     export flags leaves the simulation event-for-event identical. *)
+  match
+    Exp_common.simulate ~trace:(trace_out <> None)
+      ~metrics:(metrics_out <> None || trace_out <> None)
+      { algo; n; seed; rate; horizon; cs; failures; recover; patience }
+  with
+  | Error (Exp_common.Unknown_algorithm msg) ->
     prerr_endline msg;
     1
-  | Ok kind ->
-    (* The observability layer is a passive tap: turning it on for the
-       export flags leaves the simulation event-for-event identical. *)
-    let env, inst =
-      Exp_common.make ~seed ~kind ~n ~cs:(Runner.Fixed cs)
-        ~asker_patience:patience ~trace:(trace_out <> None)
-        ~metrics:(metrics_out <> None || trace_out <> None)
-        ()
-    in
-    let arrivals =
-      Runner.Arrivals.poisson ~rng:(Runner.rng env) ~n ~rate_per_node:rate
-        ~horizon
-    in
-    Runner.run_arrivals env arrivals;
-    if failures > 0 then begin
-      let spacing = horizon /. float_of_int (failures + 1) in
-      let faults =
-        Runner.Faults.random ~rng:(Runner.rng env) ~n ~count:failures
-          ~start:spacing ~spacing
-          ~recover_after:(if recover > 0.0 then Some recover else None)
-          ()
-      in
-      Runner.schedule_faults env faults
-    end;
-    Runner.run_to_quiescence ~max_steps:50_000_000 env;
+  | Error (Exp_common.Exhausted msg) ->
+    prerr_endline ("ocmutex simulate: " ^ msg);
+    3
+  | Ok (env, inst) ->
     Printf.printf "algorithm        %s\n" inst.Types.algo_name;
     Printf.printf "nodes            %d\n" n;
     Printf.printf "requests issued  %d\n" (Runner.issued env);
@@ -211,8 +196,17 @@ let simulate_cmd =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
   in
   let doc = "Simulate one algorithm under a Poisson workload." in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"on an unknown algorithm name."
+    :: Cmd.Exit.info 2 ~doc:"when the run violated mutual exclusion."
+    :: Cmd.Exit.info 3
+         ~doc:
+           "when the run was still going after its budget of 50M events; \
+            the one-line error names the run's parameters."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "simulate" ~doc)
+    (Cmd.info "simulate" ~doc ~exits)
     Term.(
       const run_simulate $ algo_arg $ nodes_arg $ seed_arg
       $ rate_arg $ horizon_arg $ cs_arg $ failures_arg $ recover_arg

@@ -108,6 +108,52 @@ let make ?(seed = 42) ?(delay = Ocube_net.Network.Constant 1.0)
         Generic_scheme.instance
           (Generic_scheme.create ~net ~callbacks ~tree ~rule ()))
 
+type simulation = {
+  algo : string;
+  n : int;
+  seed : int;
+  rate : float;
+  horizon : float;
+  cs : float;
+  failures : int;
+  recover : float;
+  patience : float;
+}
+
+type simulate_error = Unknown_algorithm of string | Exhausted of string
+
+let simulate ?(max_steps = 50_000_000) ?(trace = false) ?(metrics = false) s =
+  match kind_of_string s.algo with
+  | Error msg -> Error (Unknown_algorithm msg)
+  | Ok kind ->
+    let env, inst =
+      make ~seed:s.seed ~kind ~n:s.n ~cs:(Runner.Fixed s.cs)
+        ~asker_patience:s.patience ~trace ~metrics ()
+    in
+    Runner.run_arrivals env
+      (Runner.Arrivals.poisson ~rng:(Runner.rng env) ~n:s.n
+         ~rate_per_node:s.rate ~horizon:s.horizon);
+    if s.failures > 0 then begin
+      let spacing = s.horizon /. float_of_int (s.failures + 1) in
+      Runner.schedule_faults env
+        (Runner.Faults.random ~rng:(Runner.rng env) ~n:s.n ~count:s.failures
+           ~start:spacing ~spacing
+           ~recover_after:(if s.recover > 0.0 then Some s.recover else None)
+           ())
+    end;
+    Runner.run ~max_steps env;
+    if Ocube_sim.Engine.quiescent (Runner.engine env) then Ok (env, inst)
+    else
+      Error
+        (Exhausted
+           (Printf.sprintf
+              "run exhausted its budget of %d events at t = %.1f with %d of \
+               %d wishes served: -a %s -n %d --seed %d --rate %g --horizon \
+               %g --cs %g --failures %d --recover %g --patience %g"
+              max_steps (Runner.now env) (Runner.cs_entries env)
+              (Runner.issued env) s.algo s.n s.seed s.rate s.horizon s.cs
+              s.failures s.recover s.patience))
+
 let probe env node =
   let before = Runner.messages_sent env in
   Runner.submit env node;

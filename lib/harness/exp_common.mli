@@ -56,6 +56,36 @@ val make_opencube :
 (** Like {!make} but keeps the concrete open-cube handle for
     introspection. {!make}'s open-cube kinds build through it. *)
 
+(** The run behind [ocmutex simulate]: Poisson wishes at [rate] per node
+    until [horizon], then [failures] fail-stop faults spread evenly over
+    the horizon (recovering after [recover] unless it is 0), run to
+    quiescence. [algo] is a {!kind_of_string} name. *)
+type simulation = {
+  algo : string;
+  n : int;
+  seed : int;
+  rate : float;
+  horizon : float;
+  cs : float;
+  failures : int;
+  recover : float;
+  patience : float;
+}
+
+type simulate_error =
+  | Unknown_algorithm of string
+  | Exhausted of string
+      (** the run was still going after [max_steps] events; a one-line
+          message with the run's parameters *)
+
+val simulate :
+  ?max_steps:int ->
+  ?trace:bool ->
+  ?metrics:bool ->
+  simulation ->
+  (Runner.env * Types.instance, simulate_error) result
+(** Default budget: 50M events. *)
+
 val probe : Runner.env -> int -> int
 (** [probe env node]: issue one wish, run to quiescence, return the number
     of messages it cost. Only meaningful when no other event is pending. *)

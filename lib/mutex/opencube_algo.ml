@@ -139,8 +139,13 @@ module Make (R : Runtime.S) = struct
      went, so it can vouch for it to a custody query (DESIGN.md §5). *)
   type transit = {
     tr_rid : request_id;
-    tr_origin : node_id;  (* the asker, who hears if the check fails *)
     tr_next : node_id;  (* the father the request was forwarded to *)
+    mutable tr_asker : node_id;
+        (* who hears if the request is lost: the last node that asked us
+           about it (at first, the node it came from) *)
+    mutable tr_until : float;
+        (* end of the lease the last check of [tr_next] learned; until
+           then we vouch without checking again *)
     mutable tr_check : R.timer option;  (* a custody check of [tr_next] *)
   }
 
@@ -161,10 +166,14 @@ module Make (R : Runtime.S) = struct
         (* the custody query to the father, then the search deadline *)
     mutable custody_father : node_id;
         (* father a custody query is outstanding to, -1 = none *)
-    mutable probe_due : float;
-        (* virtual time from which a "held" answer starts a wait-for probe
-           walk for the current mandate: [infinity] until its first held
-           answer schedules one, [neg_infinity] at once *)
+    mutable asked_at : float;
+        (* when the current mandate's request was last sent *)
+    mutable up_until : float;
+        (* when the backlog that the last held answer reported ahead of
+           the current mandate runs out: the lease ([neg_infinity]: none) *)
+    mutable held_seen : int;
+        (* held answers for the current mandate since it began or since
+           its last wait-for probe walk (see held_per_walk) *)
     mutable walk_out : bool;
         (* a walk is out and the end of its chain has not answered; it
            stands in for the custody query until the deadline *)
@@ -292,7 +301,9 @@ module Make (R : Runtime.S) = struct
       enquiry_timer = None;
       asker_timer = None;
       custody_father = -1;
-      probe_due = infinity;
+      asked_at = 0.0;
+      up_until = neg_infinity;
+      held_seen = 0;
       walk_out = false;
       search = None;
       transits = [];
@@ -327,7 +338,8 @@ module Make (R : Runtime.S) = struct
     match t.cold.(i) with
     | Some c ->
       c.mandate_excluded <- [];
-      c.probe_due <- infinity
+      c.up_until <- neg_infinity;
+      c.held_seen <- 0
     | None -> ()
 
   let queued t i rid =
@@ -431,19 +443,47 @@ module Make (R : Runtime.S) = struct
   let asker_deadline t =
     t.config.asker_patience *. 2.0 *. float_of_int t.pmax *. delta t
 
+  (* [e + 2δ]: what one request queued ahead of ours is expected to cost,
+     its critical section and the token's way there. A held custody answer
+     reporting [ahead] such requests grants a lease of [ahead] slots. *)
+  let lease_slot t = cs_estimate +. (2.0 *. delta t)
+
+  let lease_until t ahead = now t +. (float_of_int ahead *. lease_slot t)
+
+  (* The requests still ahead of a lease that runs out at [until] (less a
+     rounding hair, so that k slots read back as k). *)
+  let backlog_left t until =
+    let left = until -. now t in
+    if left <= 0.0 then 0
+    else int_of_float (Float.ceil ((left /. lease_slot t) -. 1e-9))
+
+  (* A wait-for probe walk stands in for every k-th held answer, k the bit
+     length of pmax: leases at least double (renew_lease), so the k-th
+     answer comes after about pmax deadlines, the walk's old period. *)
+  let held_per_walk t =
+    let rec bits k = if k = 0 then 0 else 1 + bits (k lsr 1) in
+    bits t.pmax
+
+  (* No lease outlasts N slots: with at most one request outstanding per
+     node, no request has more than N ahead of it. *)
+  let longest_lease t = float_of_int t.n *. lease_slot t
+
   (* Under load, queueing alone outlasts the deadline, so the asker first
      asks its father whether it still holds the request, one answer wait
      before the deadline, so that a dead father is still suspected at the
-     paper's deadline. The query is never sent before half of the
+     paper's deadline; but not before the longest fault-free grant
+     (pmax + 2 hops, DESIGN.md §5bis), so that an uncontended request is
+     never asked about. The query is never sent before half of the
      deadline, so it cannot overtake the request: where the deadline is
      shorter than two answer waits (pmax <= 2 at patience 1) there is no
      room for it, and the asker suspects at the deadline as the paper
-     does. Waiting cycles answer "held" forever; the wait-for probe finds
-     them (DESIGN.md §5). *)
+     does. Later queries ride the lease (renew_lease). Waiting cycles
+     answer "held" forever; the wait-for probe finds them (DESIGN.md §5). *)
   let rec arm_asker_timer t i =
     if t.config.fault_tolerance then begin
       let c = cold t i in
       cancel_asker t i;
+      c.asked_at <- now t;
       let deadline = asker_deadline t in
       c.asker_timer <-
         Some
@@ -451,9 +491,26 @@ module Make (R : Runtime.S) = struct
              R.set_timer t.net ~node:i ~delay:deadline (fun () ->
                  asker_timeout t i)
            else
-             R.set_timer t.net ~node:i ~delay:(deadline -. answer_wait t)
+             let longest_grant = float_of_int (t.pmax + 2) *. delta t in
+             R.set_timer t.net ~node:i
+               ~delay:(Float.max (deadline -. answer_wait t) longest_grant)
                (fun () -> query_custody t i))
     end
+
+  (* After a held answer the asker sleeps out its lease, or as long as it
+     has already waited if that is longer, and at least as long as before
+     its first query; then it asks again. *)
+  and renew_lease t i =
+    let c = cold t i in
+    cancel_asker t i;
+    let delay =
+      Float.min (longest_lease t)
+        (Float.max
+           (asker_deadline t -. answer_wait t)
+           (Float.max (c.up_until -. now t) (now t -. c.asked_at)))
+    in
+    c.asker_timer <-
+      Some (R.set_timer t.net ~node:i ~delay (fun () -> query_custody t i))
 
   and arm_loan_timer t i =
     if t.config.fault_tolerance then begin
@@ -929,8 +986,36 @@ module Make (R : Runtime.S) = struct
     | _ -> asker_timeout t i
 
   and receive_custody t i ~from_ ~rid =
-    let held = mrid_is t i rid || queued t i rid || vouch_transit t i rid in
-    send t ~src:i ~dst:from_ (Message.Custody_answer { rid; held })
+    let ahead = held_backlog t i rid in
+    let ahead = if ahead >= 0 then ahead else vouch_transit t i ~from_ rid in
+    send t ~src:i ~dst:from_
+      (Message.Custody_answer { rid; held = ahead >= 0; ahead = max ahead 0 })
+
+  (* The backlog ahead of [rid] here, or -1 if we do not hold it: the
+     requests queued before it, behind our own mandate (or CS, or loan),
+     plus the backlog our mandate has shown upstream, in slots: what its
+     lease still covers, or how long it has waited so far if that is
+     longer. Capped at N. *)
+  and held_backlog t i rid =
+    match t.cold.(i) with
+    | None -> if mrid_is t i rid then 0 else -1
+    | Some c ->
+      let upstream =
+        if mrid_some t i then
+          max
+            (backlog_left t c.up_until)
+            (int_of_float ((now t -. c.asked_at) /. lease_slot t))
+        else 0
+      in
+      if mrid_is t i rid then min t.n upstream
+      else
+        match
+          Fdeque.find_index
+            (function Preq r -> rid_equal r.rid rid | Wish -> false)
+            c.queue
+        with
+        | Some k -> min t.n (k + 1 + upstream)
+        | None -> -1
 
   and transit_of t i rid =
     match t.cold.(i) with
@@ -949,62 +1034,86 @@ module Make (R : Runtime.S) = struct
         c.transits
     in
     c.transits <-
-      { tr_rid = rid; tr_origin = origin; tr_next = next; tr_check = None }
+      {
+        tr_rid = rid;
+        tr_next = next;
+        tr_asker = origin;
+        tr_until = neg_infinity;
+        tr_check = None;
+      }
       :: older
 
-  and vouch_transit t i rid =
-    (* We forwarded [rid] in transit: answer "held" and check the next hop
-       ourselves (it may have forwarded it in turn). If that check fails,
-       tell the asker directly, which then searches at once. *)
+  (* We forwarded [rid] in transit: vouch for it with the lease our last
+     check of the next hop learned. Once that lease has run out, vouch
+     without one and check the next hop again (it may have forwarded the
+     request in turn); the asker hears from us if the check fails. Returns
+     the backlog vouched for, or -1 without a record. *)
+  and vouch_transit t i ~from_ rid =
     match transit_of t i rid with
+    | None -> -1
     | Some tr ->
-      if Option.is_none tr.tr_check then begin
-        send t ~src:i ~dst:tr.tr_next (Message.Custody { rid });
-        tr.tr_check <-
-          Some
-            (R.set_timer t.net ~node:i ~delay:(answer_wait t) (fun () ->
-                 tr.tr_check <- None;
-                 send t ~src:i ~dst:tr.tr_origin
-                   (Message.Custody_answer { rid; held = false })))
-      end;
-      true
-    | None -> false
+      tr.tr_asker <- from_;
+      if now t < tr.tr_until then backlog_left t tr.tr_until
+      else begin
+        if Option.is_none tr.tr_check then begin
+          send t ~src:i ~dst:tr.tr_next (Message.Custody { rid });
+          tr.tr_check <-
+            Some
+              (R.set_timer t.net ~node:i ~delay:(answer_wait t) (fun () ->
+                   tr.tr_check <- None;
+                   transit_lost t i tr))
+        end;
+        0
+      end
 
-  and receive_custody_answer t i ~from_ ~rid ~held =
+  (* The next hop does not hold a request we forwarded, or is silent: the
+     record is stale, so drop it and tell the last node that asked. *)
+  and transit_lost t i tr =
+    (match t.cold.(i) with
+    | Some c -> c.transits <- List.filter (fun tr' -> tr' != tr) c.transits
+    | None -> ());
+    send t ~src:i ~dst:tr.tr_asker
+      (Message.Custody_answer { rid = tr.tr_rid; held = false; ahead = 0 })
+
+  and receive_custody_answer t i ~from_ ~rid ~held ~ahead =
     match t.cold.(i) with
     | None -> ()
     | Some c -> (
       match transit_of t i rid with
-      | Some ({ tr_check = Some tm; _ } as tr) when tr.tr_next = from_ ->
-        (* The answer to our transit check. *)
-        R.cancel_timer t.net tm;
+      | Some tr when tr.tr_next = from_ && not (mrid_is t i rid) ->
+        (* The answer to our check of the next hop, or its word that the
+           request is lost further up. *)
+        cancel_slot t tr.tr_check;
         tr.tr_check <- None;
-        if not held then
-          send t ~src:i ~dst:tr.tr_origin (Message.Custody_answer { rid; held })
+        if held then tr.tr_until <- lease_until t ahead else transit_lost t i tr
       | _ when c.walk_out ->
         (* The end of our walk answers. Unless our own request is held
            nowhere, the chain makes progress: resume the custody queries.
            Otherwise the deadline armed with the walk decides, which
            leaves time for a grant already on its way. *)
-        if held || not (mrid_is t i rid) then arm_asker_timer t i
+        if held || not (mrid_is t i rid) then renew_lease t i
       | _ when not (mrid_is t i rid) -> ()
       | _ when not held ->
-        (* From our father, or from a transit node up the request's path
-           whose check failed: nobody holds the request. *)
+        (* From our father, directly or relaying a failed transit check
+           further up: nobody holds the request. *)
         cancel_asker t i;
         asker_timeout t i
       | _ ->
         if c.custody_father = from_ then begin
           t.s_custody_confirmed <- t.s_custody_confirmed + 1;
+          c.up_until <- lease_until t ahead;
           (* Custody is confirmed, so the wait-for edge to [from_] exists.
-             Walk the chain behind it once pmax deadlines have passed
-             since the first confirmation, and again every pmax deadlines
-             (at once when a search made the edge). *)
-          let deadline = asker_deadline t in
-          if c.probe_due = infinity then
-            c.probe_due <- now t +. (float_of_int (t.pmax - 1) *. deadline);
-          if now t >= c.probe_due then start_walk t i ~father:from_ ~rid
-          else arm_asker_timer t i
+             Every held_per_walk-th held answer walks the chain behind it
+             instead of asking again (the first one when a search made
+             the edge). *)
+          if c.held_seen >= held_per_walk t - 1 then begin
+            c.held_seen <- 0;
+            start_walk t i ~father:from_ ~rid
+          end
+          else begin
+            c.held_seen <- c.held_seen + 1;
+            renew_lease t i
+          end
         end)
 
   (* The wait-for probe (DESIGN.md §5): a walk along the chain of nodes
@@ -1017,7 +1126,6 @@ module Make (R : Runtime.S) = struct
     let c = cold t i in
     cancel_asker t i;
     t.s_probe_walks <- t.s_probe_walks + 1;
-    c.probe_due <- now t +. (float_of_int t.pmax *. asker_deadline t);
     c.walk_out <- true;
     send t ~src:i ~dst:father (Message.Probe { initiator = i; rid; hops = 0 });
     c.asker_timer <-
@@ -1035,7 +1143,8 @@ module Make (R : Runtime.S) = struct
      dropped: it ran into a cycle without its initiator, whose members
      break it themselves. *)
   and receive_probe t i ~initiator ~rid ~hops =
-    let held_here = mrid_is t i rid || queued t i rid in
+    let ahead = held_backlog t i rid in
+    let held_here = ahead >= 0 in
     if initiator = i && held_here && awaiting_grant t i then begin
       t.s_cycles_detected <- t.s_cycles_detected + 1;
       cancel_asker t i;
@@ -1044,7 +1153,8 @@ module Make (R : Runtime.S) = struct
     else if hops < t.n then begin
       let answer held =
         if initiator <> i then
-          send t ~src:i ~dst:initiator (Message.Custody_answer { rid; held })
+          send t ~src:i ~dst:initiator
+            (Message.Custody_answer { rid; held; ahead = max ahead 0 })
       in
       let forward ~dst rid =
         send t ~src:i ~dst (Message.Probe { initiator; rid; hops = hops + 1 })
@@ -1231,8 +1341,10 @@ module Make (R : Runtime.S) = struct
       let c = cold t i in
       if not (mem_node k c.mandate_excluded) then
         c.mandate_excluded <- k :: c.mandate_excluded;
-      (* Searches are how waiting cycles form: walk at once. *)
-      c.probe_due <- neg_infinity;
+      (* Searches are how waiting cycles form: walk at once. The lease
+         came from the old father. *)
+      c.held_seen <- held_per_walk t - 1;
+      c.up_until <- neg_infinity;
       let rid = Option.get (mrid_opt t i) in
       send t ~src:i ~dst:k (Message.Request { origin = i; rid });
       arm_asker_timer t i
@@ -1375,8 +1487,8 @@ module Make (R : Runtime.S) = struct
     | Message.Census { round } -> receive_census t i ~from_:src ~round
     | Message.Census_reply { reply; _ } -> receive_census_reply t i ~reply
     | Message.Custody { rid } -> receive_custody t i ~from_:src ~rid
-    | Message.Custody_answer { rid; held } ->
-      receive_custody_answer t i ~from_:src ~rid ~held
+    | Message.Custody_answer { rid; held; ahead } ->
+      receive_custody_answer t i ~from_:src ~rid ~held ~ahead
     | Message.Probe { initiator; rid; hops } ->
       receive_probe t i ~initiator ~rid ~hops
     | Message.Release | Message.Sk_request _ | Message.Sk_privilege _

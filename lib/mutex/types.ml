@@ -23,7 +23,7 @@ module Message = struct
     | Census of { round : int }
     | Census_reply of { round : int; reply : census_reply }
     | Custody of { rid : request_id }
-    | Custody_answer of { rid : request_id; held : bool }
+    | Custody_answer of { rid : request_id; held : bool; ahead : int }
     | Probe of { initiator : node_id; rid : request_id; hops : int }
     | Release
     | Sk_request of { origin : node_id; seq : int }
@@ -73,9 +73,11 @@ module Message = struct
       in
       Format.fprintf ppf "census_reply(%d, %s)" round s
     | Custody { rid } -> Format.fprintf ppf "custody(%a)" pp_request_id rid
-    | Custody_answer { rid; held } ->
-      Format.fprintf ppf "custody_answer(%a, %s)" pp_request_id rid
-        (if held then "held" else "not-held")
+    | Custody_answer { rid; held = true; ahead } ->
+      Format.fprintf ppf "custody_answer(%a, held, ahead=%d)" pp_request_id rid
+        ahead
+    | Custody_answer { rid; held = false; _ } ->
+      Format.fprintf ppf "custody_answer(%a, not-held)" pp_request_id rid
     | Probe { initiator; rid; hops } ->
       Format.fprintf ppf "probe(%d, %a, %d)" initiator pp_request_id rid hops
     | Release -> Format.pp_print_string ppf "release"

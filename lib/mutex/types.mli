@@ -77,7 +77,12 @@ module Message : sig
         (** Hardening beyond the paper (DESIGN.md §5): before suspecting
             its father, an asker asks it whether it still holds [rid] as
             its mandate or in its wait queue. *)
-    | Custody_answer of { rid : request_id; held : bool }
+    | Custody_answer of { rid : request_id; held : bool; ahead : int }
+        (** [held]: the sender holds [rid] (or vouches for it, DESIGN.md
+            §5.15). [ahead] prices the asker's lease: the requests the
+            sender expects to be served before [rid] — those queued before
+            it, plus the backlog its own mandate still has upstream. [0]
+            when not held. *)
     | Probe of { initiator : node_id; rid : request_id; hops : int }
         (** Hardening beyond the paper (DESIGN.md §5): an edge-chasing
             wait-for probe. [initiator] is the asker that started the

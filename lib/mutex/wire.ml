@@ -159,10 +159,11 @@ let encode_to b (m : Message.t) =
   | Message.Custody { rid } ->
     Buffer.add_char b '\015';
     add_rid b rid
-  | Message.Custody_answer { rid; held } ->
+  | Message.Custody_answer { rid; held; ahead } ->
     Buffer.add_char b '\016';
     add_rid b rid;
-    Buffer.add_char b (if held then '\001' else '\000')
+    Buffer.add_char b (if held then '\001' else '\000');
+    add_int b ahead
   | Message.Probe { initiator; rid; hops } ->
     Buffer.add_char b '\017';
     add_int b initiator;
@@ -223,7 +224,8 @@ let decode_cursor c : Message.t =
     let held =
       match read_byte c with 0 -> false | 1 -> true | _ -> corrupt "bad held flag"
     in
-    Message.Custody_answer { rid; held }
+    let ahead = read_int c in
+    Message.Custody_answer { rid; held; ahead }
   | 17 ->
     let initiator = read_int c in
     let rid = read_rid c in

@@ -55,6 +55,20 @@ let peek_front q = match q.front with [] -> None | x :: _ -> Some x
 
 let exists p q = List.exists p q.front || List.exists p q.back
 
+let find_index p q =
+  let rec in_front k = function
+    | [] -> None
+    | x :: tl -> if p x then Some k else in_front (k + 1) tl
+  in
+  (* [back] is newest first: the oldest match is the last one met. *)
+  let rec in_back k found = function
+    | [] -> found
+    | x :: tl -> in_back (k - 1) (if p x then Some k else found) tl
+  in
+  match in_front 0 q.front with
+  | Some _ as hit -> hit
+  | None -> in_back (q.len - 1) None q.back
+
 let iter f q =
   List.iter f q.front;
   List.iter f (List.rev q.back)

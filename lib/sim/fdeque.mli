@@ -42,6 +42,10 @@ val peek_front : 'a t -> 'a option
 
 val exists : ('a -> bool) -> 'a t -> bool
 
+val find_index : ('a -> bool) -> 'a t -> int option
+(** Position of the oldest element that satisfies the predicate, in FIFO
+    order (0 = oldest). O(n), no allocation but the result. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 (** In FIFO order. *)
 

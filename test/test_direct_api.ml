@@ -145,7 +145,7 @@ let test_category_index_covers_every_constructor () =
       (Message.Census { round = 1 }, "census");
       (Message.Census_reply { round = 1; reply = Token_exists }, "census_reply");
       (Message.Custody { rid }, "custody");
-      (Message.Custody_answer { rid; held = false }, "custody_answer");
+      (Message.Custody_answer { rid; held = false; ahead = 0 }, "custody_answer");
       (Message.Probe { initiator = 1; rid; hops = 0 }, "probe");
       (Message.Release, "release");
       (Message.Sk_request { origin = 1; seq = 1 }, "request");
@@ -176,7 +176,8 @@ let test_fault_overhead_classification () =
   checkb "custody query is overhead" true
     (Message.is_fault_overhead (Message.Custody { rid }));
   checkb "custody answer is overhead" true
-    (Message.is_fault_overhead (Message.Custody_answer { rid; held = true }));
+    (Message.is_fault_overhead
+       (Message.Custody_answer { rid; held = true; ahead = 3 }));
   checkb "wait-for probe is overhead" true
     (Message.is_fault_overhead (Message.Probe { initiator = 1; rid; hops = 3 }));
   List.iter

@@ -100,7 +100,17 @@ let run_script ops =
   let model = ref [] in
   let q = ref Fdeque.empty in
   let ok = ref true in
-  let agree () = Fdeque.to_list !q = !model && Fdeque.length !q = List.length !model in
+  (* find_index is checked on every value the script can push, so both
+     halves of the deque and absent values are covered. *)
+  let agree () =
+    Fdeque.to_list !q = !model
+    && Fdeque.length !q = List.length !model
+    && List.for_all
+         (fun v ->
+           Fdeque.find_index (Int.equal v) !q
+           = List.find_index (Int.equal v) !model)
+         (List.init 126 Fun.id)
+  in
   List.iter
     (fun op ->
       let v = op / 8 and kind = op mod 8 in

@@ -170,6 +170,42 @@ let test_sweep_index_json () =
   checkb "lists both cells" true
     (contains idx "\"a.json\"" && contains idx "\"b.json\"")
 
+(* The run behind `ocmutex simulate`: a budget it exhausts becomes a
+   one-line error naming the run (the command exits 3 on it), and the
+   same run with room to finish serves every wish. *)
+let test_simulate_budget () =
+  let run =
+    {
+      Exp_common.algo = "opencube";
+      n = 64;
+      seed = 5;
+      rate = 0.005;
+      horizon = 200.0;
+      cs = 1.0;
+      failures = 1;
+      recover = 50.0;
+      patience = 1.0;
+    }
+  in
+  (match Exp_common.simulate ~max_steps:500 run with
+  | Error (Exp_common.Exhausted msg) ->
+    checkb "one line" false (String.contains msg '\n');
+    checkb "names the budget" true (contains msg "budget of 500 events");
+    checkb "names the run" true
+      (contains msg
+         "-a opencube -n 64 --seed 5 --rate 0.005 --horizon 200 --cs 1 \
+          --failures 1 --recover 50 --patience 1")
+  | Error (Exp_common.Unknown_algorithm m) -> Alcotest.fail m
+  | Ok _ -> Alcotest.fail "500 events should not drain this run");
+  (match Exp_common.simulate { run with algo = "no-such-algo" } with
+  | Error (Exp_common.Unknown_algorithm _) -> ()
+  | _ -> Alcotest.fail "unknown algorithm accepted");
+  match Exp_common.simulate run with
+  | Ok (env, _) ->
+    checki "every wish served" (Ocube_mutex.Runner.issued env)
+      (Ocube_mutex.Runner.cs_entries env)
+  | Error _ -> Alcotest.fail "the default budget drains this run"
+
 let suite =
   [
     Alcotest.test_case "alpha recurrence" `Quick test_alpha_recurrence;
@@ -193,4 +229,6 @@ let suite =
     Alcotest.test_case "sweep JSON identical at any --jobs" `Quick
       test_sweep_jobs_parity;
     Alcotest.test_case "sweep index manifest" `Quick test_sweep_index_json;
+    Alcotest.test_case "simulate: an exhausted budget is an error" `Quick
+      test_simulate_budget;
   ]

@@ -50,7 +50,10 @@ let gen_msg =
         gen_id
         (oneofl [ Types.Token_exists; Types.Census_defer ]);
       map (fun rid -> Message.Custody { rid }) gen_rid;
-      map2 (fun rid held -> Message.Custody_answer { rid; held }) gen_rid bool;
+      map3
+        (fun rid held ahead -> Message.Custody_answer { rid; held; ahead })
+        gen_rid bool
+        (frequency [ (3, return 0); (4, small_nat); (3, gen_id) ]);
       map3
         (fun initiator rid hops -> Message.Probe { initiator; rid; hops })
         gen_id gen_rid gen_id;
@@ -99,13 +102,30 @@ let qcheck_truncation =
       done;
       !ok)
 
-(* The held flag is one byte, 0 or 1; anything else is corruption. *)
+(* Tag 16 is the rid, the held flag (one byte, 0 or 1; anything else is
+   corruption) and the lease's backlog [ahead] as a varint: one byte for
+   0, more for large backlogs. *)
 let test_custody_held_flag () =
   let rid = { Types.source = 3; seq = 7 } in
-  let s = Wire.encode (Message.Custody_answer { rid; held = true }) in
-  let flipped = String.sub s 0 (String.length s - 1) ^ "\002" in
+  let s = Wire.encode (Message.Custody_answer { rid; held = true; ahead = 0 }) in
+  Alcotest.(check string) "layout" "\016\006\014\001\000" s;
+  let flipped = String.sub s 0 (String.length s - 2) ^ "\002\000" in
   Alcotest.check_raises "held flag 2" (Wire.Corrupt "bad held flag") (fun () ->
-      ignore (Wire.decode flipped))
+      ignore (Wire.decode flipped));
+  List.iter
+    (fun ahead ->
+      let m = Message.Custody_answer { rid; held = true; ahead } in
+      checkb
+        (Printf.sprintf "ahead %d round-trips" ahead)
+        true
+        (msg_equal (Wire.decode (Wire.encode m)) m))
+    [ 0; 1; 63; 64; 1024; 1 lsl 40; max_int ];
+  checki "ahead 63 takes one byte" (String.length s)
+    (String.length
+       (Wire.encode (Message.Custody_answer { rid; held = true; ahead = 63 })));
+  checki "ahead 1024 takes two" (String.length s + 1)
+    (String.length
+       (Wire.encode (Message.Custody_answer { rid; held = true; ahead = 1024 })))
 
 let test_mix_matches_mix_raw () =
   let m = Message.Release in
