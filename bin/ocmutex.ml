@@ -83,20 +83,31 @@ let write_exports ~label ~metrics_out ~trace_out snapshot spans instants =
 
 (* --- experiments --------------------------------------------------------- *)
 
+let stalled_exit =
+  Cmd.Exit.info 3
+    ~doc:
+      "when a run stopped making progress (no CS entry and no input for \
+       longer than its derived bound); a one-line verdict on stderr names \
+       the waiting wishes."
+
 let run_experiments jobs name_opt =
   Ocube_par.Pool.set_default_jobs jobs;
-  match name_opt with
-  | None ->
-    print_string (Registry.run_all ());
-    0
-  | Some name -> (
-    match Registry.find name with
-    | Some e ->
-      print_string (e.Registry.run ());
-      0
+  try
+    match name_opt with
     | None ->
-      Printf.eprintf "unknown experiment %S; try `ocmutex list'\n" name;
-      1)
+      print_string (Registry.run_all ());
+      0
+    | Some name -> (
+      match Registry.find name with
+      | Some e ->
+        print_string (e.Registry.run ());
+        0
+      | None ->
+        Printf.eprintf "unknown experiment %S; try `ocmutex list'\n" name;
+        1)
+  with Runner.Stalled verdict ->
+    prerr_endline ("ocmutex experiments: " ^ verdict);
+    3
 
 let experiments_cmd =
   let name_arg =
@@ -104,8 +115,12 @@ let experiments_cmd =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"NAME" ~doc)
   in
   let doc = "Run the paper-reproduction experiments." in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"on an unknown experiment name."
+    :: stalled_exit :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "experiments" ~doc)
+    (Cmd.info "experiments" ~doc ~exits)
     Term.(const run_experiments $ jobs_arg $ name_arg)
 
 let list_cmd =
@@ -134,7 +149,7 @@ let run_simulate algo n seed rate horizon cs failures recover patience verbose
   | Error (Exp_common.Unknown_algorithm msg) ->
     prerr_endline msg;
     1
-  | Error (Exp_common.Exhausted msg) ->
+  | Error (Exp_common.Stalled msg) ->
     prerr_endline ("ocmutex simulate: " ^ msg);
     3
   | Ok (env, inst) ->
@@ -199,11 +214,7 @@ let simulate_cmd =
   let exits =
     Cmd.Exit.info 1 ~doc:"on an unknown algorithm name."
     :: Cmd.Exit.info 2 ~doc:"when the run violated mutual exclusion."
-    :: Cmd.Exit.info 3
-         ~doc:
-           "when the run was still going after its budget of 50M events; \
-            the one-line error names the run's parameters."
-    :: Cmd.Exit.defaults
+    :: stalled_exit :: Cmd.Exit.defaults
   in
   Cmd.v
     (Cmd.info "simulate" ~doc ~exits)

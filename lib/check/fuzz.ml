@@ -115,7 +115,7 @@ let spec_of (s : Scenario.t) structure =
      search_father, which rewires fathers outside b-transformations and
      legitimately leaves a non-open-cube (safe) tree at quiescence. *)
   let structure = if fault_free && not s.ft then structure else None in
-  { Oracle.fault_free; structure; message_bound; expect_drain = true }
+  { Oracle.fault_free; structure; message_bound }
 
 let digest env =
   let w = Runner.wait_stats env in
@@ -132,90 +132,6 @@ let digest env =
     wait_mean = Summary.mean w;
     wait_max = Summary.max_value w;
   }
-
-(* --- progress watchdog ------------------------------------------------------
-
-   A run ends when its event queue drains; a livelock never drains. The
-   run goes in chunks of [watch_chunk] events, and between chunks the
-   watchdog fails it when neither a CS entry nor an input event (a wish
-   arrival, a fault, a recovery) has happened for [progress_bound] units
-   of virtual time. The check costs nothing per event, and a livelock is
-   reported after a bounded stretch of virtual time rather than after a
-   fixed (and, for a storm, enormous) number of events. *)
-
-let watch_chunk = 1 lsl 16
-
-(* One repair, the longest stretch a healthy run spends without a CS
-   entry, is at most: the asker deadline D = patience·2·p·δ; a full
-   search_father, p phases of up to 9 rounds (the first try and 8
-   try-later retries) of one answer wait (2.1δ) each, then 2 census
-   rounds of an answer wait plus the CS estimate (1); a grant along a
-   path of at most N + 2 hops; and one CS. Repairs can follow one
-   another (a census abort restarts the search, a lender's enquiry
-   follows a loss), so the bound allows 16 of them back to back, plus the
-   longest recovery delay. *)
-let progress_bound (s : Scenario.t) =
-  let delta = Ocube_net.Network.delay_bound s.delay in
-  let p = float_of_int s.p in
-  let answer = 2.1 *. delta in
-  let deadline = s.patience *. 2.0 *. p *. delta in
-  let search = (9.0 *. p *. answer) +. (2.0 *. (answer +. 1.0)) in
-  let grant = float_of_int (Scenario.nodes s + 2) *. delta in
-  let cs = match s.cs with Runner.Fixed d -> d | Runner.Exponential { cap; _ } -> cap in
-  let recovery =
-    List.fold_left
-      (fun m (_, _, r) -> match r with Some r -> Float.max m r | None -> m)
-      0.0 s.faults
-  in
-  (16.0 *. (deadline +. search +. grant +. cs)) +. recovery
-
-(* Input events in time order: while they keep coming, the run is driven
-   from outside and cannot be stuck. *)
-let input_times (s : Scenario.t) =
-  let times =
-    List.map fst s.arrivals
-    @ List.concat_map
-        (fun (at, _, r) ->
-          match r with Some r -> [ at; at +. r ] | None -> [ at ])
-        s.faults
-  in
-  Array.of_list (List.sort Float.compare times)
-
-exception Stalled of string
-
-let run_watched env (s : Scenario.t) =
-  let engine = Runner.engine env in
-  let chunk () =
-    Runner.run ~max_steps:watch_chunk env;
-    not (Ocube_sim.Engine.quiescent engine)
-  in
-  (* Most runs drain within their first chunk and never need the bound. *)
-  if chunk () then begin
-    let bound = progress_bound s in
-    let inputs = input_times s in
-    let rec watch ~next ~entries ~progress_at =
-      let now = Runner.now env in
-      let next = ref next in
-      while !next < Array.length inputs && inputs.(!next) <= now do
-        incr next
-      done;
-      let e = Runner.cs_entries env in
-      let progress_at = if e <> entries then now else progress_at in
-      let progress_at =
-        if !next > 0 then Float.max progress_at inputs.(!next - 1)
-        else progress_at
-      in
-      if now -. progress_at > bound then
-        raise
-          (Stalled
-             (Printf.sprintf
-                "liveness: no CS entry and no input for %.1f time units \
-                 (bound %.1f) at t=%.1f, %d wish(es) outstanding"
-                (now -. progress_at) bound now (Runner.outstanding env)));
-      if chunk () then watch ~next:!next ~entries:e ~progress_at
-    in
-    watch ~next:0 ~entries:0 ~progress_at:0.0
-  end
 
 (* --- process-runtime dispatch -------------------------------------------- *)
 
@@ -285,25 +201,23 @@ let run_proc s =
   | Ok () -> Ok (proc_digest o)
 
 let run_des ~build s =
-    let { env; inst; structure } = build s in
-    let spec = spec_of s structure in
-    Oracle.install ~env ~inst spec;
-    let result =
-      try
-        Runner.run_arrivals env s.arrivals;
-        Runner.schedule_faults env
-          (List.map
-             (fun (at, node, recover_after) -> { Faults.at; node; recover_after })
-             s.faults);
-        run_watched env s;
-        Oracle.final ~env ~inst spec;
-        Ok (digest env)
-      with
-      | Oracle.Violation m | Stalled m -> Error m
-      | Failure m -> Error ("liveness: no quiescence - " ^ m)
-    in
-    Oracle.uninstall ~env;
-    result
+  let { env; inst; structure } = build s in
+  let spec = spec_of s structure in
+  Oracle.install ~env ~inst spec;
+  let result =
+    try
+      Runner.run_arrivals env s.arrivals;
+      Runner.schedule_faults env
+        (List.map
+           (fun (at, node, recover_after) -> { Faults.at; node; recover_after })
+           s.faults);
+      Runner.run_to_quiescence env;
+      Oracle.final ~env ~inst spec;
+      Ok (digest env)
+    with Oracle.Violation m | Runner.Stalled m -> Error m
+  in
+  Oracle.uninstall ~env;
+  result
 
 let run ?(build = build) s =
   match Scenario.validate s with

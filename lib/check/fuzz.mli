@@ -50,17 +50,10 @@ val opencube_structure : Types.instance -> unit -> (unit, string) result
 (** Open-cube shape (Theorem 2.1) plus the branch bound of Prop. 2.3 on
     the instance's current [snapshot_tree]. *)
 
-val spec_of : Scenario.t -> (unit -> (unit, string) result) option -> Oracle.spec
-(** The oracle configuration a scenario warrants: strong token/structure
-    invariants and message budgets only in failure-free runs, drain-at-
-    quiescence liveness always. *)
-
 val run : ?build:(Scenario.t -> built) -> Scenario.t -> (digest, string) result
-(** One full checked run. [Error] carries the violated invariant. A
-    simulated run that goes on without a CS entry or an input event (wish,
-    fault, recovery) for longer than a bound derived from the scenario's
-    δ bound, cube size, patience, CS length and recovery delays is cut
-    there, with an error that starts with ["liveness"]. *)
+(** One full checked run. [Error] carries the violated invariant, or the
+    {!Runner.Stalled} verdict of a simulated run that stopped making
+    progress (it starts with ["liveness"]). *)
 
 val shrink :
   ?build:(Scenario.t -> built) -> ?max_runs:int -> Scenario.t -> Scenario.t

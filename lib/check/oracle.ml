@@ -10,7 +10,6 @@ type spec = {
   fault_free : bool;
   structure : (unit -> (unit, string) result) option;
   message_bound : int option;
-  expect_drain : bool;
 }
 
 (* Runs after every engine event, so both checks are O(1) reads of
@@ -33,7 +32,7 @@ let uninstall ~env = Engine.clear_step_hook (Runner.engine env)
 let final ~env ~inst spec =
   if Runner.violations env > 0 then
     fail "safety: %d mutual-exclusion violations" (Runner.violations env);
-  if spec.expect_drain && Runner.outstanding env <> 0 then
+  if Runner.outstanding env <> 0 then
     fail "liveness: %d request(s) still waiting at quiescence (issued %d, \
           served %d, abandoned %d)"
       (Runner.outstanding env) (Runner.issued env) (Runner.cs_entries env)

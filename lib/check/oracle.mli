@@ -22,8 +22,10 @@
     - message bound: failure-free runs must not exceed an algorithm-specific
       per-request message budget — [log2 N + 2] for serial open-cube runs
       (Section 4; the +2 corner is DESIGN.md §5bis);
-    - liveness / bounded starvation: the run quiesces within the step budget
-      and no request is left waiting at quiescence (Section 5). *)
+    - liveness / bounded starvation: the run keeps making progress until it
+      quiesces ({!Ocube_mutex.Runner.run_to_quiescence}'s watchdog raises
+      [Runner.Stalled] otherwise), and no request is left waiting at
+      quiescence (Section 5). *)
 
 exception Violation of string
 (** Raised (out of [Runner.run*] for per-step checks) when an invariant
@@ -36,7 +38,6 @@ type spec = {
   structure : (unit -> (unit, string) result) option;
       (** quiescence-only structural check (open-cube shape + branch bound) *)
   message_bound : int option;  (** cap on total messages sent *)
-  expect_drain : bool;  (** no request may be left waiting at quiescence *)
 }
 
 val install :

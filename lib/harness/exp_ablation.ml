@@ -36,7 +36,7 @@ let churn ~census_rounds ~asker_patience ~seed =
       ~spacing ~recover_after:(Some 100.0) ()
   in
   Runner.schedule_faults env faults;
-  Runner.run_to_quiescence ~max_steps:30_000_000 env;
+  Runner.run_to_quiescence env;
   let st = Opencube_algo.stats algo in
   ( Runner.violations env,
     float_of_int (Runner.fault_overhead_messages env) /. float_of_int failures,
@@ -90,7 +90,7 @@ let contention_searches ~asker_patience ~seed =
       ~rate_per_node:(0.25 /. float_of_int n) ~horizon:10_000.0
   in
   Runner.run_arrivals env arrivals;
-  Runner.run_to_quiescence ~max_steps:30_000_000 env;
+  Runner.run_to_quiescence env;
   let st = Opencube_algo.stats algo in
   assert (Runner.violations env = 0);
   ( st.searches_started,

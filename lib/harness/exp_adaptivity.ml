@@ -27,7 +27,7 @@ let run_workload ~p ~hot ~seed =
       ~cold_rate:0.002 ~horizon:3000.0
   in
   Runner.run_arrivals env arrivals;
-  Runner.run_to_quiescence ~max_steps:20_000_000 env;
+  Runner.run_to_quiescence env;
   assert (Runner.violations env = 0);
   let fathers = Opencube_algo.snapshot_tree algo in
   let hot_depths = List.map (fun i -> float_of_int (depth fathers i)) hot in

@@ -120,12 +120,12 @@ type simulation = {
   patience : float;
 }
 
-type simulate_error = Unknown_algorithm of string | Exhausted of string
+type simulate_error = Unknown_algorithm of string | Stalled of string
 
-let simulate ?(max_steps = 50_000_000) ?(trace = false) ?(metrics = false) s =
+let simulate ?(trace = false) ?(metrics = false) s =
   match kind_of_string s.algo with
   | Error msg -> Error (Unknown_algorithm msg)
-  | Ok kind ->
+  | Ok kind -> (
     let env, inst =
       make ~seed:s.seed ~kind ~n:s.n ~cs:(Runner.Fixed s.cs)
         ~asker_patience:s.patience ~trace ~metrics ()
@@ -141,18 +141,16 @@ let simulate ?(max_steps = 50_000_000) ?(trace = false) ?(metrics = false) s =
            ~recover_after:(if s.recover > 0.0 then Some s.recover else None)
            ())
     end;
-    Runner.run ~max_steps env;
-    if Ocube_sim.Engine.quiescent (Runner.engine env) then Ok (env, inst)
-    else
+    match Runner.run_to_quiescence env with
+    | () -> Ok (env, inst)
+    | exception Runner.Stalled verdict ->
       Error
-        (Exhausted
+        (Stalled
            (Printf.sprintf
-              "run exhausted its budget of %d events at t = %.1f with %d of \
-               %d wishes served: -a %s -n %d --seed %d --rate %g --horizon \
-               %g --cs %g --failures %d --recover %g --patience %g"
-              max_steps (Runner.now env) (Runner.cs_entries env)
-              (Runner.issued env) s.algo s.n s.seed s.rate s.horizon s.cs
-              s.failures s.recover s.patience))
+              "%s; -a %s -n %d --seed %d --rate %g --horizon %g --cs %g \
+               --failures %d --recover %g --patience %g"
+              verdict s.algo s.n s.seed s.rate s.horizon s.cs s.failures
+              s.recover s.patience)))
 
 let probe env node =
   let before = Runner.messages_sent env in

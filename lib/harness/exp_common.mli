@@ -74,17 +74,15 @@ type simulation = {
 
 type simulate_error =
   | Unknown_algorithm of string
-  | Exhausted of string
-      (** the run was still going after [max_steps] events; a one-line
-          message with the run's parameters *)
+  | Stalled of string
+      (** the run's progress watchdog stopped it ({!Runner.Stalled}): the
+          one-line verdict, then the run's parameters *)
 
 val simulate :
-  ?max_steps:int ->
   ?trace:bool ->
   ?metrics:bool ->
   simulation ->
   (Runner.env * Types.instance, simulate_error) result
-(** Default budget: 50M events. *)
 
 val probe : Runner.env -> int -> int
 (** [probe env node]: issue one wish, run to quiescence, return the number

@@ -71,7 +71,7 @@ let loaded_stats ~kind ~n ~seed =
       ~rate_per_node:(0.1 /. float_of_int n) ~horizon:20_000.0
   in
   Runner.run_arrivals env arrivals;
-  Runner.run_to_quiescence ~max_steps:20_000_000 env;
+  Runner.run_to_quiescence env;
   assert (Runner.violations env = 0);
   let entries = Runner.cs_entries env in
   let mpc = float_of_int (Runner.messages_sent env) /. float_of_int entries in

@@ -43,7 +43,7 @@ let concurrent_run ~delay ~p ~seed =
   Runner.run_arrivals env arrivals;
   (* Worst-case bound asserted per request is covered by serial probes;
      here we track per-entry aggregate. *)
-  Runner.run_to_quiescence ~max_steps:20_000_000 env;
+  Runner.run_to_quiescence env;
   let entries = Runner.cs_entries env in
   let structure_ok =
     match Opencube_algo.check_opencube algo with Ok () -> true | Error _ -> false

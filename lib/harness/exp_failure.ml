@@ -67,12 +67,12 @@ let controlled_trial ~seed ~p ~census_rounds =
     let node = Rng.int rng n in
     if node <> victim then ignore (Exp_common.probe env node)
   done;
-  Runner.run_to_quiescence ~max_steps:10_000_000 env;
+  Runner.run_to_quiescence env;
   (* After recovery, a few more requests exercise anomaly repair. *)
   for _ = 1 to 6 do
     ignore (Exp_common.probe env (Rng.int rng n))
   done;
-  Runner.run_to_quiescence ~max_steps:10_000_000 env;
+  Runner.run_to_quiescence env;
   ( Runner.fault_overhead_messages env,
     overhead_split env,
     Runner.violations env,
@@ -173,7 +173,7 @@ let ambient ~seed ~p ~failures ~census_rounds =
       ~spacing ~recover_after:(Some 100.0) ()
   in
   Runner.schedule_faults env faults;
-  Runner.run_to_quiescence ~max_steps:30_000_000 env;
+  Runner.run_to_quiescence env;
   let st = Opencube_algo.stats algo in
   ( float_of_int (Runner.fault_overhead_messages env) /. float_of_int failures,
     Runner.violations env,

@@ -23,7 +23,7 @@ let run_kind ~kind ~n ~seed =
       ~rate_per_node:(0.12 /. float_of_int n) ~horizon:30_000.0
   in
   Runner.run_arrivals env arrivals;
-  Runner.run_to_quiescence ~max_steps:50_000_000 env;
+  Runner.run_to_quiescence env;
   assert (Runner.violations env = 0);
   let samples = Runner.wait_samples env in
   let p50 = percentile_of_floats samples 50.0 in
@@ -44,7 +44,7 @@ let policy_row ~policy ~n ~seed =
       ~rate_per_node:(0.22 /. float_of_int n) ~horizon:60_000.0
   in
   Runner.run_arrivals env arrivals;
-  Runner.run_to_quiescence ~max_steps:50_000_000 env;
+  Runner.run_to_quiescence env;
   assert (Runner.violations env = 0);
   let samples = Runner.wait_samples env in
   ( percentile_of_floats samples 50.0,

@@ -32,7 +32,7 @@ let timed_request ~p ~kill_father ~seed =
        [ Runner.Faults.at (Runner.now env +. 0.5) father () ]);
   Runner.run_arrivals env
     (Runner.Arrivals.single ~node ~at:(Runner.now env +. 1.0));
-  Runner.run_to_quiescence ~max_steps:5_000_000 env;
+  Runner.run_to_quiescence env;
   assert (Runner.violations env = 0);
   Summary.max_value (Runner.wait_stats env)
 

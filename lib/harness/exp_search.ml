@@ -28,7 +28,7 @@ let run_one ~p ~trials ~seed =
     in
     Runner.schedule_faults env [ Runner.Faults.at 0.5 father () ];
     Runner.run_arrivals env (Runner.Arrivals.single ~node ~at:1.0);
-    Runner.run_to_quiescence ~max_steps:10_000_000 env;
+    Runner.run_to_quiescence env;
     assert (Runner.violations env = 0);
     let st = Opencube_algo.stats algo in
     Summary.add_int summary st.search_nodes_tested;

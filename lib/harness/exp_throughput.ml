@@ -22,7 +22,7 @@ let run_kind ~kind ~n ~seed =
       Runner.submit env node
     done
   done;
-  Runner.run_to_quiescence ~max_steps:50_000_000 env;
+  Runner.run_to_quiescence env;
   assert (Runner.violations env = 0);
   let entries = Runner.cs_entries env in
   assert (entries = rounds * n);

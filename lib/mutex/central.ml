@@ -121,6 +121,7 @@ module Make (R : Runtime.S) = struct
       token_holders =
         (fun () -> match t.holder with Some h -> [ h ] | None -> []);
       invariant_check = (fun () -> invariant_check t);
+      repair_bound = 0.0;
     }
 end
 

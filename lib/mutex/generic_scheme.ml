@@ -268,6 +268,7 @@ module Make (R : Runtime.S) = struct
       snapshot_tree = (fun () -> Some (snapshot_tree t));
       token_holders = (fun () -> token_holders t);
       invariant_check = (fun () -> invariant_check t);
+      repair_bound = 0.0;
     }
 end
 

@@ -135,21 +135,9 @@ module Make (R : Runtime.S) = struct
       send_token t ~src:nd.id ~dst:succ
     | None -> () (* keep the token *)
 
-  let probable_owner t i = (node t i).father
-
-  let next_pointer t i = (node t i).next
-
   let token_holders t =
     Array.to_list t.nodes
     |> List.filter_map (fun nd -> if nd.token_here then Some nd.id else None)
-
-  let longest_owner_chain t =
-    let n = Array.length t.nodes in
-    let rec chain len i =
-      if len > n then len
-      else match (node t i).father with None -> len | Some f -> chain (len + 1) f
-    in
-    Array.fold_left (fun acc nd -> max acc (chain 0 nd.id)) 0 t.nodes
 
   let in_cs t i = (node t i).in_cs
 
@@ -171,6 +159,7 @@ module Make (R : Runtime.S) = struct
         (fun () -> Some (Array.map (fun nd -> nd.father) t.nodes));
       token_holders = (fun () -> token_holders t);
       invariant_check = (fun () -> invariant_check t);
+      repair_bound = 0.0;
     }
 end
 

@@ -25,17 +25,7 @@ module Make (R : Runtime.S) : sig
 
   (** {1 Introspection} *)
 
-  val probable_owner : t -> node_id -> node_id option
-  (** The node's [father] pointer; [None] when the node believes it is the
-      last requester (tail of the distributed queue). *)
-
-  val next_pointer : t -> node_id -> node_id option
-
   val token_holders : t -> node_id list
-
-  val longest_owner_chain : t -> int
-  (** Length of the longest probable-owner chain — the quantity whose
-      unboundedness gives the O(n) worst case. *)
 
   val in_cs : t -> node_id -> bool
 

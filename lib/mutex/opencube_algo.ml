@@ -402,6 +402,8 @@ module Make (R : Runtime.S) = struct
      round trip at the bounded delay, plus 5% slack. *)
   let answer_wait t = 2.0 *. delta t *. 1.05
 
+  let test_retries = 8 (* re-tests of "try later" nodes per search phase *)
+
   let cancel_slot t tm = match tm with Some tm -> R.cancel_timer t.net tm | None -> ()
 
   let cancel_asker t i =
@@ -1238,7 +1240,7 @@ module Make (R : Runtime.S) = struct
       match s.stage with
       | Census round -> census_round_over t i s round
       | Probing ->
-        if s.try_later <> [] && s.retries < 8 then begin
+        if s.try_later <> [] && s.retries < test_retries then begin
           (* Retest the nodes that asked us to try later (Section 5, case
              ii). Bounded: after a few rounds we move to the next ring - the
              try-later nodes are revisited by the next search for this
@@ -1730,6 +1732,15 @@ module Make (R : Runtime.S) = struct
     let fathers = snapshot_tree t in
     Opencube.check (Opencube.of_fathers fathers)
 
+  (* One repair without a CS entry: the asker deadline, a full search
+     (pmax phases of 1 + test_retries answer waits), then the census. *)
+  let repair_bound t =
+    if not t.config.fault_tolerance then 0.0
+    else
+      asker_deadline t
+      +. (float_of_int ((1 + test_retries) * t.pmax) *. answer_wait t)
+      +. (float_of_int t.config.census_rounds *. (answer_wait t +. cs_estimate))
+
   let instance t =
     {
       algo_name = "opencube";
@@ -1739,6 +1750,7 @@ module Make (R : Runtime.S) = struct
       snapshot_tree = (fun () -> Some (snapshot_tree t));
       token_holders = (fun () -> token_holders t);
       invariant_check = (fun () -> invariant_check t);
+      repair_bound = repair_bound t;
     }
 end
 

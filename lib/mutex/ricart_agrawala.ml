@@ -136,6 +136,7 @@ module Make (R : Runtime.S) = struct
       snapshot_tree = (fun () -> None);
       token_holders = (fun () -> []);
       invariant_check = (fun () -> invariant_check t);
+      repair_bound = 0.0;
     }
 end
 

@@ -39,6 +39,8 @@ type env = {
          entry is O(1) instead of an O(N) scan *)
   backlog : int array;  (* wishes deferred while one is outstanding *)
   issue_time : float array;
+  mutable input_at : float;  (* the last wish, fault or recovery *)
+  mutable longest_recovery : float;
   (* metrics *)
   mutable issued : int;
   mutable entries : int;
@@ -83,6 +85,7 @@ let cs_duration env =
   | Exponential { mean; cap } -> Float.min cap (Rng.exponential env.cs_rng ~mean)
 
 let rec submit env node =
+  env.input_at <- Engine.now env.engine;
   if Net.is_failed env.net node then env.dropped_wishes <- env.dropped_wishes + 1
   else if flag env.waiting node || flag env.in_cs node then
     env.backlog.(node) <- env.backlog.(node) + 1
@@ -147,6 +150,8 @@ let make_env ~seed ~n ~delay ~cs ?(trace = false) ?(metrics = false) () =
       in_cs_count = 0;
       backlog = Array.make n 0;
       issue_time = Array.make n 0.0;
+      input_at = 0.0;
+      longest_recovery = 0.0;
       issued = 0;
       entries = 0;
       violations = 0;
@@ -262,6 +267,7 @@ let run_source env source =
 
 let fail_node env node =
   (* The node dies: whatever it was doing evaporates with it. *)
+  env.input_at <- Engine.now env.engine;
   tap env Recorder.fault node;
   if flag env.waiting node then begin
     set_flag env.waiting node false;
@@ -275,6 +281,7 @@ let fail_node env node =
   log env node Fault
 
 let recover_node env node =
+  env.input_at <- Engine.now env.engine;
   Option.iter (fun r -> Recorder.recover r ~node) env.recorder;
   Net.recover env.net node;
   log env node Recover;
@@ -283,6 +290,9 @@ let recover_node env node =
 let schedule_faults env (faults : Faults.t) =
   List.iter
     (fun { Faults.at; node; recover_after } ->
+      Option.iter
+        (fun r -> env.longest_recovery <- Float.max env.longest_recovery r)
+        recover_after;
       ignore
         (Engine.schedule_at env.engine ~time:at (fun () ->
              if not (Net.is_failed env.net node) then begin
@@ -296,12 +306,63 @@ let schedule_faults env (faults : Faults.t) =
              end)))
     faults
 
-let run ?until ?max_steps env = Engine.run ?until ?max_steps env.engine
+let run ~until env = Engine.run ~until env.engine
 
-let run_to_quiescence ?(max_steps = 50_000_000) env =
-  Engine.run ~max_steps env.engine;
-  if not (Engine.quiescent env.engine) then
-    failwith "Runner.run_to_quiescence: exceeded max_steps"
+(* --- progress watchdog ------------------------------------------------------
+
+   A livelocked run never drains its event queue, so the run goes in
+   chunks of [watch_chunk] events and is stopped between chunks (never per
+   event) when neither a CS entry nor an input event has happened for
+   [progress_bound]. A healthy run goes without a CS entry for at most one
+   repair (the instance's [repair_bound]), a grant along N + 2 hops and
+   one CS. Repairs can follow one another (a census abort restarts the
+   search, a lender's enquiry follows a loss), so the bound allows 16 back
+   to back, plus the longest recovery delay. *)
+
+exception Stalled of string
+
+let watch_chunk = 1 lsl 16
+
+let progress_bound env =
+  let grant = float_of_int (Net.size env.net + 2) *. Net.delta env.net in
+  let cs = match env.cs with Fixed d -> d | Exponential { cap; _ } -> cap in
+  (16.0 *. ((instance env).repair_bound +. grant +. cs)) +. env.longest_recovery
+
+let stalled env ~quiet ~bound =
+  let waiting =
+    List.filter (flag env.waiting) (List.init (Bytes.length env.waiting) Fun.id)
+    |> List.stable_sort (fun a b -> Float.compare env.issue_time.(a) env.issue_time.(b))
+  in
+  let k = List.length waiting in
+  Stalled
+    (Printf.sprintf
+       "liveness: no CS entry and no input for %.1f time units (bound %.1f) \
+        at t=%.1f, %d wish(es) outstanding%s%s%s"
+       quiet bound (Engine.now env.engine) k
+       (if k > 0 then ":" else "")
+       (String.concat ""
+          (List.filteri (fun j _ -> j < 8) waiting
+          |> List.map (fun i -> Printf.sprintf " %d@%.1f" i env.issue_time.(i))))
+       (if k > 8 then Printf.sprintf " +%d more" (k - 8) else ""))
+
+let run_to_quiescence env =
+  let chunk () =
+    Engine.run ~max_steps:watch_chunk env.engine;
+    not (Engine.quiescent env.engine)
+  in
+  let entries = ref env.entries and progress_at = ref (Engine.now env.engine) in
+  (* Most runs drain within their first chunk and never need the bound. *)
+  let bound = lazy (progress_bound env) in
+  while chunk () do
+    let now = Engine.now env.engine in
+    if env.entries <> !entries then begin
+      entries := env.entries;
+      progress_at := now
+    end;
+    let quiet = now -. Float.max !progress_at env.input_at in
+    if quiet > Lazy.force bound then
+      raise (stalled env ~quiet ~bound:(Lazy.force bound))
+  done
 
 let now env = Engine.now env.engine
 

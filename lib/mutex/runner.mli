@@ -119,11 +119,22 @@ val schedule_faults : env -> Faults.t -> unit
 (** Schedule fail-stop events (and recoveries, which call the instance's
     [on_recovered]). *)
 
-val run : ?until:float -> ?max_steps:int -> env -> unit
+val run : until:float -> env -> unit
+(** Run the events up to time [until]; a run to the end goes through
+    {!run_to_quiescence} and its watchdog. *)
 
-val run_to_quiescence : ?max_steps:int -> env -> unit
-(** Run until no event remains. Terminates for every workload because all
-    timers in the system are finite. *)
+exception Stalled of string
+(** {!run_to_quiescence}'s one-line verdict: ["liveness: no CS entry"], the
+    stall, bound and time, then the waiting wishes oldest first as
+    [node@wish_time] (8, then ["+k more"]). *)
+
+val run_to_quiescence : env -> unit
+(** Run until no event remains. Between chunks of 65,536 events it raises
+    {!Stalled} when neither a CS entry nor an input event (a {!submit}, a
+    fault, a recovery) has happened for [16·(repair_bound + (N + 2)·δ + c)
+    + r] units of virtual time: the instance's [repair_bound], δ the delay
+    bound, [c] the CS length (or cap) and [r] the longest recovery delay
+    scheduled. *)
 
 val now : env -> float
 

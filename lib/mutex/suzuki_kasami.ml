@@ -155,11 +155,6 @@ module Make (R : Runtime.S) = struct
     Array.to_list t.nodes
     |> List.filter_map (fun nd -> if nd.has_token then Some nd.id else None)
 
-  let token_queue t =
-    match token_holders t with
-    | [ h ] -> Fdeque.to_list (node t h).tq
-    | _ -> []
-
   let in_cs t i = (node t i).in_cs
 
   let holder_count t = t.tokens_held
@@ -179,6 +174,7 @@ module Make (R : Runtime.S) = struct
       snapshot_tree = (fun () -> None);
       token_holders = (fun () -> token_holders t);
       invariant_check = (fun () -> invariant_check t);
+      repair_bound = 0.0;
     }
 end
 

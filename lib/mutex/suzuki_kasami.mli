@@ -27,9 +27,6 @@ module Make (R : Runtime.S) : sig
 
   val token_holders : t -> node_id list
 
-  val token_queue : t -> node_id list
-  (** The waiting queue carried by the token (holder-side view). *)
-
   val in_cs : t -> node_id -> bool
 
   val holder_count : t -> int

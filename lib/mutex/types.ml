@@ -160,6 +160,7 @@ type instance = {
   snapshot_tree : unit -> node_id option array option;
   token_holders : unit -> node_id list;
   invariant_check : unit -> (unit, string) result;
+  repair_bound : float;
 }
 
 let holders_error holders =

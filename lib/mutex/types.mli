@@ -181,6 +181,10 @@ type instance = {
           count of one, held or in flight. The fuzz oracle runs it after
           every event of a fault-free run, so it reads running tallies:
           O(1), and it allocates nothing when it returns [Ok ()]. *)
+  repair_bound : float;
+      (** The longest virtual time one failure repair may go without a CS
+          entry, from the algorithm's own timeouts ([0.] without fault
+          tolerance); the runner's progress watchdog builds on it. *)
 }
 
 val holders_error : node_id list -> string

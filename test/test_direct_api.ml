@@ -276,7 +276,7 @@ let test_stress_256_nodes () =
       ~spacing:3_000.0 ~recover_after:(Some 500.0) ()
   in
   Runner.schedule_faults env faults;
-  Runner.run_to_quiescence ~max_steps:30_000_000 env;
+  Runner.run_to_quiescence env;
   checki "violations" 0 (Runner.violations env);
   checki "outstanding" 0 (Runner.outstanding env);
   checkb "thousands of entries" true (Runner.cs_entries env > 3000)

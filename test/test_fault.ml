@@ -22,7 +22,7 @@ let make ?(seed = 42) ?(cs = Runner.Fixed 5.0) ?(trace = false) p =
   Runner.attach env (Opencube_algo.instance algo);
   { env; algo }
 
-let quiesce ?max_steps s = Runner.run_to_quiescence ?max_steps s.env
+let quiesce s = Runner.run_to_quiescence s.env
 
 let assert_safe s = checki "violations" 0 (Runner.violations s.env)
 
@@ -187,7 +187,7 @@ let run_random_faults ~seed ~p ~failures ~with_recovery () =
       ()
   in
   Runner.schedule_faults s.env faults;
-  quiesce ~max_steps:5_000_000 s;
+  quiesce s;
   assert_safe s;
   (* Every request issued by a node that did not die while waiting must be
      satisfied. *)
@@ -352,7 +352,7 @@ let test_faults_under_random_delays () =
       ~spacing:200.0 ~recover_after:(Some 80.0) ()
   in
   Runner.schedule_faults env faults;
-  Runner.run_to_quiescence ~max_steps:10_000_000 env;
+  Runner.run_to_quiescence env;
   checki "violations" 0 (Runner.violations env);
   checki "no outstanding" 0 (Runner.outstanding env)
 
@@ -375,8 +375,8 @@ let test_randomized_fault_schedules_property () =
         ()
     in
     Runner.schedule_faults s.env faults;
-    (try Runner.run_to_quiescence ~max_steps:8_000_000 s.env
-     with Failure _ -> Alcotest.failf "seed %d did not quiesce" seed);
+    (try Runner.run_to_quiescence s.env
+     with Runner.Stalled m -> Alcotest.failf "seed %d stalled: %s" seed m);
     checki (Printf.sprintf "violations (seed %d)" seed) 0
       (Runner.violations s.env);
     checki
@@ -404,8 +404,8 @@ let test_seed_sweep_hardened_safety () =
     in
     Runner.schedule_faults s.env faults;
     total_failures := !total_failures + 5;
-    (try Runner.run_to_quiescence ~max_steps:8_000_000 s.env
-     with Failure _ -> Alcotest.failf "seed %d did not quiesce" seed);
+    (try Runner.run_to_quiescence s.env
+     with Runner.Stalled m -> Alcotest.failf "seed %d stalled: %s" seed m);
     checki (Printf.sprintf "violations (seed %d)" seed) 0
       (Runner.violations s.env);
     checki (Printf.sprintf "unserved (seed %d)" seed) 0

@@ -351,6 +351,7 @@ let always_grant_build (s : Scenario.t) =
       snapshot_tree = (fun () -> None);
       token_holders = (fun () -> []);
       invariant_check = (fun () -> Ok ());
+      repair_bound = 0.0;
     }
   in
   Runner.attach env inst;
@@ -372,43 +373,30 @@ let overlapping_scenario =
     faults = [];
   }
 
-(* A livelock: wishes are never granted, yet events keep coming (a
-   perpetual chatter, as a message storm would). The run never drains, so
-   only the progress watchdog can end it, and it must call it liveness. *)
+(* The forged livelock of [Tutil.stalling_instance] behind a fuzz
+   scenario: the runner's watchdog ends each run, [Fuzz.run] must report
+   its verdict, and the shrinker must cut the scenario down to one wish. *)
 let stalling_build (s : Scenario.t) =
-  let n = Scenario.nodes s in
   let env =
-    Runner.make_env ~seed:s.Scenario.seed ~n ~delay:s.Scenario.delay
-      ~cs:s.Scenario.cs ()
+    Runner.make_env ~seed:s.Scenario.seed ~n:(Scenario.nodes s)
+      ~delay:s.Scenario.delay ~cs:s.Scenario.cs ()
   in
-  let engine = Runner.engine env in
-  let rec chatter () = ignore (Ocube_sim.Engine.schedule engine ~delay:1.0 chatter) in
-  let armed = ref false in
-  let inst =
-    {
-      Types.algo_name = "stalling";
-      request_cs =
-        (fun _ ->
-          if not !armed then begin
-            armed := true;
-            chatter ()
-          end);
-      release_cs = (fun _ -> ());
-      on_recovered = (fun _ -> ());
-      snapshot_tree = (fun () -> None);
-      token_holders = (fun () -> []);
-      invariant_check = (fun () -> Ok ());
-    }
-  in
+  let inst = Tutil.stalling_instance env in
   Runner.attach env inst;
   { Fuzz.env; inst; structure = None }
 
 let test_watchdog_reports_livelock () =
-  match Fuzz.run ~build:stalling_build overlapping_scenario with
-  | Ok _ -> Alcotest.fail "a run that never grants passed"
-  | Error e ->
-    checkb ("liveness error: " ^ e) true
-      (String.starts_with ~prefix:"liveness: no CS entry" e)
+  let stalls s =
+    match Fuzz.run ~build:stalling_build s with
+    | Ok _ -> Alcotest.fail "a run that never grants passed"
+    | Error e ->
+      checkb ("liveness error: " ^ e) true
+        (String.starts_with ~prefix:"liveness: no CS entry" e)
+  in
+  stalls overlapping_scenario;
+  let shrunk = Fuzz.shrink ~build:stalling_build overlapping_scenario in
+  checki "shrunk to one wish" 1 (List.length shrunk.Scenario.arrivals);
+  stalls shrunk
 
 let test_injected_bug_caught_and_shrunk () =
   (* Sanity: the scenario itself is fine under the real algorithm. *)

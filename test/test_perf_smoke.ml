@@ -97,11 +97,11 @@ let test_trace_on_formats_only_when_read () =
       done
     in
     burst ();
-    Runner.run env;
+    Runner.run_to_quiescence env;
     let before = Gc.minor_words () in
     burst ();
     let per_send = (Gc.minor_words () -. before) /. 1000.0 in
-    Runner.run env;
+    Runner.run_to_quiescence env;
     (per_send, env)
   in
   let off, _ = words ~trace:false in
@@ -196,11 +196,11 @@ let test_metrics_send_tap_allocation_free () =
     in
     (* warm-up grows the message and event arenas *)
     burst ();
-    Runner.run env;
+    Runner.run_to_quiescence env;
     let before = Gc.minor_words () in
     burst ();
     let words = int_of_float (Gc.minor_words () -. before) in
-    Runner.run env;
+    Runner.run_to_quiescence env;
     words
   in
   checki "minor words for 1000 sends, metrics off" 0 (words ~metrics:false);

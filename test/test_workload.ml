@@ -250,7 +250,34 @@ let test_runner_attach_twice_rejected () =
           snapshot_tree = (fun () -> None);
           token_holders = (fun () -> []);
           invariant_check = (fun () -> Ok ());
+          repair_bound = 0.0;
         })
+
+(* The progress watchdog, on a run that never grants and never drains:
+   [run_to_quiescence] raises [Stalled], and the verdict gives the bound
+   (16·((N + 2)·δ + c) with no repair term) and names the waiting wishes
+   oldest first, eight of them and then how many more. *)
+let test_runner_watchdog_names_waiting () =
+  let env =
+    Runner.make_env ~seed:1 ~n:16 ~delay:(Ocube_net.Network.Constant 1.0)
+      ~cs:(Runner.Fixed 1.0) ()
+  in
+  Runner.attach env (Tutil.stalling_instance env);
+  let node k = ((7 * k) + 3) mod 16 in
+  Runner.run_arrivals env
+    (List.init 10 (fun k -> (1.0 +. (0.5 *. float_of_int k), node k)));
+  match Runner.run_to_quiescence env with
+  | () -> Alcotest.fail "a run that never grants drained"
+  | exception Runner.Stalled m ->
+    checkb ("prefix: " ^ m) true
+      (String.starts_with ~prefix:"liveness: no CS entry" m);
+    checkb "one line" false (String.contains m '\n');
+    checkb ("bound: " ^ m) true (Tutil.contains m "(bound 304.0)");
+    checkb ("waiting nodes: " ^ m) true
+      (String.ends_with m
+         ~suffix:
+           "10 wish(es) outstanding: 3@1.0 10@1.5 1@2.0 8@2.5 15@3.0 6@3.5 \
+            13@4.0 4@4.5 +2 more")
 
 (* --- open-loop sources ----------------------------------------------------- *)
 
@@ -339,6 +366,8 @@ let suite =
       test_runner_exponential_cs;
     Alcotest.test_case "wish on failed node dropped" `Quick
       test_runner_wish_on_failed_node_dropped;
+    Alcotest.test_case "runner watchdog names the waiting wishes" `Quick
+      test_runner_watchdog_names_waiting;
     Alcotest.test_case "attach twice rejected" `Quick
       test_runner_attach_twice_rejected;
     Alcotest.test_case "whole-system determinism" `Quick

@@ -10,3 +10,26 @@ let contains haystack needle =
     done;
     !found
   end
+
+(* A forged livelock: wishes are never granted, yet events keep coming (a
+   perpetual chatter, as a message storm would). A run never drains, so
+   only the runner's progress watchdog can end it. *)
+let stalling_instance env =
+  let engine = Ocube_mutex.Runner.engine env in
+  let rec chatter () = ignore (Ocube_sim.Engine.schedule engine ~delay:1.0 chatter) in
+  let armed = ref false in
+  {
+    Ocube_mutex.Types.algo_name = "stalling";
+    request_cs =
+      (fun _ ->
+        if not !armed then begin
+          armed := true;
+          chatter ()
+        end);
+    release_cs = (fun _ -> ());
+    on_recovered = (fun _ -> ());
+    snapshot_tree = (fun () -> None);
+    token_holders = (fun () -> []);
+    invariant_check = (fun () -> Ok ());
+    repair_bound = 0.0;
+  }
