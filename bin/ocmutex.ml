@@ -31,7 +31,10 @@ let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"J" ~doc)
 
 let nodes_arg =
-  let doc = "Number of nodes (a power of two for tree-based algorithms)." in
+  let doc =
+    "Number of nodes: at least 1, and a power of two for opencube, \
+     opencube-paper, opencube-nofault, raymond and the generic schemes."
+  in
   Arg.(value & opt int 32 & info [ "n"; "nodes" ] ~docv:"N" ~doc)
 
 let algo_arg =
@@ -146,7 +149,7 @@ let run_simulate algo n seed rate horizon cs failures recover patience verbose
       ~metrics:(metrics_out <> None || trace_out <> None)
       { algo; n; seed; rate; horizon; cs; failures; recover; patience }
   with
-  | Error (Exp_common.Unknown_algorithm msg) ->
+  | Error (Exp_common.Invalid_run msg) ->
     prerr_endline msg;
     1
   | Error (Exp_common.Stalled msg) ->
@@ -212,7 +215,8 @@ let simulate_cmd =
   in
   let doc = "Simulate one algorithm under a Poisson workload." in
   let exits =
-    Cmd.Exit.info 1 ~doc:"on an unknown algorithm name."
+    Cmd.Exit.info 1
+      ~doc:"on an unknown algorithm name or an out-of-range $(b,-n)."
     :: Cmd.Exit.info 2 ~doc:"when the run violated mutual exclusion."
     :: stalled_exit :: Cmd.Exit.defaults
   in
@@ -225,75 +229,95 @@ let simulate_cmd =
 
 (* --- tree ------------------------------------------------------------------- *)
 
+(* [tree] and [dot] draw every node: past 2^16 the drawing takes minutes,
+   and large dimensions exhaust memory. *)
+let max_drawn_p = 16
+
+let drawn_p_arg =
+  let doc =
+    Printf.sprintf "Cube dimension: 2^P nodes, 0 <= P <= %d." max_drawn_p
+  in
+  Arg.(value & opt int 4 & info [ "p" ] ~docv:"P" ~doc)
+
+let p_out_of_range ~max p =
+  if p < 0 || p > max then begin
+    Printf.eprintf "-p must be between 0 and %d (got %d)\n" max p;
+    true
+  end
+  else false
+
+let p_range_exit ~max =
+  Cmd.Exit.info 1 ~doc:(Printf.sprintf "when $(b,-p) is outside 0..%d." max)
+  :: Cmd.Exit.defaults
+
 let run_tree p requests seed =
-  let env, algo =
-    Exp_common.make_opencube ~seed ~fault_tolerance:false ~p ()
-  in
-  let show () =
-    print_string
-      (Opencube.render (Opencube.of_fathers (Opencube_algo.snapshot_tree algo)))
-  in
-  Printf.printf "Initial %d-open-cube:\n" (1 lsl p);
-  show ();
-  List.iter
-    (fun node ->
-      if node < 0 || node >= 1 lsl p then
-        Printf.printf "\n(node %d out of range, skipped)\n" node
-      else begin
-        Printf.printf "\nAfter serving node %d (%d messages):\n" (node + 1)
-          (Exp_common.probe env node);
-        show ()
-      end)
-    requests;
-  (match Opencube_algo.check_opencube algo with
-  | Ok () -> print_endline "\nstructure check: OK"
-  | Error m -> print_endline ("\nstructure check FAILED: " ^ m));
-  0
+  if p_out_of_range ~max:max_drawn_p p then 1
+  else begin
+    let env, algo =
+      Exp_common.make_opencube ~seed ~fault_tolerance:false ~p ()
+    in
+    let show () =
+      print_string
+        (Opencube.render
+           (Opencube.of_fathers (Opencube_algo.snapshot_tree algo)))
+    in
+    Printf.printf "Initial %d-open-cube:\n" (1 lsl p);
+    show ();
+    List.iter
+      (fun node ->
+        if node < 0 || node >= 1 lsl p then
+          Printf.printf "\n(node %d out of range, skipped)\n" node
+        else begin
+          Printf.printf "\nAfter serving node %d (%d messages):\n" (node + 1)
+            (Exp_common.probe env node);
+          show ()
+        end)
+      requests;
+    (match Opencube_algo.check_opencube algo with
+    | Ok () -> print_endline "\nstructure check: OK"
+    | Error m -> print_endline ("\nstructure check FAILED: " ^ m));
+    0
+  end
 
 let tree_cmd =
-  let p_arg =
-    let doc = "Cube dimension: 2^P nodes." in
-    Arg.(value & opt int 4 & info [ "p" ] ~docv:"P" ~doc)
-  in
   let req_arg =
     let doc = "Nodes that request, in order (1-based, as in the paper)." in
     Arg.(value & pos_all int [] & info [] ~docv:"NODE" ~doc)
   in
   let doc = "Show the open-cube evolving under serial requests." in
   Cmd.v
-    (Cmd.info "tree" ~doc)
+    (Cmd.info "tree" ~doc ~exits:(p_range_exit ~max:max_drawn_p))
     Term.(
       const (fun p reqs seed ->
           run_tree p (List.map (fun r -> r - 1) reqs) seed)
-      $ p_arg $ req_arg $ seed_arg)
+      $ drawn_p_arg $ req_arg $ seed_arg)
 
 (* --- dot -------------------------------------------------------------------- *)
 
 let run_dot p requests seed output =
-  let env, algo =
-    Exp_common.make_opencube ~seed ~fault_tolerance:false ~p ()
-  in
-  List.iter
-    (fun node ->
-      if node >= 0 && node < 1 lsl p then ignore (Exp_common.probe env node))
-    requests;
-  let dot =
-    Opencube.to_dot (Opencube.of_fathers (Opencube_algo.snapshot_tree algo))
-  in
-  (match output with
-  | None -> print_string dot
-  | Some path ->
-    let oc = open_out path in
-    output_string oc dot;
-    close_out oc;
-    Printf.printf "wrote %s\n" path);
-  0
+  if p_out_of_range ~max:max_drawn_p p then 1
+  else begin
+    let env, algo =
+      Exp_common.make_opencube ~seed ~fault_tolerance:false ~p ()
+    in
+    List.iter
+      (fun node ->
+        if node >= 0 && node < 1 lsl p then ignore (Exp_common.probe env node))
+      requests;
+    let dot =
+      Opencube.to_dot (Opencube.of_fathers (Opencube_algo.snapshot_tree algo))
+    in
+    (match output with
+    | None -> print_string dot
+    | Some path ->
+      let oc = open_out path in
+      output_string oc dot;
+      close_out oc;
+      Printf.printf "wrote %s\n" path);
+    0
+  end
 
 let dot_cmd =
-  let p_arg =
-    let doc = "Cube dimension: 2^P nodes." in
-    Arg.(value & opt int 4 & info [ "p" ] ~docv:"P" ~doc)
-  in
   let req_arg =
     let doc = "Nodes that request before the export (1-based)." in
     Arg.(value & pos_all int [] & info [] ~docv:"NODE" ~doc)
@@ -303,11 +327,12 @@ let dot_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let doc = "Export the (possibly evolved) open-cube as Graphviz DOT." in
-  Cmd.v (Cmd.info "dot" ~doc)
+  Cmd.v
+    (Cmd.info "dot" ~doc ~exits:(p_range_exit ~max:max_drawn_p))
     Term.(
       const (fun p reqs seed out ->
           run_dot p (List.map (fun r -> r - 1) reqs) seed out)
-      $ p_arg $ req_arg $ seed_arg $ out_arg)
+      $ drawn_p_arg $ req_arg $ seed_arg $ out_arg)
 
 (* --- walkthrough ------------------------------------------------------------ *)
 
@@ -322,56 +347,65 @@ let walkthrough_cmd =
 
 (* --- verify ------------------------------------------------------------------ *)
 
+(* The model's packed state holds at most 1024 node ids. *)
+let max_verify_p = 10
+
 let run_verify p wishes max_states jobs symmetry mem_budget faults =
   let module E = Ocube_model.Explore in
-  Printf.printf
-    "Exhaustively exploring the protocol: N = %d, %d wish(es) per node%s%s...\n\
-     %!"
-    (1 lsl p) wishes
-    (if faults > 0 then Printf.sprintf ", up to %d crash fault(s)" faults
-     else "")
-    (if symmetry then ", symmetry-reduced" else "");
-  try
-    let mem_budget =
-      if mem_budget <= 0 then None else Some (mem_budget * 1024 * 1024)
-    in
-    let s =
-      E.run ~max_states ~jobs ~max_faults:faults ~symmetry ?mem_budget ~p
-        ~wishes ()
-    in
-    if symmetry then begin
-      Printf.printf
-        "  %d canonical (quotient) states, %d transitions, %d terminal states\n"
-        s.E.states s.E.transitions s.E.terminals;
-      Printf.printf "  orbit upper bound on raw states: %d (<= %.2fx reduction)\n"
-        s.E.orbit_states
-        (float_of_int s.E.orbit_states /. float_of_int s.E.states)
-    end
-    else
-      Printf.printf
-        "  %d reachable states, %d transitions, %d terminal states\n" s.E.states
-        s.E.transitions s.E.terminals;
-    Printf.printf "  peak in-flight %d, depth %d\n" s.E.max_in_flight
-      s.E.max_depth;
-    if s.E.spilled_segments > 0 then
-      Printf.printf "  spilled %d frontier segment(s), %d bytes\n"
-        s.E.spilled_segments s.E.spilled_bytes;
-    print_endline "  all invariants hold in every reachable state.";
-    0
-  with
-  | E.Violation v ->
-    Printf.printf "VIOLATION: %s\n%s" v.E.message
-      (Format.asprintf "%a" Ocube_model.Spec.pp v.E.state);
-    Printf.printf "trace (%d steps): %s\n" (List.length v.E.trace)
-      (Format.asprintf "%a" E.pp_trace v.E.trace);
-    2
-  | Failure msg ->
-    prerr_endline msg;
-    1
+  if p_out_of_range ~max:max_verify_p p then 1
+  else begin
+    Printf.printf
+      "Exhaustively exploring the protocol: N = %d, %d wish(es) per node%s%s...\n\
+       %!"
+      (1 lsl p) wishes
+      (if faults > 0 then Printf.sprintf ", up to %d crash fault(s)" faults
+       else "")
+      (if symmetry then ", symmetry-reduced" else "");
+    try
+      let mem_budget =
+        if mem_budget <= 0 then None else Some (mem_budget * 1024 * 1024)
+      in
+      let s =
+        E.run ~max_states ~jobs ~max_faults:faults ~symmetry ?mem_budget ~p
+          ~wishes ()
+      in
+      if symmetry then begin
+        Printf.printf
+          "  %d canonical (quotient) states, %d transitions, %d terminal states\n"
+          s.E.states s.E.transitions s.E.terminals;
+        Printf.printf
+          "  orbit upper bound on raw states: %d (<= %.2fx reduction)\n"
+          s.E.orbit_states
+          (float_of_int s.E.orbit_states /. float_of_int s.E.states)
+      end
+      else
+        Printf.printf
+          "  %d reachable states, %d transitions, %d terminal states\n" s.E.states
+          s.E.transitions s.E.terminals;
+      Printf.printf "  peak in-flight %d, depth %d\n" s.E.max_in_flight
+        s.E.max_depth;
+      if s.E.spilled_segments > 0 then
+        Printf.printf "  spilled %d frontier segment(s), %d bytes\n"
+          s.E.spilled_segments s.E.spilled_bytes;
+      print_endline "  all invariants hold in every reachable state.";
+      0
+    with
+    | E.Violation v ->
+      Printf.printf "VIOLATION: %s\n%s" v.E.message
+        (Format.asprintf "%a" Ocube_model.Spec.pp v.E.state);
+      Printf.printf "trace (%d steps): %s\n" (List.length v.E.trace)
+        (Format.asprintf "%a" E.pp_trace v.E.trace);
+      2
+    | Failure msg ->
+      prerr_endline msg;
+      1
+  end
 
 let verify_cmd =
   let p_arg =
-    let doc = "Cube dimension: 2^P nodes." in
+    let doc =
+      Printf.sprintf "Cube dimension: 2^P nodes, 0 <= P <= %d." max_verify_p
+    in
     Arg.(value & opt int 2 & info [ "p" ] ~docv:"P" ~doc)
   in
   let wishes_arg =
@@ -401,7 +435,16 @@ let verify_cmd =
     Arg.(value & opt int 0 & info [ "faults" ] ~docv:"F" ~doc)
   in
   let doc = "Model-check the protocol exhaustively (all interleavings)." in
-  Cmd.v (Cmd.info "verify" ~doc)
+  let exits =
+    Cmd.Exit.info 1
+      ~doc:
+        (Printf.sprintf
+           "when $(b,-p) is outside 0..%d, or past $(b,--max-states) states."
+           max_verify_p)
+    :: Cmd.Exit.info 2 ~doc:"when an invariant is violated (the trace follows)."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v (Cmd.info "verify" ~doc ~exits)
     Term.(
       const run_verify $ p_arg $ wishes_arg $ max_states_arg $ jobs_arg
       $ symmetry_arg $ mem_budget_arg $ faults_arg)

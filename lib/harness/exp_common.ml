@@ -120,11 +120,26 @@ type simulation = {
   patience : float;
 }
 
-type simulate_error = Unknown_algorithm of string | Stalled of string
+type simulate_error = Invalid_run of string | Stalled of string
+
+(* The open cube and the binomial trees need a power of two. *)
+let check_nodes kind n =
+  let power_of_two =
+    match kind with
+    | Opencube _ | Raymond Static_tree.Binomial | Generic _ -> true
+    | Raymond _ | Naimi_trehel | Central | Suzuki_kasami | Ricart_agrawala ->
+      false
+  in
+  if n < 1 then Error (Printf.sprintf "-n must be at least 1 (got %d)" n)
+  else if power_of_two && n land (n - 1) <> 0 then
+    Error
+      (Printf.sprintf "-n must be a power of two for %s (got %d)"
+         (algo_label kind) n)
+  else Ok kind
 
 let simulate ?(trace = false) ?(metrics = false) s =
-  match kind_of_string s.algo with
-  | Error msg -> Error (Unknown_algorithm msg)
+  match Result.bind (kind_of_string s.algo) (fun k -> check_nodes k s.n) with
+  | Error msg -> Error (Invalid_run msg)
   | Ok kind -> (
     let env, inst =
       make ~seed:s.seed ~kind ~n:s.n ~cs:(Runner.Fixed s.cs)

@@ -73,7 +73,11 @@ type simulation = {
 }
 
 type simulate_error =
-  | Unknown_algorithm of string
+  | Invalid_run of string
+      (** an unknown algorithm name, or a node count the algorithm cannot
+          take: [n >= 1], and a power of two for the open cube, the
+          binomial Raymond tree and the generic schemes; checked before
+          anything is built *)
   | Stalled of string
       (** the run's progress watchdog stopped it ({!Runner.Stalled}): the
           one-line verdict, then the run's parameters *)

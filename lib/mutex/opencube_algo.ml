@@ -43,6 +43,10 @@ type search_stage =
   | Probing  (** walking the distance rings with test(d) messages *)
   | Census of int  (** every phase failed; confirming token loss, round k *)
 
+(* What the lender's one watch on its loan waits for: the token's return
+   (the loan timeout), then the answer to the enquiry it sent. *)
+type loan_stage = Return_due | Answer_due
+
 (* --- per-node state, split hot/cold for N ≈ 1M ---------------------------
 
    The hot scalars every message handler touches live in flat Bigarray
@@ -95,21 +99,21 @@ type state = {
 }
 
 type stats = {
-  token_regenerations : int;
-  searches_started : int;
-  search_nodes_tested : int;
-  enquiries_sent : int;
-  anomalies_detected : int;
-  duplicate_requests_dropped : int;
-  mandates_voided : int;
-  stale_tokens_bounced : int;
-  unexpected_tokens : int;
-  tokens_destroyed : int;
-  defensive_drops : int;
-  custody_queries : int;
-  custody_confirmed : int;
-  probe_walks : int;
-  cycles_detected : int;
+  mutable token_regenerations : int;
+  mutable searches_started : int;
+  mutable search_nodes_tested : int;
+  mutable enquiries_sent : int;
+  mutable anomalies_detected : int;
+  mutable duplicate_requests_dropped : int;
+  mutable mandates_voided : int;
+  mutable stale_tokens_bounced : int;
+  mutable unexpected_tokens : int;
+  mutable tokens_destroyed : int;
+  mutable defensive_drops : int;
+  mutable custody_queries : int;
+  mutable custody_confirmed : int;
+  mutable probe_walks : int;
+  mutable cycles_detected : int;
 }
 
 let dist = Opencube.dist
@@ -160,8 +164,7 @@ module Make (R : Runtime.S) = struct
            them), consulted when answering a lender's enquiry (Token_sent
            vs Token_lost) *)
     mutable loan : loan option;
-    mutable loan_timer : R.timer option;
-    mutable enquiry_timer : R.timer option;
+    mutable loan_watch : (loan_stage * R.timer) option;
     mutable asker_timer : R.timer option;
         (* the custody query to the father, then the search deadline *)
     mutable custody_father : node_id;
@@ -195,21 +198,7 @@ module Make (R : Runtime.S) = struct
     mutable tokens_in_flight : int;
     mutable tokens_held : int;  (* nodes with fl_token set, failed ones too *)
     mutable nodes_in_cs : int;  (* nodes with fl_in_cs set *)
-    mutable s_token_regenerations : int;
-    mutable s_searches_started : int;
-    mutable s_search_nodes_tested : int;
-    mutable s_enquiries_sent : int;
-    mutable s_anomalies_detected : int;
-    mutable s_duplicate_requests_dropped : int;
-    mutable s_mandates_voided : int;
-    mutable s_stale_tokens_bounced : int;
-    mutable s_unexpected_tokens : int;
-    mutable s_tokens_destroyed : int;
-    mutable s_defensive_drops : int;
-    mutable s_custody_queries : int;
-    mutable s_custody_confirmed : int;
-    mutable s_probe_walks : int;
-    mutable s_cycles_detected : int;
+    stats : stats;
   }
 
   (* ------------------------------------------------------------------ *)
@@ -297,8 +286,7 @@ module Make (R : Runtime.S) = struct
       queue = Fdeque.empty;
       recent_rids = Ringbuf.create ~capacity:dedup_window;
       loan = None;
-      loan_timer = None;
-      enquiry_timer = None;
+      loan_watch = None;
       asker_timer = None;
       custody_father = -1;
       asked_at = 0.0;
@@ -415,30 +403,19 @@ module Make (R : Runtime.S) = struct
       c.custody_father <- -1;
       c.walk_out <- false
 
-  let cancel_loan_timer t i =
-    match t.cold.(i) with
-    | None -> ()
-    | Some c ->
-      cancel_slot t c.loan_timer;
-      c.loan_timer <- None
+  let cancel_loan_watch t c =
+    (match c.loan_watch with
+    | Some (_, tm) -> R.cancel_timer t.net tm
+    | None -> ());
+    c.loan_watch <- None
 
-  let cancel_enquiry_timer t i =
-    match t.cold.(i) with
-    | None -> ()
-    | Some c ->
-      cancel_slot t c.enquiry_timer;
-      c.enquiry_timer <- None
-
-  (* loan <- None and both loan-related timers off, in one step. *)
-  let clear_loan_and_timers t i =
+  (* loan <- None and its watch off, in one step. *)
+  let clear_loan t i =
     match t.cold.(i) with
     | None -> ()
     | Some c ->
       c.loan <- None;
-      cancel_slot t c.loan_timer;
-      c.loan_timer <- None;
-      cancel_slot t c.enquiry_timer;
-      c.enquiry_timer <- None
+      cancel_loan_watch t c
 
   (* Section 5 lets an asker suspect its father after 2·pmax·δ (times the
      patience). *)
@@ -514,29 +491,34 @@ module Make (R : Runtime.S) = struct
     c.asker_timer <-
       Some (R.set_timer t.net ~node:i ~delay (fun () -> query_custody t i))
 
-  and arm_loan_timer t i =
-    if t.config.fault_tolerance then begin
-      let c = cold t i in
-      cancel_slot t c.loan_timer;
-      c.loan_timer <- None;
-      match c.loan with
-      | None -> ()
-      | Some loan ->
-        let delay =
-          if loan.direct then (2.0 *. delta t) +. cs_estimate
-          else (float_of_int (t.pmax + 1) *. delta t) +. cs_estimate
-        in
-        c.loan_timer <-
-          Some (R.set_timer t.net ~node:i ~delay (fun () -> loan_timeout t i))
-    end
-
-  and arm_enquiry_timer t i =
+  and watch_loan t i stage ~delay =
     let c = cold t i in
-    cancel_slot t c.enquiry_timer;
-    c.enquiry_timer <-
+    cancel_loan_watch t c;
+    c.loan_watch <-
       Some
-        (R.set_timer t.net ~node:i ~delay:(answer_wait t) (fun () ->
-             enquiry_timeout t i))
+        ( stage,
+          R.set_timer t.net ~node:i ~delay (fun () ->
+              c.loan_watch <- None;
+              match stage with
+              | Return_due -> loan_timeout t i
+              | Answer_due ->
+                (* No answer from the source: it is down, the token lost. *)
+                if has_loan t i then regenerate_token t i) )
+
+  and watch_return t i loan =
+    if t.config.fault_tolerance then
+      watch_loan t i Return_due
+        ~delay:
+          (if loan.direct then (2.0 *. delta t) +. cs_estimate
+           else (float_of_int (t.pmax + 1) *. delta t) +. cs_estimate)
+
+  (* Lend our token to [dst] for request [rid] and watch the loan. *)
+  and lend t i ~dst ~rid =
+    let loan = { loan_rid = rid; direct = dst = rid.source; sent_acks = 0 } in
+    (cold t i).loan <- Some loan;
+    send t ~src:i ~dst (Message.Token { lender = Some i; rid = Some rid });
+    set_token t i false;
+    watch_return t i loan
 
   (* ------------------------------------------------------------------ *)
   (* Critical-section entry/exit and the deferred-event queue            *)
@@ -590,7 +572,8 @@ module Make (R : Runtime.S) = struct
        forever (its timeout runs search_father, re-sends, we drop again:
        livelock). Fault-free runs never regenerate, so this path stays
        silent there and message counts are unchanged. *)
-    t.s_duplicate_requests_dropped <- t.s_duplicate_requests_dropped + 1;
+    t.stats.duplicate_requests_dropped <-
+      t.stats.duplicate_requests_dropped + 1;
     if t.config.fault_tolerance && origin <> i then
       send t ~src:i ~dst:origin (Message.Void { rid })
 
@@ -635,7 +618,7 @@ module Make (R : Runtime.S) = struct
          (below, as a proxy loan) — the search hardening makes the holder
          accept any searcher as a son, so bouncing the son's request here
          would loop it forever between anomaly and re-attachment. *)
-      t.s_anomalies_detected <- t.s_anomalies_detected + 1;
+      t.stats.anomalies_detected <- t.stats.anomalies_detected + 1;
       send t ~src:i ~dst:j (Message.Anomaly { rid })
     end
     else if dj = pw then begin
@@ -655,19 +638,13 @@ module Make (R : Runtime.S) = struct
            (* Root without the token and not asking: unreachable in fault-free
               runs (a lender is asking until the return). Drop; the origin's
               timeout machinery recovers. *)
-           t.s_defensive_drops <- t.s_defensive_drops + 1);
+           t.stats.defensive_drops <- t.stats.defensive_drops + 1);
       fset t i j
     end
     else begin
       (* Proxy behaviour: serve j's request on our own account. *)
       set_asking t i true;
-      if has_token t i then begin
-        (cold t i).loan <-
-          Some { loan_rid = rid; direct = j = rid.source; sent_acks = 0 };
-        send t ~src:i ~dst:j (Message.Token { lender = Some i; rid = Some rid });
-        set_token t i false;
-        arm_loan_timer t i
-      end
+      if has_token t i then lend t i ~dst:j ~rid
       else
         let f = fget t i in
         if f >= 0 then begin
@@ -680,7 +657,7 @@ module Make (R : Runtime.S) = struct
         else begin
           (* Same broken transient as above. *)
           set_asking t i false;
-          t.s_defensive_drops <- t.s_defensive_drops + 1
+          t.stats.defensive_drops <- t.stats.defensive_drops + 1
         end
     end
 
@@ -693,7 +670,8 @@ module Make (R : Runtime.S) = struct
          originals; DESIGN.md §5). *)
       let duplicate = mrid_is t i rid || queued t i rid in
       if duplicate then
-        t.s_duplicate_requests_dropped <- t.s_duplicate_requests_dropped + 1
+        t.stats.duplicate_requests_dropped <-
+          t.stats.duplicate_requests_dropped + 1
       else
         let c = cold t i in
         c.queue <- Fdeque.push_back c.queue (Preq { origin; rid })
@@ -704,139 +682,91 @@ module Make (R : Runtime.S) = struct
   (* Token processing (Section 3.3, "Upon the receipt of token(j)")      *)
   (* ------------------------------------------------------------------ *)
 
+  (* The stale-token guard (DESIGN.md §5) decides once what an arriving
+     token is. An owned token that is not ours to keep goes back to its
+     lender, so that the loan bookkeeping there resolves: one that reaches
+     a holder (a duplicate, possible only after an unsafe regeneration), a
+     grant for a request other than our mandate (a regenerated request
+     raced its original), or one that finds neither a mandate nor a loan
+     here. The guard runs before the prologue below, because that prologue
+     kills any father search: a node re-searching after recovery would
+     otherwise lose its search to the pre-crash grant it bounces. An
+     ownerless duplicate at a holder is destroyed, so that duplication
+     self-heals; an ownerless token anywhere else is the real token and
+     serves the mandate just as well. *)
   and receive_token t i ~from_ ~lender ~rid =
     token_received t;
     set_lts t i (now t);
-    (* A grant for a request id other than our pending mandate is a stale
-       duplicate (a regenerated request raced its original). If it has a
-       lender, hand it straight back; if it is ownerless (token(nil)) it is
-       the real token and serves the mandate just as well (DESIGN.md §5). *)
-    let stale =
-      match rid with
-      | Some r -> if mrid_some t i then not (mrid_is t i r) else mandator_raw t i >= 0
-      | None -> false
+    let m = mandator_raw t i and lent = has_loan t i in
+    let ours =
+      if m >= 0 then match rid with Some r -> mrid_is t i r | None -> true
+      else lent
     in
-    if has_token t i then begin
-      (* We already hold a token: the incoming one is a duplicate (possible
-         only after an unsafe regeneration). Hand an owned one back to its
-         lender so the loan bookkeeping there resolves; destroy an ownerless
-         one so that duplication self-heals instead of persisting
-         (DESIGN.md §5). *)
-      match lender with
-      | Some l when l <> i ->
-        t.s_stale_tokens_bounced <- t.s_stale_tokens_bounced + 1;
-        send t ~src:i ~dst:l (Message.Token { lender = None; rid = None })
-      | _ -> t.s_tokens_destroyed <- t.s_tokens_destroyed + 1
-    end
-    else
-      match (stale, lender) with
-      | true, Some l when l <> i ->
-        t.s_stale_tokens_bounced <- t.s_stale_tokens_bounced + 1;
-        send t ~src:i ~dst:l (Message.Token { lender = None; rid = None })
-      | _ -> receive_token_accept t i ~from_ ~lender ~rid
-
-  and receive_token_accept t i ~from_ ~lender ~rid =
     match lender with
-    | Some l when l <> i && mandator_raw t i < 0 && not (has_loan t i) ->
-      (* Stale duplicate grant (DESIGN.md §5): no mandate and no loan means
-         this owned token is not ours to keep - hand it back to its lender.
-         Decided before the integration prologue below, because that
-         prologue kills any ongoing father search: a node that crashed with
-         a wish in flight and is re-searching after recovery would otherwise
-         have its recovery search silently destroyed by the pre-crash grant
-         it bounces, leaving it asking forever with no timer armed. *)
-      t.s_stale_tokens_bounced <- t.s_stale_tokens_bounced + 1;
+    | Some l when l <> i && (has_token t i || not ours) ->
+      t.stats.stale_tokens_bounced <- t.stats.stale_tokens_bounced + 1;
       send t ~src:i ~dst:l (Message.Token { lender = None; rid = None })
-    | _ -> receive_token_integrate t i ~from_ ~lender ~rid
-
-  and receive_token_integrate t i ~from_ ~lender ~rid =
-    cancel_asker t i;
-    (* A token in hand settles any ongoing father search. *)
-    stop_search t i;
-    (* It also settles an outstanding loan, whatever mandate state we are
-       in: custody is back (or passing through us), so the lost-in-return
-       suspicion must die with it. Leaving the loan record and its enquiry
-       timer armed lets enquiry_timeout fire after we have re-lent the
-       token, and regenerate a duplicate (DESIGN.md §5). The no-mandate
-       branch below keeps its own loan handling untouched. *)
-    (if mandator_raw t i >= 0 && has_loan t i then clear_loan_and_timers t i);
-    let m = mandator_raw t i in
-    if m = i then begin
-      (* Our own wish is satisfied. *)
-      reset_mandate_history t i;
+    | _ when has_token t i ->
+      t.stats.tokens_destroyed <- t.stats.tokens_destroyed + 1
+    | _ ->
+      (* A token in hand settles any father search, and any loan: custody
+         is back (or passing through us), so the lost-in-return suspicion
+         must die with it, or it fires after we have re-lent the token
+         and regenerates a duplicate (DESIGN.md §5). *)
+      cancel_asker t i;
+      stop_search t i;
+      if lent then clear_loan t i
+      else if m < 0 then
+        (* Neither asked for nor lent: happens only in fault scenarios. *)
+        t.stats.unexpected_tokens <- t.stats.unexpected_tokens + 1;
       set_token t i true;
       (match lender with
-      | None ->
-        set_lender t i i;
-        fset_none t i
-      | Some l ->
+      | Some l when m >= 0 ->
+        (* A grant: the sender becomes our father. *)
         set_lender t i l;
-        fset t i from_);
-      clear_mandator t i;
-      (match rid with Some r -> remember_rid t i r | None -> ());
-      clear_mrid t i;
-      enter_cs t i
-    end
-    else if m >= 0 then begin
-      (* We are proxy for m: honour the mandate. *)
-      let granted_rid = match rid with Some r -> Some r | None -> mrid_opt t i in
-      clear_mandator t i;
-      clear_mrid t i;
-      reset_mandate_history t i;
-      match lender with
-      | None ->
-        (* token(nil): we become the root and lend it to our mandator. *)
-        fset_none t i;
+        fset t i from_
+      | Some _ when not lent ->
+        (* Our own lent token routed back oddly: keep it. *)
+        set_lender t i i
+      | _ ->
         set_lender t i i;
-        let loan_rid =
-          match granted_rid with
-          | Some r -> r
-          | None -> { source = m; seq = -1 } (* unreachable in practice *)
-        in
-        (cold t i).loan <-
-          Some { loan_rid; direct = m = loan_rid.source; sent_acks = 0 };
-        send t ~src:i ~dst:m (Message.Token { lender = Some i; rid = granted_rid });
-        arm_loan_timer t i
-        (* asking remains true until the token returns. *)
-      | Some l ->
-        fset t i from_;
-        send t ~src:i ~dst:m (Message.Token { lender = Some l; rid = granted_rid });
-        set_asking t i false;
-        drain t i
-    end
-    else if has_loan t i then begin
-      (* Return after a loan we granted: we are the resting holder again,
-         i.e. the de-facto root. *)
-      clear_loan_and_timers t i;
-      set_token t i true;
-      set_lender t i i;
-      fset_none t i;
+        fset_none t i);
+      serve_mandate t i ~lender ~rid
+
+  (* Section 3.3's rule for a node with the token in hand, shared by token
+     arrival and both regenerations (PROTOCOL.md §4): enter the CS for our
+     own wish; for a mandator, lend it the token if it is ours ([lender =
+     None]: we become its lender) or pass it on with its lender; with no
+     mandate, keep it and serve the queue. [rid] is the grant's request
+     id: remembered as served for an own wish; sent on to a mandator, or
+     the mandate's own when the token carries none. *)
+  and serve_mandate t i ~lender ~rid =
+    let m = mandator_raw t i in
+    if m < 0 then begin
       set_asking t i false;
       drain t i
     end
-    else
-      match lender with
-      | None ->
-        (* A token with no lender and no expectation: adopt it (we become
-           the root holder). Happens only in fault scenarios. *)
-        t.s_unexpected_tokens <- t.s_unexpected_tokens + 1;
-        set_token t i true;
-        fset_none t i;
-        set_lender t i i;
-        set_asking t i false;
-        drain t i
-      | Some l when l = i ->
-        (* Our own lent token routed back oddly: keep it. *)
-        t.s_unexpected_tokens <- t.s_unexpected_tokens + 1;
-        set_token t i true;
-        set_lender t i i;
-        set_asking t i false;
-        drain t i
-      | Some l ->
-        (* Stale duplicate grant: bounce it back to its lender
-           (DESIGN.md §5). *)
-        t.s_stale_tokens_bounced <- t.s_stale_tokens_bounced + 1;
-        send t ~src:i ~dst:l (Message.Token { lender = None; rid = None })
+    else begin
+      let granted =
+        match rid with Some r -> r | None -> Option.get (mrid_opt t i)
+      in
+      clear_mandator t i;
+      clear_mrid t i;
+      reset_mandate_history t i;
+      if m = i then begin
+        (match rid with Some r -> remember_rid t i r | None -> ());
+        enter_cs t i
+      end
+      else
+        match lender with
+        | None -> lend t i ~dst:m ~rid:granted
+        | Some l ->
+          send t ~src:i ~dst:m
+            (Message.Token { lender = Some l; rid = Some granted });
+          set_token t i false;
+          set_asking t i false;
+          drain t i
+    end
 
   (* ------------------------------------------------------------------ *)
   (* Fault tolerance: lender-side enquiry and token regeneration         *)
@@ -848,51 +778,22 @@ module Make (R : Runtime.S) = struct
        census that polls everyone *except us*, concludes the token we now
        hold is lost, and regenerates a duplicate (DESIGN.md §5). *)
     stop_search t i;
-    t.s_token_regenerations <- t.s_token_regenerations + 1;
-    clear_loan_and_timers t i;
+    t.stats.token_regenerations <- t.stats.token_regenerations + 1;
+    clear_loan t i;
     set_token t i true;
     set_lender t i i;
-    (* Dispatch exactly as [regenerate_as_root] does: a pending mandate —
-       our own wish or one we proxy — must be served by the new token, or
-       it is orphaned with [asking] cleared and nothing ever serves it. *)
-    let m = mandator_raw t i in
-    if m = i then begin
-      clear_mandator t i;
-      (match mrid_opt t i with Some r -> remember_rid t i r | None -> ());
-      clear_mrid t i;
-      enter_cs t i
-    end
-    else if m >= 0 then begin
-      let loan_rid =
-        match mrid_opt t i with Some r -> r | None -> { source = m; seq = -1 }
-      in
-      clear_mandator t i;
-      clear_mrid t i;
-      (cold t i).loan <-
-        Some { loan_rid; direct = m = loan_rid.source; sent_acks = 0 };
-      send t ~src:i ~dst:m (Message.Token { lender = Some i; rid = Some loan_rid });
-      set_token t i false;
-      arm_loan_timer t i
-    end
-    else begin
-      set_asking t i false;
-      drain t i
-    end
+    serve_mandate t i ~lender:None ~rid:(mrid_opt t i)
 
   and loan_timeout t i =
     match loan_of t i with
     | None -> ()
     | Some loan ->
       if is_asking t i && not (has_token t i) then begin
-        t.s_enquiries_sent <- t.s_enquiries_sent + 1;
+        t.stats.enquiries_sent <- t.stats.enquiries_sent + 1;
         send t ~src:i ~dst:loan.loan_rid.source
           (Message.Enquiry { rid = loan.loan_rid });
-        arm_enquiry_timer t i
+        watch_loan t i Answer_due ~delay:(answer_wait t)
       end
-
-  and enquiry_timeout t i =
-    (* No answer from the source within 2δ: it is down, the token is lost. *)
-    match loan_of t i with None -> () | Some _ -> regenerate_token t i
 
   and receive_enquiry t i ~from_ ~rid =
     (* Order matters: a satisfied rid stays satisfied even if a stale
@@ -909,11 +810,10 @@ module Make (R : Runtime.S) = struct
   and receive_enquiry_answer t i ~rid ~answer =
     match loan_of t i with
     | Some loan when rid_equal loan.loan_rid rid -> (
-      cancel_enquiry_timer t i;
       match answer with
       | In_cs ->
         (* Suspicion ill-founded: keep waiting another loan round. *)
-        arm_loan_timer t i
+        watch_return t i loan
       | Token_sent ->
         loan.sent_acks <- loan.sent_acks + 1;
         if loan.sent_acks >= 3 then begin
@@ -924,19 +824,12 @@ module Make (R : Runtime.S) = struct
              Orphan the loan - regenerating here would duplicate the token -
              and reintegrate under the real root via search_father
              (DESIGN.md §5). *)
-          (match t.cold.(i) with Some c -> c.loan <- None | None -> ());
-          cancel_loan_timer t i;
+          clear_loan t i;
           start_search t i ~phase:1 ~resume:false
         end
-        else begin
+        else
           (* The return is in flight; give it 2δ. *)
-          let c = cold t i in
-          cancel_slot t c.loan_timer;
-          c.loan_timer <-
-            Some
-              (R.set_timer t.net ~node:i ~delay:(answer_wait t) (fun () ->
-                   loan_timeout t i))
-        end
+          watch_loan t i Return_due ~delay:(answer_wait t)
       | Token_lost -> regenerate_token t i)
     | _ -> ()
 
@@ -978,7 +871,7 @@ module Make (R : Runtime.S) = struct
     match mrid_opt t i with
     | Some rid when f >= 0 && awaiting_grant t i ->
       let c = cold t i in
-      t.s_custody_queries <- t.s_custody_queries + 1;
+      t.stats.custody_queries <- t.stats.custody_queries + 1;
       send t ~src:i ~dst:f (Message.Custody { rid });
       c.custody_father <- f;
       c.asker_timer <-
@@ -1102,7 +995,7 @@ module Make (R : Runtime.S) = struct
         asker_timeout t i
       | _ ->
         if c.custody_father = from_ then begin
-          t.s_custody_confirmed <- t.s_custody_confirmed + 1;
+          t.stats.custody_confirmed <- t.stats.custody_confirmed + 1;
           c.up_until <- lease_until t ahead;
           (* Custody is confirmed, so the wait-for edge to [from_] exists.
              Every held_per_walk-th held answer walks the chain behind it
@@ -1127,7 +1020,7 @@ module Make (R : Runtime.S) = struct
   and start_walk t i ~father ~rid =
     let c = cold t i in
     cancel_asker t i;
-    t.s_probe_walks <- t.s_probe_walks + 1;
+    t.stats.probe_walks <- t.stats.probe_walks + 1;
     c.walk_out <- true;
     send t ~src:i ~dst:father (Message.Probe { initiator = i; rid; hops = 0 });
     c.asker_timer <-
@@ -1148,7 +1041,7 @@ module Make (R : Runtime.S) = struct
     let ahead = held_backlog t i rid in
     let held_here = ahead >= 0 in
     if initiator = i && held_here && awaiting_grant t i then begin
-      t.s_cycles_detected <- t.s_cycles_detected + 1;
+      t.stats.cycles_detected <- t.stats.cycles_detected + 1;
       cancel_asker t i;
       asker_timeout t i
     end
@@ -1184,7 +1077,7 @@ module Make (R : Runtime.S) = struct
        token away in mid-CS and breaking mutual exclusion. *)
     if (not (searching_now t i)) && (not (has_token t i)) && not (is_in_cs t i)
     then begin
-      t.s_searches_started <- t.s_searches_started + 1;
+      t.stats.searches_started <- t.stats.searches_started + 1;
       cancel_asker t i;
       let phase =
         (* Escalate past fathers that answered ok before but never led to the
@@ -1214,23 +1107,23 @@ module Make (R : Runtime.S) = struct
 
   and run_phase t i s =
     if s.phase > t.pmax then begin_census t i s
-    else begin
-      let ring = ring_at_distance i s.phase in
-      s.outstanding <- ring;
-      s.try_later <- [];
-      t.s_search_nodes_tested <- t.s_search_nodes_tested + List.length ring;
-      List.iter
-        (fun k -> send t ~src:i ~dst:k (Message.Test { d = s.phase }))
-        ring;
-      arm_phase_timer t i s
-    end
+    else test_round t i s (ring_at_distance i s.phase)
 
-  and arm_phase_timer t i s =
+  (* One round of test(d) messages, answered within one answer wait. *)
+  and test_round t i s nodes =
+    s.outstanding <- nodes;
+    s.try_later <- [];
+    t.stats.search_nodes_tested <-
+      t.stats.search_nodes_tested + List.length nodes;
+    List.iter
+      (fun k -> send t ~src:i ~dst:k (Message.Test { d = s.phase }))
+      nodes;
+    arm_phase_timer t i s ~delay:(answer_wait t)
+
+  and arm_phase_timer t i s ~delay =
     cancel_slot t s.phase_timer;
     s.phase_timer <-
-      Some
-        (R.set_timer t.net ~node:i ~delay:(answer_wait t) (fun () ->
-             phase_timeout t i s))
+      Some (R.set_timer t.net ~node:i ~delay (fun () -> phase_timeout t i s))
 
   and phase_timeout t i s =
     let still_active =
@@ -1246,14 +1139,7 @@ module Make (R : Runtime.S) = struct
              try-later nodes are revisited by the next search for this
              mandate, and regeneration stays safe behind the census. *)
           s.retries <- s.retries + 1;
-          s.outstanding <- s.try_later;
-          s.try_later <- [];
-          t.s_search_nodes_tested <-
-            t.s_search_nodes_tested + List.length s.outstanding;
-          List.iter
-            (fun k -> send t ~src:i ~dst:k (Message.Test { d = s.phase }))
-            s.outstanding;
-          arm_phase_timer t i s
+          test_round t i s s.try_later
         end
         else begin
           s.phase <- s.phase + 1;
@@ -1279,12 +1165,7 @@ module Make (R : Runtime.S) = struct
     for k = 0 to t.n - 1 do
       if k <> i then send t ~src:i ~dst:k (Message.Census { round })
     done;
-    cancel_slot t s.phase_timer;
-    s.phase_timer <-
-      Some
-        (R.set_timer t.net ~node:i
-           ~delay:(answer_wait t +. cs_estimate)
-           (fun () -> phase_timeout t i s))
+    arm_phase_timer t i s ~delay:(answer_wait t +. cs_estimate)
 
   and census_round_over t i s round =
     if round >= t.config.census_rounds then regenerate_as_root t i
@@ -1360,32 +1241,10 @@ module Make (R : Runtime.S) = struct
   and regenerate_as_root t i =
     stop_search t i;
     fset_none t i;
-    t.s_token_regenerations <- t.s_token_regenerations + 1;
+    t.stats.token_regenerations <- t.stats.token_regenerations + 1;
     set_token t i true;
     set_lender t i i;
-    let m = mandator_raw t i in
-    if m = i then begin
-      clear_mandator t i;
-      (match mrid_opt t i with Some r -> remember_rid t i r | None -> ());
-      clear_mrid t i;
-      enter_cs t i
-    end
-    else if m >= 0 then begin
-      let loan_rid =
-        match mrid_opt t i with Some r -> r | None -> { source = m; seq = -1 }
-      in
-      clear_mandator t i;
-      clear_mrid t i;
-      (cold t i).loan <-
-        Some { loan_rid; direct = m = loan_rid.source; sent_acks = 0 };
-      send t ~src:i ~dst:m (Message.Token { lender = Some i; rid = Some loan_rid });
-      set_token t i false;
-      arm_loan_timer t i
-    end
-    else begin
-      set_asking t i false;
-      drain t i
-    end
+    serve_mandate t i ~lender:None ~rid:(mrid_opt t i)
 
   and receive_test t i ~from_ ~d =
     match search_of t i with
@@ -1459,7 +1318,7 @@ module Make (R : Runtime.S) = struct
        the void is itself stale — ignore it. *)
     let m = mandator_raw t i in
     if m >= 0 && m <> i && mrid_is t i rid && not (has_token t i) then begin
-      t.s_mandates_voided <- t.s_mandates_voided + 1;
+      t.stats.mandates_voided <- t.stats.mandates_voided + 1;
       cancel_asker t i;
       stop_search t i;
       clear_mandator t i;
@@ -1495,7 +1354,7 @@ module Make (R : Runtime.S) = struct
       receive_probe t i ~initiator ~rid ~hops
     | Message.Release | Message.Sk_request _ | Message.Sk_privilege _
     | Message.Ra_request _ | Message.Ra_reply ->
-      t.s_defensive_drops <- t.s_defensive_drops + 1
+      t.stats.defensive_drops <- t.stats.defensive_drops + 1
 
   (* ------------------------------------------------------------------ *)
   (* Public API                                                          *)
@@ -1569,21 +1428,24 @@ module Make (R : Runtime.S) = struct
         tokens_in_flight = 0;
         tokens_held = 1;
         nodes_in_cs = 0;
-        s_token_regenerations = 0;
-        s_searches_started = 0;
-        s_search_nodes_tested = 0;
-        s_enquiries_sent = 0;
-        s_anomalies_detected = 0;
-        s_duplicate_requests_dropped = 0;
-        s_mandates_voided = 0;
-        s_stale_tokens_bounced = 0;
-        s_unexpected_tokens = 0;
-        s_tokens_destroyed = 0;
-        s_defensive_drops = 0;
-        s_custody_queries = 0;
-        s_custody_confirmed = 0;
-        s_probe_walks = 0;
-        s_cycles_detected = 0;
+        stats =
+          {
+            token_regenerations = 0;
+            searches_started = 0;
+            search_nodes_tested = 0;
+            enquiries_sent = 0;
+            anomalies_detected = 0;
+            duplicate_requests_dropped = 0;
+            mandates_voided = 0;
+            stale_tokens_bounced = 0;
+            unexpected_tokens = 0;
+            tokens_destroyed = 0;
+            defensive_drops = 0;
+            custody_queries = 0;
+            custody_confirmed = 0;
+            probe_walks = 0;
+            cycles_detected = 0;
+          };
       }
     in
     (* One shared handler instead of 2^p per-node closures: dispatch is
@@ -1682,15 +1544,25 @@ module Make (R : Runtime.S) = struct
       | Some r -> Format.asprintf "%a" pp_request_id r
     in
     let mand = mandator_raw t i in
-    let custody_father, walk_out, transits =
+    let custody_father, walk_out, transits, watch =
       match t.cold.(i) with
-      | Some c -> (c.custody_father, c.walk_out, List.length c.transits)
-      | None -> (-1, false, 0)
+      | Some c ->
+        (c.custody_father, c.walk_out, List.length c.transits, c.loan_watch)
+      | None -> (-1, false, 0, None)
+    in
+    let loan =
+      match loan_of t i with
+      | None -> "-"
+      | Some l ->
+        Printf.sprintf "%s/%s/acks=%d"
+          (fmt_rid (Some l.loan_rid))
+          (if l.direct then "direct" else "indirect")
+          l.sent_acks
     in
     Printf.sprintf
       "node %d: father=%s power=%d token=%b asking=%b in_cs=%b lender=%d \
        mandator=%s rid=%s queue=%d searching=%b custody_query=%s \
-       walk_out=%b transits=%d"
+       walk_out=%b transits=%d loan=%s watch=%s"
       i
       (fmt_opt (father t i))
       (power_of t i) (has_token t i) (is_asking t i) (is_in_cs t i)
@@ -1699,26 +1571,13 @@ module Make (R : Runtime.S) = struct
       (fmt_rid (mrid_opt t i))
       (queue_length t i) (searching_now t i)
       (fmt_opt (if custody_father < 0 then None else Some custody_father))
-      walk_out transits
+      walk_out transits loan
+      (match watch with
+      | None -> "-"
+      | Some (Return_due, _) -> "return"
+      | Some (Answer_due, _) -> "answer")
 
-  let stats t =
-    {
-      token_regenerations = t.s_token_regenerations;
-      searches_started = t.s_searches_started;
-      search_nodes_tested = t.s_search_nodes_tested;
-      enquiries_sent = t.s_enquiries_sent;
-      anomalies_detected = t.s_anomalies_detected;
-      duplicate_requests_dropped = t.s_duplicate_requests_dropped;
-      mandates_voided = t.s_mandates_voided;
-      stale_tokens_bounced = t.s_stale_tokens_bounced;
-      unexpected_tokens = t.s_unexpected_tokens;
-      tokens_destroyed = t.s_tokens_destroyed;
-      defensive_drops = t.s_defensive_drops;
-      custody_queries = t.s_custody_queries;
-      custody_confirmed = t.s_custody_confirmed;
-      probe_walks = t.s_probe_walks;
-      cycles_detected = t.s_cycles_detected;
-    }
+  let stats t = { t.stats with token_regenerations = t.stats.token_regenerations }
 
   let holder_count t = t.tokens_held
 

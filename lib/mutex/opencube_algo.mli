@@ -18,7 +18,13 @@
     - a lender watches its loan ([2δ+e] direct, [(pmax+1)δ+e] otherwise),
       enquires with the request's source on timeout, and regenerates the
       token when the enquiry concludes it is lost;
-    - an asking node that waited [2·pmax·δ] runs [search_father]: phase [d]
+    - an asker first asks its father whether it still holds the request
+      (a custody query), [max(D − 2.1δ, (pmax+2)δ)] after sending it,
+      where [D = asker_patience·2·pmax·δ] is the paper's deadline (where
+      [D] leaves no room for the query, it suspects at [D], as the paper
+      does). A "held" answer grants a lease on the backlog ahead of the
+      request, after which it asks again (DESIGN.md §5.15); silence or a
+      "not held" answer starts [search_father]: phase [d]
       probes the [2^(d-1)] nodes at distance exactly [d]; [power >= d]
       answers ok, an asking node with smaller power answers try-later,
       anyone else stays silent; concurrent searches are arbitrated by phase
@@ -76,28 +82,29 @@ val default_config : p:int -> config
     critical-section estimate [e] in the lender's timeouts (1.0) and the
     per-node window of remembered request ids (32) are fixed. *)
 
-(** Counters accumulated since creation. *)
-type stats = {
-  token_regenerations : int;
-  searches_started : int;
-  search_nodes_tested : int;  (** total probes sent by search_father *)
-  enquiries_sent : int;
-  anomalies_detected : int;
-  duplicate_requests_dropped : int;
-  mandates_voided : int;
+(** Counters accumulated since creation. The fields are read-only outside
+    this module; {!Make.stats} returns a copy. *)
+type stats = private {
+  mutable token_regenerations : int;
+  mutable searches_started : int;
+  mutable search_nodes_tested : int;  (** total probes sent by search_father *)
+  mutable enquiries_sent : int;
+  mutable anomalies_detected : int;
+  mutable duplicate_requests_dropped : int;
+  mutable mandates_voided : int;
       (** stale proxy mandates cancelled on a [Void] from the source *)
-  stale_tokens_bounced : int;
-  unexpected_tokens : int;
-  tokens_destroyed : int;
+  mutable stale_tokens_bounced : int;
+  mutable unexpected_tokens : int;
+  mutable tokens_destroyed : int;
       (** duplicate tokens swallowed by a node that already held one *)
-  defensive_drops : int;
-  custody_queries : int;
+  mutable defensive_drops : int;
+  mutable custody_queries : int;
       (** custody queries an asker sent its father before suspecting it *)
-  custody_confirmed : int;
+  mutable custody_confirmed : int;
       (** "held" answers that postponed a father search *)
-  probe_walks : int;
+  mutable probe_walks : int;
       (** wait-for probe walks started by askers after a "held" answer *)
-  cycles_detected : int;
+  mutable cycles_detected : int;
       (** walks that came back to their initiator: waiting cycles found *)
 }
 
@@ -152,6 +159,7 @@ module Make (R : Runtime.S) : sig
   (** One-line state dump of a node, for debugging embeddings. *)
 
   val stats : t -> stats
+  (** A copy of the counters: later events do not change it. *)
 
   val holder_count : t -> int
   (** Running tally of the nodes whose token flag is set, kept by the one

@@ -425,6 +425,155 @@ let test_stats_counters_plausible () =
   checki "no token regenerated (root alive)" 0 st.token_regenerations;
   checki "no stale bounces in this scenario" 0 st.stale_tokens_bounced
 
+(* A lender whose enquiry goes unanswered regenerates the token and serves
+   the wish it has pending, through the same dispatch as token arrival
+   (DESIGN.md §5.13). A lender has a wish pending only when a search
+   without a mandate ends while its loan is out, and such a search starts
+   only from a census's backoff; crafted messages drive 4 there on a p = 3
+   cube. 0-3 die at 0.5, so 4's request for 5 is lost and its search
+   (started by an anomaly) finds every ring silent; a crafted
+   token-exists reply aborts its census (backoff 3.375 from 6.5); a
+   crafted token(nil) makes 4 lend to 5 at 8; the restarted search finds
+   5 (holder) at 11.875 and ends, and 4's queued wish sends its request
+   to 5. 5 dies at 14; the enquiry of 16 goes unanswered, and at 18.1 4
+   regenerates and enters its CS. *)
+let test_lender_regeneration_serves_wish () =
+  let s = make ~cs:(Runner.Fixed 100.0) 3 in
+  let net = Runner.net s.env in
+  let rid5 = { Types.source = 5; seq = 0 } in
+  Runner.schedule_faults s.env
+    (Runner.Faults.at 14.0 5 ()
+    :: List.map (fun k -> Runner.Faults.at 0.5 k ()) [ 0; 1; 2; 3 ]);
+  Runner.submit s.env 5;
+  Runner.run ~until:2.0 s.env;
+  Types.Net.send net ~src:6 ~dst:4 (Types.Message.Anomaly { rid = rid5 });
+  Runner.run ~until:5.5 s.env;
+  Types.Net.send net ~src:6 ~dst:4
+    (Types.Message.Census_reply { round = 1; reply = Types.Token_exists });
+  Runner.run ~until:7.0 s.env;
+  Types.Net.send net ~src:6 ~dst:4
+    (Types.Message.Token { lender = None; rid = Some rid5 });
+  Runner.run ~until:7.5 s.env;
+  Runner.submit s.env 4;
+  Runner.run ~until:12.0 s.env;
+  checkb "5 borrows from 4" true (Opencube_algo.in_cs s.algo 5);
+  checkb "4 waits on 5 with its own wish" true
+    (Opencube_algo.father s.algo 4 = Some 5 && Opencube_algo.is_asking s.algo 4);
+  Runner.run ~until:18.0 s.env;
+  checkb "no regeneration before the enquiry's answer wait" false
+    (Opencube_algo.in_cs s.algo 4);
+  Runner.run ~until:18.2 s.env;
+  checki "one regeneration" 1 (Opencube_algo.stats s.algo).token_regenerations;
+  checkb "the pending wish is served" true (Opencube_algo.in_cs s.algo 4);
+  checkb "4 holds the token" true (Opencube_algo.token_holders s.algo = [ 4 ])
+
+(* --- token arrival (PROTOCOL.md §4, the token-in-hand table) ------------- *)
+
+(* A crafted token reaches a node in each state that the stale-token guard
+   and the token-in-hand dispatch tell apart. [wishes] are issued at t = 0
+   on a fresh p = 3 cube with a CS of 100: a wish of 0 puts the holder in
+   its CS, so 1's request waits in 0's queue, and 4 proxies for 5 (dist 1,
+   below 4's power 2); without it, 0 lends to 1 at once. The token is sent
+   at 3.5, once everything else has settled, and lands at 4.5; the checks
+   read the node half a δ later, before any reply arrives and before the
+   first custody query (at 5). *)
+let test_token_arrival () =
+  let rid source seq = Some { Types.source; seq } in
+  let case label ~wishes ~src ~dst ~lender ~rid ~counts ~holders ~father
+      ~asking =
+    let s = make ~cs:(Runner.Fixed 100.0) ~trace:true 3 in
+    List.iter (Runner.submit s.env) wishes;
+    Runner.run ~until:3.5 s.env;
+    Types.Net.send (Runner.net s.env) ~src ~dst
+      (Types.Message.Token { lender; rid });
+    Runner.run ~until:5.0 s.env;
+    let st = Opencube_algo.stats s.algo in
+    let label what = Printf.sprintf "%s: %s" label what in
+    Alcotest.(check (triple int int int))
+      (label "bounced, unexpected, destroyed") counts
+      (st.stale_tokens_bounced, st.unexpected_tokens, st.tokens_destroyed);
+    Alcotest.(check (list int))
+      (label "holders") holders
+      (Opencube_algo.token_holders s.algo);
+    Alcotest.(check (option int))
+      (label "father") father
+      (Opencube_algo.father s.algo dst);
+    checkb (label "asking") asking (Opencube_algo.is_asking s.algo dst);
+    s
+  in
+  let s =
+    case "own grant" ~wishes:[ 0; 1 ] ~src:2 ~dst:1 ~lender:(Some 2)
+      ~rid:(rid 1 0) ~counts:(0, 0, 0) ~holders:[ 0; 1 ] ~father:(Some 2)
+      ~asking:true
+  in
+  checkb "own grant: in CS" true (Opencube_algo.in_cs s.algo 1);
+  let s =
+    case "ownerless grant for another rid" ~wishes:[ 0; 1 ] ~src:2 ~dst:1
+      ~lender:None ~rid:(rid 1 7) ~counts:(0, 0, 0) ~holders:[ 0; 1 ]
+      ~father:None ~asking:true
+  in
+  checkb "ownerless grant: in CS" true (Opencube_algo.in_cs s.algo 1);
+  (* The grant's rid is remembered as served: an enquiry about it hears
+     token-sent, not token-lost. *)
+  let served = { Types.source = 1; seq = 7 } in
+  Types.Net.send (Runner.net s.env) ~src:3 ~dst:1
+    (Types.Message.Enquiry { rid = served });
+  Runner.run ~until:6.5 s.env;
+  checkb "ownerless grant: its rid answers token-sent" true
+    (List.exists
+       (fun (e : Runner.entry) ->
+         match e.step with
+         | Runner.Send
+             {
+               dst = 3;
+               msg = Types.Message.Enquiry_answer { rid; answer = Types.Token_sent };
+             } ->
+           e.node = 1 && rid = served
+         | _ -> false)
+       (Runner.trace s.env));
+  let s =
+    case "proxy, lender nil" ~wishes:[ 0; 5 ] ~src:0 ~dst:4 ~lender:None
+      ~rid:(rid 5 0) ~counts:(0, 0, 0) ~holders:[ 0 ] ~father:None
+      ~asking:true
+  in
+  Runner.run ~until:5.6 s.env;
+  checkb "proxy lend: 5 borrows from 4" true
+    (Opencube_algo.in_cs s.algo 5 && Opencube_algo.father s.algo 5 = Some 4);
+  let s =
+    case "proxy pass-on" ~wishes:[ 0; 5 ] ~src:2 ~dst:4 ~lender:(Some 2)
+      ~rid:(rid 5 0) ~counts:(0, 0, 0) ~holders:[ 0 ] ~father:(Some 2)
+      ~asking:false
+  in
+  Runner.run ~until:5.6 s.env;
+  checkb "pass-on: 5 holds 2's token" true
+    (Opencube_algo.in_cs s.algo 5 && Opencube_algo.father s.algo 5 = Some 4);
+  ignore
+    (case "loan return" ~wishes:[ 1 ] ~src:1 ~dst:0 ~lender:None ~rid:None
+       ~counts:(0, 0, 0) ~holders:[ 0; 1 ] ~father:None ~asking:false);
+  ignore
+    (case "ownerless adopt" ~wishes:[ 0 ] ~src:6 ~dst:5 ~lender:None ~rid:None
+       ~counts:(0, 1, 0) ~holders:[ 0; 5 ] ~father:None ~asking:false);
+  ignore
+    (case "own lent token routed back" ~wishes:[ 0 ] ~src:6 ~dst:5
+       ~lender:(Some 5) ~rid:None ~counts:(0, 1, 0) ~holders:[ 0; 5 ]
+       ~father:(Some 4) ~asking:false);
+  ignore
+    (case "stale grant, no mandate" ~wishes:[ 0 ] ~src:2 ~dst:5
+       ~lender:(Some 2) ~rid:(rid 5 0) ~counts:(1, 0, 0) ~holders:[ 0 ]
+       ~father:(Some 4) ~asking:false);
+  ignore
+    (case "stale grant, wrong rid" ~wishes:[ 0; 1 ] ~src:2 ~dst:1
+       ~lender:(Some 2) ~rid:(rid 1 7) ~counts:(1, 0, 0) ~holders:[ 0 ]
+       ~father:(Some 0) ~asking:true);
+  ignore
+    (case "owned duplicate at a holder" ~wishes:[ 0 ] ~src:2 ~dst:0
+       ~lender:(Some 2) ~rid:None ~counts:(1, 0, 0) ~holders:[ 0 ]
+       ~father:None ~asking:true);
+  ignore
+    (case "ownerless duplicate at a holder" ~wishes:[ 0 ] ~src:2 ~dst:0
+       ~lender:None ~rid:None ~counts:(0, 0, 1) ~holders:[ 0 ] ~father:None
+       ~asking:true)
+
 (* --- custody query before search_father (DESIGN.md §5) ------------------ *)
 
 (* Saturated and fault-free with Section 5 armed: N = 256, Poisson wishes
@@ -624,6 +773,23 @@ let test_describe () =
   quiesce s;
   checkb "transit node 6 counts its record" true
     (Tutil.contains (Opencube_algo.describe s.algo 6) "transits=1");
+  checkb "no loan, no watch" true
+    (Tutil.contains (Opencube_algo.describe s.algo 0) "loan=- watch=-");
+  (* A lender mid-loan: 0 lends to 1 at t = 1 and watches for the return
+     (2δ + e = 3); at t = 4 it enquires and waits for the answer, which
+     (1 is still in its CS) re-arms the return watch at t = 6. *)
+  let s = make ~cs:(Runner.Fixed 40.0) 3 in
+  Runner.submit s.env 1;
+  let lender_at time =
+    Runner.run ~until:time s.env;
+    Opencube_algo.describe s.algo 0
+  in
+  checkb "the loan and its return watch" true
+    (Tutil.contains (lender_at 1.5) "loan=1#0/direct/acks=0 watch=return");
+  checkb "the enquiry's answer watch" true
+    (Tutil.contains (lender_at 4.5) "loan=1#0/direct/acks=0 watch=answer");
+  checkb "back to the return watch" true
+    (Tutil.contains (lender_at 6.5) "watch=return");
   (* A wait-for walk out of a waiting cycle shows at its initiator. *)
   let s = waiting_cycle () in
   let engine = Runner.engine s.env in
@@ -805,4 +971,8 @@ let suite =
       test_first_query_after_longest_grant;
     Alcotest.test_case "lease: transit report reaches the asker" `Quick
       test_transit_report_reaches_asker;
+    Alcotest.test_case "token arrival in every node state" `Quick
+      test_token_arrival;
+    Alcotest.test_case "lender regeneration serves a pending wish" `Quick
+      test_lender_regeneration_serves_wish;
   ]

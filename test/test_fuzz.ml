@@ -137,8 +137,8 @@ let mid_cs_transit_script =
    a mandate of its own pending was integrated as the mandate's grant,
    leaving the loan record and its enquiry timer dangling; the timer
    fired after the token was re-lent and regenerated a duplicate.
-   [receive_token_integrate] now settles an outstanding loan in every
-   mandate branch. *)
+   Every accepted token now settles an outstanding loan, whatever the
+   mandate. *)
 let stale_enquiry_regen_script =
   "algo=opencube p=3 seed=213444 \
    delay=uniform:0.95730522126217266:1.2285784236444162 \
@@ -151,8 +151,9 @@ let stale_enquiry_regen_script =
    token lost and duplicated it) nor dispatched a pending mandate (which
    orphaned the wish); and the recovery anomaly bounce could ping-pong
    forever against the holder-accepts-any-searcher rule.
-   [regenerate_token] now mirrors [regenerate_as_root] and the anomaly
-   bounce defers to a token holder, which serves instead. *)
+   [regenerate_token] now serves the mandate through the dispatch that
+   [regenerate_as_root] uses, and the anomaly bounce defers to a token
+   holder, which serves instead. *)
 let census_after_regen_script =
   "algo=opencube p=2 seed=679809 delay=constant:0.64293572514457797 \
    cs=fixed:1.9820889235139105 ft=true patience=1 lifo=false serial=false \

@@ -190,14 +190,51 @@ let test_simulate_runs () =
     }
   in
   (match Exp_common.simulate { run with algo = "no-such-algo" } with
-  | Error (Exp_common.Unknown_algorithm _) -> ()
+  | Error (Exp_common.Invalid_run _) -> ()
   | _ -> Alcotest.fail "unknown algorithm accepted");
   match Exp_common.simulate run with
   | Ok (env, _) ->
     checki "every wish served" (Ocube_mutex.Runner.issued env)
       (Ocube_mutex.Runner.cs_entries env)
-  | Error (Exp_common.Stalled m | Exp_common.Unknown_algorithm m) ->
+  | Error (Exp_common.Stalled m | Exp_common.Invalid_run m) ->
     Alcotest.fail m
+
+(* A node count the algorithm cannot take is an error, not a crash: at
+   least one node, and a power of two for the open cube and the binomial
+   trees. *)
+let test_simulate_node_counts () =
+  let run algo n =
+    {
+      Exp_common.algo;
+      n;
+      seed = 1;
+      rate = 0.01;
+      horizon = 20.0;
+      cs = 1.0;
+      failures = 0;
+      recover = 0.0;
+      patience = 1.0;
+    }
+  in
+  let rejected algo n expect =
+    match Exp_common.simulate (run algo n) with
+    | Error (Exp_common.Invalid_run m) ->
+      checkb (Printf.sprintf "%s -n %d: %s" algo n m) true (contains m expect)
+    | Ok _ | Error (Exp_common.Stalled _) ->
+      Alcotest.failf "%s -n %d accepted" algo n
+  in
+  rejected "opencube" 3 "-n must be a power of two for open-cube/ft (got 3)";
+  rejected "opencube" 0 "-n must be at least 1 (got 0)";
+  rejected "raymond" 3 "power of two";
+  rejected "generic-transit" 6 "power of two";
+  rejected "central" 0 "-n must be at least 1";
+  List.iter
+    (fun (algo, n) ->
+      match Exp_common.simulate (run algo n) with
+      | Ok _ -> ()
+      | Error (Exp_common.Stalled m | Exp_common.Invalid_run m) ->
+        Alcotest.failf "%s -n %d: %s" algo n m)
+    [ ("opencube", 1); ("central", 3); ("raymond-path", 3) ]
 
 let suite =
   [
@@ -224,4 +261,6 @@ let suite =
     Alcotest.test_case "sweep index manifest" `Quick test_sweep_index_json;
     Alcotest.test_case "simulate: unknown algorithm, every wish served"
       `Quick test_simulate_runs;
+    Alcotest.test_case "simulate: out-of-range node counts rejected" `Quick
+      test_simulate_node_counts;
   ]
