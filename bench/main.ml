@@ -35,7 +35,7 @@ module Opencube = Ocube_topology.Opencube
 module Engine = Ocube_sim.Engine
 module Source = Ocube_workload.Source
 module Rng = Ocube_sim.Rng
-module Spec = Ocube_model.Spec
+module Machine = Ocube_model.Machine
 module Explore = Ocube_model.Explore
 
 (* --- kernel registry ------------------------------------------------------ *)
@@ -410,7 +410,7 @@ let () =
 let () =
   reg ~name:"scale_modelcheck_p2_w2" (fun () ->
       let s = Explore.run ~p:2 ~wishes:2 () in
-      assert (s.Explore.states = 32496))
+      assert (s.Explore.states = 51362))
 
 (* Packed state keys: encode/decode throughput over a 256-state BFS sample
    (the visited-set key is the model checker's hottest allocation). *)
@@ -419,28 +419,28 @@ let () =
     let seen = Hashtbl.create 512 in
     let q = Queue.create () in
     let acc = ref [] in
-    let init = Spec.initial ~p:2 ~wishes:1 in
-    Hashtbl.replace seen (Spec.encode init) ();
+    let init = Machine.initial ~p:2 ~wishes:1 in
+    Hashtbl.replace seen (Machine.encode init) ();
     Queue.add init q;
     while !acc = [] || (Hashtbl.length seen < 256 && not (Queue.is_empty q)) do
       let st = Queue.pop q in
       acc := st :: !acc;
       List.iter
         (fun (_, st') ->
-          let k = Spec.encode st' in
+          let k = Machine.encode st' in
           if not (Hashtbl.mem seen k) then begin
             Hashtbl.replace seen k ();
             Queue.add st' q
           end)
-        (Spec.transitions st)
+        (Machine.transitions st)
     done;
     Array.of_list (List.rev !acc)
   in
-  let keys = Array.map Spec.encode sample in
+  let keys = Array.map Machine.encode sample in
   reg ~name:"scale_packed_encode_256" (fun () ->
-      Array.iter (fun st -> ignore (Spec.encode st : string)) sample);
+      Array.iter (fun st -> ignore (Machine.encode st : string)) sample);
   reg ~name:"scale_packed_decode_256" (fun () ->
-      Array.iter (fun k -> ignore (Spec.decode k : Spec.state)) keys)
+      Array.iter (fun k -> ignore (Machine.decode k : Machine.state)) keys)
 
 (* --- runner ---------------------------------------------------------------- *)
 

@@ -32,8 +32,10 @@ let jobs_arg =
 
 let nodes_arg =
   let doc =
-    "Number of nodes: at least 1, and a power of two for opencube, \
-     opencube-paper, opencube-nofault, raymond and the generic schemes."
+    Printf.sprintf
+      "Number of nodes: 1 to %d, and a power of two for opencube, \
+       opencube-paper, opencube-nofault, raymond and the generic schemes."
+      Exp_common.max_nodes
   in
   Arg.(value & opt int 32 & info [ "n"; "nodes" ] ~docv:"N" ~doc)
 
@@ -229,9 +231,10 @@ let simulate_cmd =
 
 (* --- tree ------------------------------------------------------------------- *)
 
-(* [tree] and [dot] draw every node: past 2^16 the drawing takes minutes,
-   and large dimensions exhaust memory. *)
-let max_drawn_p = 16
+(* [tree] and [dot] draw every node, in time linear in N once the drawn
+   cube passes its check (2 s and 80 MB of text at 2^20); the bound is the
+   largest instance [simulate] takes. *)
+let max_drawn_p = 20
 
 let drawn_p_arg =
   let doc =
@@ -250,17 +253,21 @@ let p_range_exit ~max =
   Cmd.Exit.info 1 ~doc:(Printf.sprintf "when $(b,-p) is outside 0..%d." max)
   :: Cmd.Exit.defaults
 
+(* The drawn cube: adopted from the core's father array and checked, so
+   that a valid cube draws with the closed-form [sons] rather than an O(N)
+   scan per node. *)
+let drawn_cube algo =
+  let cube = Opencube.of_fathers (Opencube_algo.snapshot_tree algo) in
+  ignore (Opencube.check cube : (unit, string) result);
+  cube
+
 let run_tree p requests seed =
   if p_out_of_range ~max:max_drawn_p p then 1
   else begin
     let env, algo =
       Exp_common.make_opencube ~seed ~fault_tolerance:false ~p ()
     in
-    let show () =
-      print_string
-        (Opencube.render
-           (Opencube.of_fathers (Opencube_algo.snapshot_tree algo)))
-    in
+    let show () = print_string (Opencube.render (drawn_cube algo)) in
     Printf.printf "Initial %d-open-cube:\n" (1 lsl p);
     show ();
     List.iter
@@ -304,9 +311,7 @@ let run_dot p requests seed output =
       (fun node ->
         if node >= 0 && node < 1 lsl p then ignore (Exp_common.probe env node))
       requests;
-    let dot =
-      Opencube.to_dot (Opencube.of_fathers (Opencube_algo.snapshot_tree algo))
-    in
+    let dot = Opencube.to_dot (drawn_cube algo) in
     (match output with
     | None -> print_string dot
     | Some path ->
@@ -392,7 +397,7 @@ let run_verify p wishes max_states jobs symmetry mem_budget faults =
     with
     | E.Violation v ->
       Printf.printf "VIOLATION: %s\n%s" v.E.message
-        (Format.asprintf "%a" Ocube_model.Spec.pp v.E.state);
+        (Format.asprintf "%a" Ocube_model.Machine.pp v.E.state);
       Printf.printf "trace (%d steps): %s\n" (List.length v.E.trace)
         (Format.asprintf "%a" E.pp_trace v.E.trace);
       2
@@ -640,16 +645,12 @@ let run_cluster seed algo n kill cs tick per_node deadline no_ft log_file
     Printf.eprintf "unknown algorithm %S (expected one of: %s)\n" algo
       (String.concat ", " (List.map Pspec.name Pspec.all));
     1
-  | Some algo ->
-    if n < 2 || n land (n - 1) <> 0 then begin
-      Printf.eprintf "-n must be a power of two >= 2 (got %d)\n" n;
+  | Some algo -> (
+    match Cluster.dimension n with
+    | Error msg ->
+      prerr_endline msg;
       1
-    end
-    else begin
-      let p =
-        let rec go p = if 1 lsl p >= n then p else go (p + 1) in
-        go 1
-      in
+    | Ok p ->
       let ft = Pspec.fault_tolerant algo && not no_ft in
       let rng = Rng.create seed in
       let kills =
@@ -718,8 +719,7 @@ let run_cluster seed algo n kill cs tick per_node deadline no_ft log_file
         | Error e ->
           Printf.printf "verdict  : ORACLE VIOLATED - %s\n" e;
           2
-      end
-    end
+      end)
 
 let cluster_cmd =
   let algo_arg =
@@ -730,7 +730,12 @@ let cluster_cmd =
     Arg.(value & opt string "opencube" & info [ "a"; "algo" ] ~docv:"ALGO" ~doc)
   in
   let n_arg =
-    let doc = "Cluster size: one forked process per node (a power of two)." in
+    let doc =
+      Printf.sprintf
+        "Cluster size: one forked process per node, a power of two from 2 to \
+         %d."
+        Cluster.max_nodes
+    in
     Arg.(value & opt int 8 & info [ "n"; "nodes" ] ~docv:"N" ~doc)
   in
   let kill_arg =

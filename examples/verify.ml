@@ -1,5 +1,7 @@
 (* Bounded verification demo: exhaustively explore every message
-   interleaving of the fault-free protocol on a 4-node open-cube where
+   interleaving of the shipped fault-free protocol core (Opencube_algo's
+   own handlers over the model checker's bag runtime) on a 4-node
+   open-cube where
    every node wants the critical section twice, checking all invariants on
    all reachable states.
 
@@ -23,8 +25,9 @@ let () =
        \  token at rest at the root."
    with Ocube_model.Explore.Violation v ->
      Printf.printf "VIOLATION: %s\n%s\n" v.Ocube_model.Explore.message
-       (Format.asprintf "%a" Ocube_model.Spec.pp v.Ocube_model.Explore.state));
+       (Format.asprintf "%a" Ocube_model.Machine.pp v.Ocube_model.Explore.state));
   print_endline
-    "\nThe same spec cross-validates against the simulator (see\n\
-     test/test_model.ml); run `ocmutex experiments model-check` for the\n\
-     full sweep up to 8 nodes (~4M states)."
+    "\nThe states are the core's own (Opencube_algo.export), so these are\n\
+     facts about the code the simulator and the cluster run; run\n\
+     `ocmutex experiments model-check` for the full sweep up to 8 nodes\n\
+     (~4.4M states)."

@@ -123,6 +123,8 @@ type simulation = {
 type simulate_error = Invalid_run of string | Stalled of string
 
 (* The open cube and the binomial trees need a power of two. *)
+let max_nodes = 1 lsl 20
+
 let check_nodes kind n =
   let power_of_two =
     match kind with
@@ -131,6 +133,8 @@ let check_nodes kind n =
       false
   in
   if n < 1 then Error (Printf.sprintf "-n must be at least 1 (got %d)" n)
+  else if n > max_nodes then
+    Error (Printf.sprintf "-n must be at most %d (got %d)" max_nodes n)
   else if power_of_two && n land (n - 1) <> 0 then
     Error
       (Printf.sprintf "-n must be a power of two for %s (got %d)"

@@ -72,12 +72,17 @@ type simulation = {
   patience : float;
 }
 
+val max_nodes : int
+(** The largest [n] {!simulate} takes: 2^20, the largest instance the
+    scale kernels size the arena and the per-node vectors for (DESIGN.md
+    §11). *)
+
 type simulate_error =
   | Invalid_run of string
       (** an unknown algorithm name, or a node count the algorithm cannot
-          take: [n >= 1], and a power of two for the open cube, the
-          binomial Raymond tree and the generic schemes; checked before
-          anything is built *)
+          take: [1 <= n <= max_nodes], and a power of two for the open
+          cube, the binomial Raymond tree and the generic schemes; checked
+          before anything is built *)
   | Stalled of string
       (** the run's progress watchdog stopped it ({!Runner.Stalled}): the
           one-line verdict, then the run's parameters *)

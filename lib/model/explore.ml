@@ -13,8 +13,8 @@ type stats = {
 
 type violation = {
   message : string;
-  state : Spec.state;
-  trace : Spec.transition list;
+  state : Machine.state;
+  trace : Machine.transition list;
 }
 
 exception Violation of violation
@@ -65,27 +65,23 @@ let sbuf_snapshot b = Array.sub b.strs 0 b.slen
 (* --- packed transition labels -------------------------------------------- *)
 
 (* A label is [tag lor (payload lsl 2)]: tags 0..3 for Wish/Exit/Deliver/
-   Crash, the payload a node id or a packed message int (< 2^32), so a
-   label fits 34 bits. A state's meta word is [label lor (sigma lsl 34)]
-   where [sigma] is the index (< 1024) of the automorphism mapping the
-   concrete reachable state to the stored canonical representative —
-   0 whenever symmetry is off. *)
+   Crash, the payload a node id or a packed message (< 2^59, {!Bag}).
+   Each stored state also records [sigma], the index of the automorphism
+   mapping the concrete reachable state to the stored canonical
+   representative (0 whenever symmetry is off). *)
 
-let lbl_wish i = 0 lor (i lsl 2)
-let lbl_exit i = 1 lor (i lsl 2)
-let lbl_deliver m = 2 lor (m lsl 2)
-let lbl_crash i = 3 lor (i lsl 2)
+let label_of = function
+  | Machine.Wish i -> i lsl 2
+  | Machine.Exit i -> 1 lor (i lsl 2)
+  | Machine.Deliver m -> 2 lor (m lsl 2)
+  | Machine.Crash i -> 3 lor (i lsl 2)
 
 let transition_of_label l =
   match l land 3 with
-  | 0 -> Spec.Wish (l lsr 2)
-  | 1 -> Spec.Exit (l lsr 2)
-  | 2 -> Spec.Deliver (Spec.msg_of_int (l lsr 2))
-  | _ -> Spec.Crash (l lsr 2)
-
-let meta_mask = (1 lsl 34) - 1
-let[@inline] meta_label m = m land meta_mask
-let[@inline] meta_sigma m = m lsr 34
+  | 0 -> Machine.Wish (l lsr 2)
+  | 1 -> Machine.Exit (l lsr 2)
+  | 2 -> Machine.Deliver (l lsr 2)
+  | _ -> Machine.Crash (l lsr 2)
 
 (* --- trace reconstruction ------------------------------------------------- *)
 
@@ -96,70 +92,68 @@ let[@inline] meta_sigma m = m lsr 34
    stored canonical pulled back through its own [sigma^-1]. With
    symmetry off every sigma is the identity and both are no-ops. *)
 
-let concretize_label sym parents metas id =
-  let label = transition_of_label (meta_label (ibuf_get metas id)) in
+(* [sym] pairs the group table with the per-state sigma vector. *)
+let concretize_label sym parents labels id =
+  let label = transition_of_label (ibuf_get labels id) in
   match sym with
   | None -> label
-  | Some t ->
-    let sigma_parent = meta_sigma (ibuf_get metas (ibuf_get parents id)) in
-    Symmetry.apply_transition t (Symmetry.inverse t sigma_parent) label
+  | Some (t, sigmas) ->
+    let sigma_parent = ibuf_get sigmas (ibuf_get parents id) in
+    Machine.relabel_transition (Symmetry.perm t (Symmetry.inverse t sigma_parent))
+      label
 
-let concretize_state sym metas id st =
+let concretize_state sym id st =
   match sym with
   | None -> st
-  | Some t ->
-    let sigma = meta_sigma (ibuf_get metas id) in
-    Spec.relabel (Symmetry.perm t (Symmetry.inverse t sigma)) st
+  | Some (t, sigmas) ->
+    let sigma = ibuf_get sigmas id in
+    Machine.relabel (Symmetry.perm t (Symmetry.inverse t sigma)) st
 
 (* The concrete transition labels along the BFS tree path from the
    initial state to state [id]. *)
-let trace_to sym parents metas id =
+let trace_to sym parents labels id =
   let rec path id acc =
     if id <= 0 then acc else path (ibuf_get parents id) (id :: acc)
   in
-  List.map (concretize_label sym parents metas) (path id [])
+  List.map (concretize_label sym parents labels) (path id [])
 
 (* --- serial BFS ----------------------------------------------------------- *)
 
 (* The hot loop is fused: each successor is encoded, deduplicated and
-   invariant-checked by the {!Spec.iter_transitions} callback the moment
-   the spec builds it, while its arrays are still cache-hot — fresh
-   states are checked here (once, at first discovery) rather than when
-   dequeued, which visits the same set of states.
+   invariant-checked by the {!Machine.iter_transitions} callback the
+   moment it is built — fresh states are checked here (once, at first
+   discovery) rather than when dequeued, which visits the same set of
+   states.
 
-   The BFS queue is a growable array of states indexed by a read cursor:
-   every state is pushed exactly once, so the array doubles like a vector
-   and nothing is ever shifted; the queue position is the state's id,
-   which indexes the parent/label vectors that traces are rebuilt from.
-   Depth is tracked with level marks ([level_end] is the queue index
-   where the current BFS level ends) instead of a per-entry counter. *)
+   The BFS queue is a growable array of keys (the strings the visited set
+   already holds, so a queued state costs one pointer), decoded when
+   dequeued; it is indexed by a read cursor: every state is pushed exactly
+   once, so the array doubles like a vector and nothing is ever shifted;
+   the queue position is the state's id, which indexes the parent/label
+   vectors that traces are rebuilt from. Depth is tracked with level marks
+   ([level_end] is the queue index where the current BFS level ends)
+   instead of a per-entry counter. *)
 let run_serial ~max_states ~max_faults ~variant ~p ~wishes =
-  let initial = Spec.initial ~p ~wishes in
-  (match Spec.check_invariants initial with
+  let initial = Machine.initial ~p ~wishes in
+  (match Machine.check_invariants initial with
   | Ok () -> ()
   | Error message -> raise (Violation { message; state = initial; trace = [] }));
   let visited = Keyset.create 1_024 in
-  let queue = ref (Array.make 1_024 initial) in
-  let keys = ref (Array.make 1_024 "") in
+  let queue = sbuf_create () in
   let parents = ibuf_create ()
-  and metas = ibuf_create () in
-  let head = ref 0
-  and tail = ref 0 in
+  and labels = ibuf_create () in
+  let head = ref 0 in
   let states = ref 0
   and transitions = ref 0
   and terminals = ref 0
   and max_in_flight = ref 0
   and max_depth = ref 0 in
-  let parent = ref initial
-  and parent_key = ref ""
-  and parent_id = ref 0 in
-  let on_successor label st' =
+  let parent_id = ref 0 in
+  let on_successor tr st' =
     incr transitions;
-    let key, fl =
-      Spec.encode_delta ~parent:!parent ~parent_key:!parent_key st'
-    in
+    let key, fl = Machine.encode_len st' in
     if Keyset.add_if_absent visited key then begin
-      (match Spec.check_invariants st' with
+      (match Machine.check_invariants st' with
       | Ok () -> ()
       | Error message ->
         raise
@@ -167,64 +161,37 @@ let run_serial ~max_states ~max_faults ~variant ~p ~wishes =
              {
                message;
                state = st';
-               trace =
-                 trace_to None parents metas !parent_id
-                 @ [ transition_of_label label ];
+               trace = trace_to None parents labels !parent_id @ [ tr ];
              }));
       incr states;
       if !states > max_states then too_big max_states;
       if fl > !max_in_flight then max_in_flight := fl;
-      let q = !queue in
-      let cap = Array.length q in
-      if !tail = cap then begin
-        let nq = Array.make (2 * cap) initial in
-        Array.blit q 0 nq 0 cap;
-        queue := nq;
-        let nk = Array.make (2 * cap) "" in
-        Array.blit !keys 0 nk 0 cap;
-        keys := nk
-      end;
-      !queue.(!tail) <- st';
-      !keys.(!tail) <- key;
+      sbuf_push queue key;
       ibuf_push parents !parent_id;
-      ibuf_push metas label;
-      incr tail
+      ibuf_push labels (label_of tr)
     end
   in
-  let wish i st' = on_successor (lbl_wish i) st'
-  and exit i st' = on_successor (lbl_exit i) st'
-  and deliver m st' = on_successor (lbl_deliver m) st'
-  and crash i st' = on_successor (lbl_crash i) st' in
-  let key0, fl0 = Spec.encode_len initial in
+  let key0, fl0 = Machine.encode_len initial in
   ignore (Keyset.add_if_absent visited key0 : bool);
-  !queue.(0) <- initial;
-  !keys.(0) <- key0;
-  tail := 1;
+  sbuf_push queue key0;
   states := 1;
   max_in_flight := fl0;
   ibuf_push parents (-1);
-  ibuf_push metas 0;
+  ibuf_push labels 0;
   let level_end = ref 1 in
-  while !head < !tail do
+  while !head < queue.slen do
     if !head = !level_end then begin
       incr max_depth;
-      level_end := !tail
+      level_end := queue.slen
     end;
-    let st = !queue.(!head) in
-    parent := st;
-    parent_key := !keys.(!head);
+    let st = Machine.decode queue.strs.(!head) in
     parent_id := !head;
-    (* drop the queue's references so expanded states can die in the
-       minor heap instead of being promoted with the queue array *)
-    !queue.(!head) <- initial;
-    !keys.(!head) <- "";
+    queue.strs.(!head) <- "";
     incr head;
-    let succs = Spec.iter_transitions ~max_faults ~variant st ~wish ~exit
-        ~deliver ~crash
-    in
+    let succs = Machine.iter_transitions ~max_faults ~variant st on_successor in
     if succs = 0 then begin
       incr terminals;
-      match Spec.check_terminal st with
+      match Machine.check_terminal st with
       | Ok () -> ()
       | Error msg ->
         raise
@@ -232,7 +199,7 @@ let run_serial ~max_states ~max_faults ~variant ~p ~wishes =
              {
                message = "terminal: " ^ msg;
                state = st;
-               trace = trace_to None parents metas !parent_id;
+               trace = trace_to None parents labels !parent_id;
              })
     end
   done;
@@ -284,14 +251,15 @@ type expand_result =
   | Succs of (int * string * int * int * int * int) array
       (* shard, key, in-flight, orbit, label, composed sigma *)
   | Term  (* terminal, check passed *)
-  | Bad of string * Spec.state  (* check failed on the expanded state *)
+  | Bad of string * Machine.state  (* check failed on the expanded state *)
 
 let run_levelwise ~max_states ~pool ~max_faults ~variant ~sym ~mem_budget ~p
     ~wishes =
   let visited = Array.init shard_count (fun _ -> Keyset.create 4_096) in
   let shard_of (key : string) = Hashtbl.hash key mod shard_count in
   let parents = ibuf_create ()
-  and metas = ibuf_create () in
+  and labels = ibuf_create ()
+  and sigmas = ibuf_create () in
   let states = ref 0
   and transitions = ref 0
   and terminals = ref 0
@@ -307,9 +275,10 @@ let run_levelwise ~max_states ~pool ~max_faults ~variant ~sym ~mem_budget ~p
       (c.Symmetry.key, c.Symmetry.in_flight, c.Symmetry.perm_index,
        c.Symmetry.orbit)
     | None ->
-      let key, fl = Spec.encode_len st in
+      let key, fl = Machine.encode_len st in
       (key, fl, 0, 1)
   in
+  let cert = Option.map (fun t -> (t, sigmas)) sym in
   let compose_sigma pi sigma =
     match sym with None -> 0 | Some t -> Symmetry.compose t pi sigma
   in
@@ -318,8 +287,8 @@ let run_levelwise ~max_states ~pool ~max_faults ~variant ~sym ~mem_budget ~p
       (Violation
          {
            message;
-           state = concretize_state sym metas id canonical_state;
-           trace = trace_to sym parents metas id;
+           state = concretize_state cert id canonical_state;
+           trace = trace_to cert parents labels id;
          })
   in
   (* next-level accumulation, spilling past the byte budget *)
@@ -355,26 +324,21 @@ let run_levelwise ~max_states ~pool ~max_faults ~variant ~sym ~mem_budget ~p
   in
   (* expansion worker: pure apart from shared read-only tables *)
   let expand key sigma_parent =
-    let st = Spec.decode key in
-    match Spec.check_invariants st with
+    let st = Machine.decode key in
+    match Machine.check_invariants st with
     | Error message -> Bad (message, st)
     | Ok () ->
       let acc = ref [] in
-      let add label st' =
-        let key', fl', pi, orbit = canon st' in
-        acc :=
-          (shard_of key', key', fl', orbit, label, compose_sigma pi sigma_parent)
-          :: !acc
-      in
       let n =
-        Spec.iter_transitions ~max_faults ~variant st
-          ~wish:(fun i st' -> add (lbl_wish i) st')
-          ~exit:(fun i st' -> add (lbl_exit i) st')
-          ~deliver:(fun m st' -> add (lbl_deliver m) st')
-          ~crash:(fun i st' -> add (lbl_crash i) st')
+        Machine.iter_transitions ~max_faults ~variant st (fun tr st' ->
+            let key', fl', pi, orbit = canon st' in
+            acc :=
+              ( shard_of key', key', fl', orbit, label_of tr,
+                compose_sigma pi sigma_parent )
+              :: !acc)
       in
       if n = 0 then
-        match Spec.check_terminal st with
+        match Machine.check_terminal st with
         | Ok () -> Term
         | Error msg -> Bad ("terminal: " ^ msg, st)
       else Succs (Array.of_list (List.rev !acc))
@@ -383,7 +347,7 @@ let run_levelwise ~max_states ~pool ~max_faults ~variant ~sym ~mem_budget ~p
   let process_chunk ~chunk_base ~len =
     let results =
       Pool.map_array pool ~n:len (fun i ->
-          let sigma = meta_sigma (ibuf_get metas (chunk_base + i)) in
+          let sigma = ibuf_get sigmas (chunk_base + i) in
           expand chunk_keys.(i) sigma)
     in
     Array.iteri
@@ -424,20 +388,22 @@ let run_levelwise ~max_states ~pool ~max_faults ~variant ~sym ~mem_budget ~p
             orbit_states := !orbit_states + orbit;
             if fl > !max_in_flight then max_in_flight := fl;
             ibuf_push parents parent_id;
-            ibuf_push metas (label lor (sigma lsl 34));
+            ibuf_push labels label;
+            ibuf_push sigmas sigma;
             push_next key)
           arr)
       fresh
   in
   (* seed *)
-  let initial = Spec.initial ~p ~wishes in
-  (match Spec.check_invariants initial with
+  let initial = Machine.initial ~p ~wishes in
+  (match Machine.check_invariants initial with
   | Ok () -> ()
   | Error message -> raise (Violation { message; state = initial; trace = [] }));
   let key0, fl0, pi0, orbit0 = canon initial in
   ignore (Keyset.add_if_absent visited.(shard_of key0) key0 : bool);
   ibuf_push parents (-1);
-  ibuf_push metas (pi0 lsl 34);
+  ibuf_push labels 0;
+  ibuf_push sigmas pi0;
   states := 1;
   orbit_states := orbit0;
   max_in_flight := fl0;
@@ -489,7 +455,8 @@ let run_levelwise ~max_states ~pool ~max_faults ~variant ~sym ~mem_budget ~p
 (* --- entry points --------------------------------------------------------- *)
 
 let run ?(max_states = 5_000_000) ?(jobs = 1) ?(max_faults = 0)
-    ?(variant = Spec.Faithful) ?(symmetry = false) ?mem_budget ~p ~wishes () =
+    ?(variant = Machine.Faithful) ?(symmetry = false) ?mem_budget ~p ~wishes ()
+    =
   let sym = if symmetry then Some (Symmetry.table ~p) else None in
   match (sym, mem_budget) with
   | None, None when jobs <= 1 -> run_serial ~max_states ~max_faults ~variant ~p ~wishes
@@ -498,33 +465,25 @@ let run ?(max_states = 5_000_000) ?(jobs = 1) ?(max_faults = 0)
         run_levelwise ~max_states ~pool ~max_faults ~variant ~sym ~mem_budget
           ~p ~wishes)
 
-let transition_equal a b =
-  match (a, b) with
-  | Spec.Wish i, Spec.Wish j | Spec.Exit i, Spec.Exit j | Spec.Crash i, Spec.Crash j
-    ->
-    i = j
-  | Spec.Deliver m, Spec.Deliver m' -> Spec.int_of_msg m = Spec.int_of_msg m'
-  | _, _ -> false
-
-let replay ?(max_faults = 0) ?(variant = Spec.Faithful) ~p ~wishes trace =
+let replay ?(max_faults = 0) ?(variant = Machine.Faithful) ~p ~wishes trace =
   List.fold_left
     (fun st tr ->
       match
         List.find_opt
-          (fun (t, _) -> transition_equal t tr)
-          (Spec.transitions ~max_faults ~variant st)
+          (fun (t, _) -> label_of t = label_of tr)
+          (Machine.transitions ~max_faults ~variant st)
       with
       | Some (_, st') -> st'
       | None ->
         failwith
-          (Format.asprintf "Explore.replay: %a is not enabled" Spec.pp_transition
-             tr))
-    (Spec.initial ~p ~wishes)
+          (Format.asprintf "Explore.replay: %a is not enabled"
+             Machine.pp_transition tr))
+    (Machine.initial ~p ~wishes)
     trace
 
 let pp_trace ppf trace =
   List.iteri
     (fun k tr ->
       if k > 0 then Format.pp_print_string ppf "; ";
-      Spec.pp_transition ppf tr)
+      Machine.pp_transition ppf tr)
     trace

@@ -1,11 +1,12 @@
-(** Exhaustive state-space exploration of {!Spec}.
+(** Exhaustive state-space exploration of the shipped open-cube core
+    ({!Machine}).
 
     Breadth-first search over every reachable state of the protocol for
     a given cube size and per-node wish budget — optionally with
     fail-stop crash faults ([~max_faults]) and a seeded-bug variant
-    ([~variant]) — checking {!Spec.check_invariants} on every state and
-    {!Spec.check_terminal} on every terminal state. This is bounded
-    model checking of the actual protocol logic: safety (mutual
+    ([~variant]) — checking {!Machine.check_invariants} on every state
+    and {!Machine.check_terminal} on every terminal state. This is
+    bounded model checking of the code that runs: safety (mutual
     exclusion, single token) and liveness (no deadlock: every terminal
     state has all wishes served) over {e all} message interleavings, not
     just sampled schedules.
@@ -42,8 +43,8 @@ type stats = {
 
 type violation = {
   message : string;
-  state : Spec.state;  (** the offending state, in concrete node ids *)
-  trace : Spec.transition list;
+  state : Machine.state;  (** the offending state, in concrete node ids *)
+  trace : Machine.transition list;
       (** transition labels from the initial state to [state] along the
           BFS tree, in concrete node ids: [replay]ing them reproduces
           the violation *)
@@ -57,7 +58,7 @@ val run :
   ?max_states:int ->
   ?jobs:int ->
   ?max_faults:int ->
-  ?variant:Spec.variant ->
+  ?variant:Machine.variant ->
   ?symmetry:bool ->
   ?mem_budget:int ->
   p:int ->
@@ -79,16 +80,16 @@ val run :
 
 val replay :
   ?max_faults:int ->
-  ?variant:Spec.variant ->
+  ?variant:Machine.variant ->
   p:int ->
   wishes:int ->
-  Spec.transition list ->
-  Spec.state
+  Machine.transition list ->
+  Machine.state
 (** Re-execute a reported trace from the initial state, following the
     labelled transition at each step. Raises [Failure] if a label is
     not enabled — which the test suite uses to prove reported traces
     are real executions. *)
 
-val pp_trace : Format.formatter -> Spec.transition list -> unit
+val pp_trace : Format.formatter -> Machine.transition list -> unit
 (** Semicolon-separated one-liner, e.g.
-    [wish 1; deliver 1->0 req(1); crash 3]. *)
+    [wish 1; deliver 1->0 req(1,1#0); crash 3]. *)

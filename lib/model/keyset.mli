@@ -7,7 +7,7 @@
     and allocates nothing beyond the key array.
 
     Keys must be non-empty strings (the empty string is the internal
-    empty-slot sentinel) — {!Spec.encode} always produces at least two
+    empty-slot sentinel) — {!Machine.encode} always produces at least two
     bytes. Iteration order is unspecified; membership and {!count} are
     deterministic. Not thread-safe: in the parallel explorer each shard
     is owned by exactly one worker. *)

@@ -1,6 +1,6 @@
 (* Disk spill for BFS frontier segments.
 
-   A frontier level is an ordered run of packed {!Spec.encode} keys.
+   A frontier level is an ordered run of packed {!Machine.encode} keys.
    Consecutive keys in discovery order share long prefixes (BFS groups
    states by depth, and the packed layout puts the slow-moving node
    words first), so segments are front-coded: each record stores the

@@ -1,7 +1,7 @@
 (** Disk-backed BFS frontier segments.
 
     When a frontier level outgrows the explorer's memory budget, its
-    ordered run of packed {!Spec.encode} keys is front-coded (shared
+    ordered run of packed {!Machine.encode} keys is front-coded (shared
     prefix with the previous key + suffix, LEB128 lengths) into a temp
     file and streamed back level-synchronously. Write order is read
     order, so spilling never perturbs the deterministic frontier id

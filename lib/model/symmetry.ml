@@ -1,4 +1,4 @@
-(* Automorphisms of the open cube, and canonicalization of Spec states
+(* Automorphisms of the open cube, and canonicalization of model states
    under them.
 
    The distance [Opencube.dist i j] is the bit length of [i lxor j] — an
@@ -228,12 +228,12 @@ type canon = {
 }
 
 let canonicalize t st =
-  let key0, fl = Spec.encode_len st in
+  let key0, fl = Machine.encode_len st in
   let best = ref key0
   and arg = ref 0
   and ties = ref 1 in
   for k = 1 to Array.length t.perms - 1 do
-    let key = Spec.encode (Spec.relabel t.perms.(k) st) in
+    let key = Machine.encode (Machine.relabel t.perms.(k) st) in
     let c = String.compare key !best in
     if c < 0 then begin
       best := key;
@@ -250,17 +250,3 @@ let canonicalize t st =
     perm_index = !arg;
     orbit = Array.length t.perms / !ties;
   }
-
-let apply_transition t k tr =
-  let a = t.perms.(k) in
-  match tr with
-  | Spec.Wish i -> Spec.Wish a.(i)
-  | Spec.Exit i -> Spec.Exit a.(i)
-  | Spec.Crash i -> Spec.Crash a.(i)
-  | Spec.Deliver m ->
-    let payload =
-      match m.Spec.payload with
-      | Spec.Req o -> Spec.Req a.(o)
-      | Spec.Tok l -> Spec.Tok (if l < 0 then l else a.(l))
-    in
-    Spec.Deliver { Spec.src = a.(m.Spec.src); dst = a.(m.Spec.dst); payload }

@@ -1,5 +1,5 @@
 (** The open cube's automorphism group, and canonicalization of
-    {!Spec.state}s under it.
+    {!Machine.state}s under it.
 
     A permutation of node ids is an automorphism when it preserves
     {!Opencube.dist} (and therefore every p-group: the d-groups are
@@ -62,19 +62,14 @@ val is_automorphism : p:int -> perm -> bool
     at build time, and by the tests to brute-force the group. *)
 
 type canon = {
-  key : string;  (** minimal {!Spec.encode} key over the whole group *)
+  key : string;  (** minimal {!Machine.encode} key over the whole group *)
   in_flight : int;  (** in-flight message count (orbit-invariant) *)
   perm_index : int;
       (** index of a permutation [σ] with [encode (relabel σ st) = key] *)
   orbit : int;  (** orbit size: how many raw states this key stands for *)
 }
 
-val canonicalize : t -> Spec.state -> canon
+val canonicalize : t -> Machine.state -> canon
 (** The canonical representative of a state's orbit: the minimum
-    [Spec.encode] key over every relabeling in the group. Two states
+    [Machine.encode] key over every relabeling in the group. Two states
     get the same [key] iff some automorphism maps one to the other. *)
-
-val apply_transition : t -> int -> Spec.transition -> Spec.transition
-(** [apply_transition t k tr] renames the node ids inside a transition
-    label through [perm t k] — used to de-canonicalize counterexample
-    traces back to concrete ids. *)

@@ -78,6 +78,30 @@ let fl_asking = 2
 
 let fl_in_cs = 4
 
+(* Word offsets of the flat Section 3 image ([export]/[load]); the layout
+   is documented in the .mli. *)
+module Image = struct
+  let token = fl_token
+  let asking = fl_asking
+  let in_cs = fl_in_cs
+  let direct = 8
+  let header = 1
+  let stride = 9
+  let father = 0
+  let flags = 1
+  let lender = 2
+  let mandator = 3
+  let mandate = 4
+  let next_seq = 5
+  let own = 6
+  let loan = 7
+  let queue_len = 8
+  let entry = 2
+  let rid ~n ~source ~seq = source + 1 + ((n + 1) * seq)
+  let rid_source ~n w = (w mod (n + 1)) - 1
+  let rid_seq ~n w = w / (n + 1)
+end
+
 type state = {
   father : int_ba;  (* current father id, -1 = root/none *)
   flags : byte_ba;  (* fl_token lor fl_asking lor fl_in_cs *)
@@ -1590,6 +1614,158 @@ module Make (R : Runtime.S) = struct
   let check_opencube t =
     let fathers = snapshot_tree t in
     Opencube.check (Opencube.of_fathers fathers)
+
+  (* ------------------------------------------------------------------ *)
+  (* Section 3 image                                                     *)
+  (* ------------------------------------------------------------------ *)
+
+  (* Everything Section 3 reads, as one flat int array (layout in the
+     .mli). The fields only Section 5 reads must still hold their initial
+     values; the two that Section 3 writes but never reads (the token
+     timestamp and the served-rid ring) are left out, and [load] resets
+     them (DESIGN.md §12). *)
+  let check_section3 t i =
+    let idle =
+      msearches t i = 0
+      &&
+      match t.cold.(i) with
+      | None -> true
+      | Some c -> (
+        List.is_empty c.mandate_excluded
+        && Option.is_none c.loan_watch
+        && Option.is_none c.asker_timer
+        && c.custody_father < 0
+        && Float.equal c.asked_at 0.0
+        && Float.equal c.up_until neg_infinity
+        && c.held_seen = 0 && (not c.walk_out) && Option.is_none c.search
+        && List.is_empty c.transits
+        && match c.loan with Some l -> l.sent_acks = 0 | None -> true)
+    in
+    if not idle then
+      invalid_arg
+        (Printf.sprintf "Opencube_algo.export: node %d holds Section 5 state" i)
+
+  let rid_word ~n (r : request_id) = Image.rid ~n ~source:r.source ~seq:r.seq
+
+  let rid_of_word ~n w = { source = Image.rid_source ~n w; seq = Image.rid_seq ~n w }
+
+  let rec put_events img ~n q = function
+    | [] -> q
+    | Wish :: rest ->
+      img.(q) <- -1;
+      put_events img ~n (q + Image.entry) rest
+    | Preq { origin; rid } :: rest ->
+      img.(q) <- origin;
+      img.(q + 1) <- rid_word ~n rid;
+      put_events img ~n (q + Image.entry) rest
+
+  (* Write node [i]'s block into [img] (zeroed there), and its queue from
+     word [q] on; return the word after the queue. *)
+  let write_node t img i q =
+    let st = t.st and n = t.n in
+    let b = Image.header + (i * Image.stride) in
+    img.(b + Image.father) <- st.father.{i};
+    img.(b + Image.lender) <- st.lender.{i};
+    img.(b + Image.mandator) <- st.mandator.{i};
+    let ms = st.mrid_src.{i} in
+    if ms >= 0 then
+      img.(b + Image.mandate) <- Image.rid ~n ~source:ms ~seq:st.mrid_seq.{i};
+    img.(b + Image.next_seq) <- st.next_seq.{i};
+    let os = st.lorid_src.{i} in
+    if os >= 0 then
+      img.(b + Image.own) <- Image.rid ~n ~source:os ~seq:st.lorid_seq.{i};
+    let flags = st.flags.{i} in
+    match t.cold.(i) with
+    | None ->
+      img.(b + Image.flags) <- flags;
+      q
+    | Some c ->
+      (match c.loan with
+      | Some l ->
+        img.(b + Image.loan) <- rid_word ~n l.loan_rid;
+        img.(b + Image.flags) <-
+          (flags lor if l.direct then Image.direct else 0)
+      | None -> img.(b + Image.flags) <- flags);
+      img.(b + Image.queue_len) <- Fdeque.length c.queue;
+      if Fdeque.is_empty c.queue then q
+      else put_events img ~n q (Fdeque.to_list c.queue)
+
+  let export t =
+    if t.config.fault_tolerance then
+      invalid_arg "Opencube_algo.export: fault tolerance is on";
+    let n = t.n in
+    let qwords = ref 0 in
+    for i = 0 to n - 1 do
+      check_section3 t i;
+      qwords := !qwords + (Image.entry * queue_length t i)
+    done;
+    let fixed = Image.header + (n * Image.stride) in
+    let img = Array.make (fixed + !qwords) 0 in
+    img.(0) <- t.tokens_in_flight;
+    let q = ref fixed in
+    for i = 0 to n - 1 do
+      q := write_node t img i !q
+    done;
+    img
+
+  let rec queue_of img ~n q k acc =
+    if k = 0 then acc
+    else
+      let origin = img.(q) in
+      queue_of img ~n (q + Image.entry) (k - 1)
+        (Fdeque.push_back acc
+           (if origin < 0 then Wish
+            else Preq { origin; rid = rid_of_word ~n img.(q + 1) }))
+
+  let load t img =
+    if t.config.fault_tolerance then
+      invalid_arg "Opencube_algo.load: fault tolerance is on";
+    let st = t.st and n = t.n in
+    if Array.length img < Image.header + (n * Image.stride) then
+      invalid_arg "Opencube_algo.load: image too short";
+    t.tokens_in_flight <- img.(0);
+    let held = ref 0 and in_cs = ref 0 in
+    let q = ref (Image.header + (n * Image.stride)) in
+    for i = 0 to n - 1 do
+      let b = Image.header + (i * Image.stride) in
+      let flags = img.(b + Image.flags) in
+      let qlen = img.(b + Image.queue_len) in
+      if flags land fl_token <> 0 then incr held;
+      if flags land fl_in_cs <> 0 then incr in_cs;
+      st.father.{i} <- img.(b + Image.father);
+      st.flags.{i} <- flags land (fl_token lor fl_asking lor fl_in_cs);
+      st.lender.{i} <- img.(b + Image.lender);
+      st.mandator.{i} <- img.(b + Image.mandator);
+      let m = img.(b + Image.mandate) in
+      st.mrid_src.{i} <- Image.rid_source ~n m;
+      st.mrid_seq.{i} <- Image.rid_seq ~n m;
+      st.msearches.{i} <- 0;
+      st.next_seq.{i} <- img.(b + Image.next_seq);
+      let o = img.(b + Image.own) in
+      st.lorid_src.{i} <- Image.rid_source ~n o;
+      st.lorid_seq.{i} <- Image.rid_seq ~n o;
+      st.last_token_seen.{i} <- neg_infinity;
+      let loan = img.(b + Image.loan) in
+      if loan > 0 || qlen > 0 || Option.is_some t.cold.(i) then begin
+        (* A record left by an earlier state is reset in place, so that
+           loading allocates only the queue and the loan. *)
+        let c = cold t i in
+        if Ringbuf.length c.recent_rids > 0 then Ringbuf.clear c.recent_rids;
+        c.queue <- queue_of img ~n !q qlen Fdeque.empty;
+        c.loan <-
+          (if loan = 0 then None
+           else
+             Some
+               {
+                 loan_rid = rid_of_word ~n loan;
+                 direct = flags land Image.direct <> 0;
+                 sent_acks = 0;
+               })
+      end;
+      q := !q + (Image.entry * qlen)
+    done;
+    t.tokens_held <- !held;
+    t.nodes_in_cs <- !in_cs
 
   (* One repair without a CS entry: the asker deadline, a full search
      (pmax phases of 1 + test_retries answer waits), then the census. *)

@@ -108,6 +108,46 @@ type stats = private {
       (** walks that came back to their initiator: waiting cycles found *)
 }
 
+(** Layout of the flat Section 3 image that {!Make.export} writes and
+    {!Make.load} reads (the model checker's state, DESIGN.md §12).
+
+    Word [0] is the number of tokens in flight. Node [i]'s block of
+    {!stride} words follows at [header + i * stride]: father ([-1]: root),
+    flags ({!token}, {!asking}, {!in_cs}, and {!direct} for a loan made
+    straight to its requester), lender, mandator ([-1]: none), mandate
+    request id, next request sequence number, last own request id, loan
+    request id, wait-queue length. A request id is one word, {!rid}, and
+    [0] means none. The wait queues follow all blocks, node 0's first,
+    {!entry} words per deferred event in service order: origin and
+    request id (a queued wish is [-1, 0]). Unused words are 0, so equal
+    states have equal images. *)
+module Image : sig
+  val token : int
+  val asking : int
+  val in_cs : int
+  val direct : int
+  val header : int
+  val stride : int
+  val father : int
+  val flags : int
+  val lender : int
+  val mandator : int
+  val mandate : int
+  val next_seq : int
+  val own : int
+  val loan : int
+  val queue_len : int
+  val entry : int
+
+  val rid : n:int -> source:int -> seq:int -> int
+  (** [source + 1 + (n + 1) * seq], for [n] nodes. *)
+
+  val rid_source : n:int -> int -> int
+  (** The source of a request id word, [-1] for none. *)
+
+  val rid_seq : n:int -> int -> int
+end
+
 (** The protocol core, abstracted over its runtime ({!Runtime.S}). All
     timeouts are derived from [R.delta] exactly as in the simulator, so
     the same automaton runs unchanged under real processes
@@ -181,6 +221,21 @@ module Make (R : Runtime.S) : sig
   (** Full open-cube structural check of the current father array. Only
       meaningful at quiescent instants of fault-free runs (the tree is
       legitimately "open" while a request or token is in flight). *)
+
+  (** {1 Section 3 image (model checking)} *)
+
+  val export : t -> int array
+  (** The node state Section 3 reads, as a fresh flat image ({!Image}).
+      The token timestamps and served-rid rings, which Section 3 writes
+      but only Section 5 reads, are left out.
+      @raise Invalid_argument if fault tolerance is on, or if any field
+      only Section 5 reads has left its initial value. *)
+
+  val load : t -> int array -> unit
+  (** Overwrite every node's state with an image from {!export}; the
+      fields the image leaves out are reset, and the holder, in-CS and
+      in-flight tallies are taken from it.
+      @raise Invalid_argument if fault tolerance is on. *)
 end
 
 (** {1 Simulator instantiation}

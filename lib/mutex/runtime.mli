@@ -4,16 +4,20 @@
     effects a protocol core may perform are the ones listed here —
     sending a message, installing a per-node or default receive handler,
     arming and cancelling a timer, and reading the local clock and
-    topology size. Two instantiations exist:
+    topology size. Three instantiations exist:
 
     - {!Sim}: the deterministic discrete-event simulator
       ({!Types.Net} over {!Ocube_sim.Engine}), used by every
-      experiment, the model checker cross-validation and the fuzzer;
+      experiment and the fuzzer;
     - [Ocube_proc.Proc_runtime]: one forked Unix process per node,
       length-prefixed packed messages over socketpairs, wall-clock
-      timers, and real [SIGKILL] crashes ([ocmutex cluster]).
+      timers, and real [SIGKILL] crashes ([ocmutex cluster]);
+    - [Ocube_model.Bag]: the model checker's runtime, an in-memory bag
+      of in-flight messages that the explorer delivers in every order,
+      a clock that stands still and a [set_timer] that refuses to arm
+      (the open-cube core with fault tolerance off, [ocmutex verify]).
 
-    The same handler modules compile into both with zero
+    The same handler modules compile into all three with zero
     mode-conditional logic — the acceptance bar of DESIGN.md §15. *)
 
 module type S = sig

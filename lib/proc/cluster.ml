@@ -26,6 +26,17 @@ type config = {
   metrics : bool;
 }
 
+let max_nodes = 512
+
+let dimension n =
+  if n < 2 || n land (n - 1) <> 0 then
+    Error (Printf.sprintf "-n must be a power of two >= 2 (got %d)" n)
+  else if n > max_nodes then
+    Error (Printf.sprintf "-n must be at most %d (got %d)" max_nodes n)
+  else
+    let rec go p = if 1 lsl p >= n then p else go (p + 1) in
+    Ok (go 1)
+
 let default_config ~algo ~p =
   {
     algo;

@@ -45,6 +45,17 @@ type config = {
   metrics : bool;
 }
 
+val max_nodes : int
+(** 512: the parent's [select] watches one socket per node, and [select]
+    cannot watch descriptors past [FD_SETSIZE] (1024), so the largest
+    power of two that leaves room for the parent's own descriptors
+    (DESIGN.md §15.2). *)
+
+val dimension : int -> (int, string) result
+(** [dimension n] is the cube dimension [p] with [2^p = n] for a cluster
+    of [n] nodes, or the one-line error when [n] is not a power of two
+    in [2 .. max_nodes]. Nothing is forked. *)
+
 val default_config : algo:Spec.algo -> p:int -> config
 (** tick 0.02, delta 1.0, cs 2.0, closed loop of 2, no kills, 30 s
     deadline, metrics on. *)

@@ -146,14 +146,12 @@ let stale_enquiry_regen_script =
    arrivals=3.6549516302199589@4;7.0873295155409277@1;8.8552590737385444@5;9.3028622726272676@3;12.51920426656153@7;13.568866260390523@3;14.388256010652629@1;16.600407957158509@3;17.579647947269141@0;18.80897091912232@3;23.177203782896012@2;26.541199289906064@7;28.531665143572937@2;32.932476655535595@6;38.545981222140313@2;39.627170251203438@7 \
    faults=15.090661078045462@4;44.619909617340561@6"
 
-(* Found by the fuzzer: lender-side token regeneration neither stopped an
-   ongoing father search (whose census then concluded the freshly-held
-   token lost and duplicated it) nor dispatched a pending mandate (which
-   orphaned the wish); and the recovery anomaly bounce could ping-pong
-   forever against the holder-accepts-any-searcher rule.
-   [regenerate_token] now serves the mandate through the dispatch that
-   [regenerate_as_root] uses, and the anomaly bounce defers to a token
-   holder, which serves instead. *)
+(* Found by the fuzzer: the recovery anomaly bounce could ping-pong
+   forever against the holder-accepts-any-searcher rule; the bounce now
+   defers to a token holder, which serves instead. (The script was found
+   together with the lender-regeneration dispatch below, but no longer
+   reaches that dispatch; it is the one test that fails when the bounce
+   ignores the token.) *)
 let census_after_regen_script =
   "algo=opencube p=2 seed=679809 delay=constant:0.64293572514457797 \
    cs=fixed:1.9820889235139105 ft=true patience=1 lifo=false serial=false \
@@ -171,6 +169,20 @@ let suspicion_livelock_script =
    cs=fixed:0.68639722315361529 ft=true patience=1 lifo=false serial=false \
    arrivals=1.3651546055547807@12;1.3651546055547807@7;1.3651546055547807@8;1.3651546055547807@1;1.3651546055547807@11;1.3651546055547807@21;1.3651546055547807@29;1.3651546055547807@0;1.3651546055547807@26;1.3651546055547807@6;8.5246707218905797@0;8.5246707218905797@19;8.5246707218905797@10;8.5246707218905797@5;8.5246707218905797@4;8.5246707218905797@15;8.5246707218905797@13;8.5246707218905797@20;8.5246707218905797@31;8.5246707218905797@3;8.5246707218905797@6;8.5246707218905797@2;8.5246707218905797@25;8.5246707218905797@16;8.5246707218905797@30;8.5246707218905797@26;8.5246707218905797@9;8.5246707218905797@18;8.5246707218905797@12;8.5246707218905797@22;8.5246707218905797@14;8.5246707218905797@7;8.5246707218905797@8;8.5246707218905797@28;8.5246707218905797@11;8.5246707218905797@21;8.5246707218905797@17 \
    faults=56.646428424289681@5"
+
+(* Found by the fuzzer (seed 11, --max-p 4, against a build whose
+   [regenerate_token] only drains): a lender regenerates the token lost
+   with its borrower while its own mandate is pending. Draining instead
+   of serving the mandate leaves the lender asking with the token in hand;
+   a later request is then granted on that stale mandate and two nodes
+   enter their CS. [regenerate_token] serves the mandate through the
+   token-in-hand dispatch (PROTOCOL.md §4). *)
+let lender_regen_mandate_script =
+  "runtime=des algo=opencube p=2 seed=546465 \
+   delay=exponential:0.98038503354717688:2.3825789681047311 \
+   cs=fixed:3.1463642811692858 ft=true patience=1 lifo=false serial=false \
+   arrivals=4.4282323051152757@1;12.441558796167687@1;17.228332060502908@1;28.031216490370149@1;28.809341085586006@2;31.457157102629594@3;65.255798345674151@2;68.327441270366421@3;68.493541736821555@3;73.942912274494745@3;82.700421585465989@1 \
+   faults=14.965361021423295@0!36.270295909458234;40.073344433978555@3!26.708234857979033"
 
 (* Found by the fuzzer (seed 1, scenario 37,857): after node 14's crash
    and recovery, searches rewire fathers into a waiting cycle whose
@@ -200,6 +212,9 @@ let test_regression_stale_enquiry () =
 
 let test_regression_census_after_regen () =
   replay_ok "census after lender regeneration" census_after_regen_script
+
+let test_regression_lender_regen_mandate () =
+  replay_ok "lender regeneration serves its mandate" lender_regen_mandate_script
 
 let test_regression_waiting_cycle () =
   replay_ok "waiting cycle" waiting_cycle_script
@@ -568,5 +583,7 @@ let suite =
       test_tallies_match_scans;
     Alcotest.test_case "open-cube shape check reads the instance" `Quick
       test_structure_reads_instance;
+    Alcotest.test_case "regression: lender regeneration serves its mandate"
+      `Quick test_regression_lender_regen_mandate;
   ]
   @ List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qcheck_tests

@@ -228,6 +228,8 @@ let test_simulate_node_counts () =
   rejected "raymond" 3 "power of two";
   rejected "generic-transit" 6 "power of two";
   rejected "central" 0 "-n must be at least 1";
+  rejected "central" 1_000_000_000 "-n must be at most 1048576 (got 1000000000)";
+  rejected "opencube" (1 lsl 21) "-n must be at most 1048576";
   List.iter
     (fun (algo, n) ->
       match Exp_common.simulate (run algo n) with

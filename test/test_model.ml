@@ -1,53 +1,64 @@
-(* Tests for the pure protocol spec and the exhaustive explorer, plus
-   cross-validation of the spec against the discrete-event
-   implementation. *)
+(* Tests for the model checker: the shipped open-cube core run as a
+   state machine over the in-memory bag runtime, and the exhaustive
+   explorer over it. *)
 
-module Spec = Ocube_model.Spec
+module Machine = Ocube_model.Machine
+module Bag = Ocube_model.Bag
 module Explore = Ocube_model.Explore
+module Image = Ocube_mutex.Opencube_algo.Image
 open Ocube_mutex
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-(* --- spec basics ---------------------------------------------------------- *)
+let field st i f = st.Machine.img.(Image.header + (i * Image.stride) + f)
+let has_token st i = field st i Image.flags land Image.token <> 0
+let in_cs st i = field st i Image.flags land Image.in_cs <> 0
+
+(* --- model basics ----------------------------------------------------------- *)
 
 let test_initial_state () =
-  let st = Spec.initial ~p:2 ~wishes:1 in
-  checkb "node 0 has the token" true (Spec.node st 0).Spec.token_here;
-  checki "father of 3" 2 (Spec.node st 3).Spec.father;
-  checki "no messages" 0 (List.length st.Spec.flight);
-  checkb "invariants hold" true (Spec.check_invariants st = Ok ())
+  let st = Machine.initial ~p:2 ~wishes:1 in
+  checkb "node 0 has the token" true (has_token st 0);
+  checki "father of 3" 2 (field st 3 Image.father);
+  checki "no messages" 0 (List.length st.Machine.bag);
+  checkb "invariants hold" true (Machine.check_invariants st = Ok ())
 
 let test_transitions_from_initial () =
-  let st = Spec.initial ~p:1 ~wishes:1 in
-  let ts = Spec.transitions st in
+  let st = Machine.initial ~p:1 ~wishes:1 in
+  let ts = Machine.transitions st in
   (* Both nodes can wish; nothing else. *)
   checki "two transitions" 2 (List.length ts);
   List.iter
     (fun (t, st') ->
       (match t with
-      | Spec.Wish _ -> ()
+      | Machine.Wish _ -> ()
       | _ -> Alcotest.fail "expected only wishes");
-      checkb "successor invariant" true (Spec.check_invariants st' = Ok ()))
+      checkb "successor invariant" true (Machine.check_invariants st' = Ok ()))
     ts
 
 let test_holder_wish_enters_directly () =
-  let st = Spec.initial ~p:1 ~wishes:1 in
-  match List.find_opt (fun (t, _) -> t = Spec.Wish 0) (Spec.transitions st) with
+  let st = Machine.initial ~p:1 ~wishes:1 in
+  match
+    List.find_opt (fun (t, _) -> t = Machine.Wish 0) (Machine.transitions st)
+  with
   | Some (_, st') ->
-    checkb "node 0 in CS" true (Spec.node st' 0).Spec.in_cs;
-    checki "no message needed" 0 (List.length st'.Spec.flight)
+    checkb "node 0 in CS" true (in_cs st' 0);
+    checki "no message needed" 0 (List.length st'.Machine.bag)
   | None -> Alcotest.fail "wish of node 0 not enabled"
 
 let test_terminal_check_rejects_deadlock () =
-  let st = Spec.initial ~p:1 ~wishes:1 in
+  let st = Machine.initial ~p:1 ~wishes:1 in
   (* Initial state is not a legal terminal (wishes left). *)
-  checkb "not terminal-legal" true (Spec.check_terminal st <> Ok ())
+  checkb "not terminal-legal" true (Machine.check_terminal st <> Ok ())
 
 let test_invariant_checker_catches_corruption () =
-  let st = Spec.initial ~p:1 ~wishes:0 in
-  let bad = Spec.set_node st 1 { (Spec.node st 1) with Spec.token_here = true } in
-  checkb "double token caught" true (Spec.check_invariants bad <> Ok ())
+  let st = Machine.initial ~p:1 ~wishes:0 in
+  let img = Array.copy st.Machine.img in
+  let b = Image.header + Image.stride + Image.flags in
+  img.(b) <- img.(b) lor Image.token;
+  checkb "double token caught" true
+    (Machine.check_invariants { st with Machine.img } <> Ok ())
 
 (* --- exhaustive exploration ------------------------------------------------ *)
 
@@ -55,14 +66,14 @@ let explore p wishes =
   try Explore.run ~p ~wishes ()
   with Explore.Violation v ->
     Alcotest.failf "violation: %s\n%s" v.Explore.message
-      (Format.asprintf "%a" Spec.pp v.Explore.state)
+      (Format.asprintf "%a" Machine.pp v.Explore.state)
 
 let test_exhaustive_tiny () =
   let s = explore 1 1 in
   checki "states (p=1,w=1)" 21 s.Explore.states;
   checki "terminals" 2 s.Explore.terminals;
   let s = explore 1 2 in
-  checki "states (p=1,w=2)" 69 s.Explore.states
+  checki "states (p=1,w=2)" 79 s.Explore.states
 
 let test_exhaustive_four_nodes () =
   let s = explore 2 1 in
@@ -72,12 +83,12 @@ let test_exhaustive_four_nodes () =
 
 let test_exhaustive_four_nodes_two_wishes () =
   let s = explore 2 2 in
-  checki "states (p=2,w=2)" 32496 s.Explore.states;
-  checki "terminals (p=2,w=2)" 32 s.Explore.terminals
+  checki "states (p=2,w=2)" 51362 s.Explore.states;
+  checki "terminals (p=2,w=2)" 278 s.Explore.terminals
 
 let test_exhaustive_four_nodes_three_wishes () =
   let s = explore 2 3 in
-  checki "states (p=2,w=3)" 256756 s.Explore.states
+  checki "states (p=2,w=3)" 1147086 s.Explore.states
 
 (* The parallel explorer's stats are a function of the reachable state
    set and the level structure, not of domain scheduling: every count
@@ -104,9 +115,9 @@ let test_exhaustive_with_faults () =
     with Explore.Violation v ->
       Alcotest.failf "violation under faults: %s" v.Explore.message
   in
-  checki "states (p=2,w=1,f=1)" 1804 s.Explore.states;
-  checki "transitions (p=2,w=1,f=1)" 4492 s.Explore.transitions;
-  checki "terminals (p=2,w=1,f=1)" 28 s.Explore.terminals;
+  checki "states (p=2,w=1,f=1)" 1911 s.Explore.states;
+  checki "transitions (p=2,w=1,f=1)" 4658 s.Explore.transitions;
+  checki "terminals (p=2,w=1,f=1)" 34 s.Explore.terminals;
   (* crashes strictly enlarge the fault-free space *)
   checkb "fault space contains fault-free space" true (s.Explore.states > 1064)
 
@@ -133,7 +144,7 @@ let test_symmetry_clean_parity () =
     with Explore.Violation v -> Alcotest.failf "sym j4: %s" v.Explore.message
   in
   checkb "bit-identical at jobs 1 and 4" true (sym1 = sym4);
-  checki "quotient states (p=2,w=1)" 437 sym1.Explore.states;
+  checki "quotient states (p=2,w=1)" 643 sym1.Explore.states;
   checkb "quotient strictly smaller than raw" true
     (sym1.Explore.states < raw.Explore.states);
   checkb "orbit bound covers the raw count" true
@@ -143,32 +154,44 @@ let test_symmetry_clean_parity () =
     try Explore.run ~max_faults:1 ~symmetry:true ~p:2 ~wishes:1 ()
     with Explore.Violation v -> Alcotest.failf "sym+faults: %s" v.Explore.message
   in
-  checki "quotient states (p=2,w=1,f=1)" 629 fsym.Explore.states
+  checki "quotient states (p=2,w=1,f=1)" 942 fsym.Explore.states
 
-(* The seeded always-grant bug (the model twin of the PR-2 fuzz
-   harness's seeded bug): the reduced search reaches a violation iff the
-   unreduced one does, at jobs 1 and 4, with the symmetry runs agreeing
-   on the de-canonicalized report. *)
+(* The seeded duplicating link (a runtime bug: a token crossing the top
+   dimension is delivered and also left in flight): every engine finds it,
+   and all of them report the same state and the same trace — serial,
+   parallel at jobs 2 and 4, symmetry-reduced at jobs 1 and 4, and
+   spilling. *)
 let test_symmetry_violation_parity () =
-  let bug jobs symmetry () =
-    Explore.run ~variant:Spec.Always_grant ~jobs ~symmetry ~p:2 ~wishes:2 ()
+  let bug ?mem_budget jobs symmetry () =
+    Explore.run ~variant:Machine.Duplicating_link ?mem_budget ~jobs ~symmetry
+      ~p:2 ~wishes:2 ()
   in
-  let raw = catch_violation (bug 1 false) in
-  let raw4 = catch_violation (bug 4 false) in
-  let sym1 = catch_violation (bug 1 true) in
-  let sym4 = catch_violation (bug 4 true) in
-  checkb "unreduced run finds the bug" true (raw <> None);
-  checkb "unreduced parallel run finds the bug" true (raw4 <> None);
-  match (sym1, sym4) with
-  | Some a, Some b ->
-    checkb "same message at jobs 1 and 4" true
-      (String.equal a.Explore.message b.Explore.message);
-    checkb "same trace at jobs 1 and 4" true (a.Explore.trace = b.Explore.trace);
-    checkb "same state at jobs 1 and 4" true
-      (String.equal
-         (Spec.encode a.Explore.state)
-         (Spec.encode b.Explore.state))
-  | _ -> Alcotest.fail "symmetry-reduced run missed the bug"
+  let runs =
+    [
+      ("serial", catch_violation (bug 1 false));
+      ("jobs 2", catch_violation (bug 2 false));
+      ("jobs 4", catch_violation (bug 4 false));
+      ("symmetry", catch_violation (bug 1 true));
+      ("symmetry jobs 4", catch_violation (bug 4 true));
+      ("spill", catch_violation (bug ~mem_budget:1 2 false));
+    ]
+  in
+  match runs with
+  | (_, Some a) :: _ ->
+    List.iter
+      (fun (name, v) ->
+        match v with
+        | None -> Alcotest.failf "%s run missed the bug" name
+        | Some b ->
+          checkb (name ^ ": same message") true
+            (String.equal a.Explore.message b.Explore.message);
+          checkb (name ^ ": same trace") true (a.Explore.trace = b.Explore.trace);
+          checkb (name ^ ": same state") true
+            (String.equal
+               (Machine.encode a.Explore.state)
+               (Machine.encode b.Explore.state)))
+      runs
+  | _ -> Alcotest.fail "unreduced run missed the bug"
 
 (* Reported traces are real executions: replaying the labels from the
    initial state lands exactly on the reported violating state — for the
@@ -178,22 +201,23 @@ let test_violation_trace_replays () =
     (fun (name, symmetry) ->
       match
         catch_violation (fun () ->
-            Explore.run ~variant:Spec.Always_grant ~symmetry ~p:2 ~wishes:2 ())
+            Explore.run ~variant:Machine.Duplicating_link ~symmetry ~p:2
+              ~wishes:2 ())
       with
       | None -> Alcotest.failf "%s: expected a violation" name
       | Some v ->
         let final =
-          Explore.replay ~variant:Spec.Always_grant ~p:2 ~wishes:2
+          Explore.replay ~variant:Machine.Duplicating_link ~p:2 ~wishes:2
             v.Explore.trace
         in
         checkb
           (name ^ ": replay reaches the reported state")
           true
-          (String.equal (Spec.encode final) (Spec.encode v.Explore.state));
+          (String.equal (Machine.encode final) (Machine.encode v.Explore.state));
         checkb
           (name ^ ": replayed state violates the invariants")
           true
-          (Spec.check_invariants final <> Ok ()))
+          (Machine.check_invariants final <> Ok ()))
     [ ("serial", false); ("symmetry", true) ]
 
 (* --- disk spill ------------------------------------------------------------- *)
@@ -233,7 +257,8 @@ let test_spill_cleanup_on_violation () =
   let before = List.length (temp_segments ()) in
   (match
      catch_violation (fun () ->
-         Explore.run ~variant:Spec.Always_grant ~mem_budget:1 ~p:2 ~wishes:2 ())
+         Explore.run ~variant:Machine.Duplicating_link ~mem_budget:1 ~p:2
+           ~wishes:2 ())
    with
   | None -> Alcotest.fail "expected a violation"
   | Some _ -> ());
@@ -244,11 +269,11 @@ let test_spill_cleanup_on_violation () =
    walk through the transition graph. *)
 let random_walk ~seed ~p ~wishes ~steps =
   let rng = Ocube_sim.Rng.create seed in
-  let st = ref (Spec.initial ~p ~wishes) in
+  let st = ref (Machine.initial ~p ~wishes) in
   let acc = ref [ !st ] in
   (try
      for _ = 1 to steps do
-       match Spec.transitions !st with
+       match Machine.transitions !st with
        | [] -> raise Exit
        | ts ->
          let _, st' = List.nth ts (Ocube_sim.Rng.int rng (List.length ts)) in
@@ -267,7 +292,7 @@ let qcheck_encoding_tests =
         let p = 1 + (seed mod 2) in
         let states = random_walk ~seed ~p ~wishes:2 ~steps:20 in
         List.for_all
-          (fun st -> Spec.decode (Spec.encode st) = st)
+          (fun st -> Machine.decode (Machine.encode st) = st)
           states);
     Test.make ~count:60
       ~name:"encode collides iff canonical states are equal"
@@ -281,7 +306,7 @@ let qcheck_encoding_tests =
         for i = 0 to n - 1 do
           for j = 0 to n - 1 do
             let same_key =
-              String.equal (Spec.encode states.(i)) (Spec.encode states.(j))
+              String.equal (Machine.encode states.(i)) (Machine.encode states.(j))
             in
             let same_state = states.(i) = states.(j) in
             if same_key <> same_state then ok := false
@@ -297,80 +322,77 @@ let test_state_cap () =
        false
      with Failure _ -> true)
 
-(* --- cross-validation against the DES implementation ----------------------- *)
+(* --- the bag runtime and the core's image ------------------------------------ *)
 
-(* Run the spec serially: issue wishes one at a time and always drain the
-   (deterministic, single-message) flight before the next wish. *)
-let spec_serial ~p ~order =
-  let st = ref (Spec.initial ~p ~wishes:(List.length order)) in
-  let deliver_all () =
-    let rec go () =
-      match
-        List.find_opt
-          (fun (t, _) -> match t with Spec.Deliver _ -> true | _ -> false)
-          (Spec.transitions !st)
-      with
-      | Some (_, st') ->
-        st := st';
-        go ()
-      | None -> ()
-    in
-    go ()
+(* The bag runtime refuses to arm a timer, and carries only Section 3
+   messages: a core with fault tolerance on trips it at its first wish. *)
+let test_bag_refuses_section5 () =
+  let net = Bag.create ~n:4 in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  checkb "set_timer refuses" true
+    (raises (fun () -> Bag.set_timer net ~node:1 ~delay:1.0 ignore));
+  checkb "a Section 5 message is refused" true
+    (raises (fun () ->
+         Bag.send net ~src:0 ~dst:1 (Types.Message.Test { d = 1 })));
+  let module Core = Opencube_algo.Make (Bag) in
+  let core =
+    Core.create ~net ~callbacks:Types.null_callbacks
+      ~config:(Opencube_algo.default_config ~p:2)
   in
-  List.iter
-    (fun node ->
-      (match
-         List.find_opt (fun (t, _) -> t = Spec.Wish node) (Spec.transitions !st)
-       with
-      | Some (_, st') -> st := st'
-      | None -> Alcotest.failf "wish %d not enabled" node);
-      deliver_all ();
-      (* exit the CS *)
-      (match
-         List.find_opt
-           (fun (t, _) -> match t with Spec.Exit _ -> true | _ -> false)
-           (Spec.transitions !st)
-       with
-      | Some (_, st') -> st := st'
-      | None -> Alcotest.fail "nobody to exit");
-      deliver_all ())
-    order;
-  !st
+  checkb "fault-tolerant core arms a timer and is refused" true
+    (raises (fun () -> Core.request_cs core 3))
 
-let test_spec_matches_des_serial () =
-  let p = 3 in
-  let rng = Ocube_sim.Rng.create 99 in
-  for _ = 1 to 20 do
-    let order = List.init 6 (fun _ -> Ocube_sim.Rng.int rng (1 lsl p)) in
-    (* Deduplicate consecutive repeats: the spec's wish budget model allows
-       them, but keep schedules simple. *)
-    let spec_final = spec_serial ~p ~order in
-    (* DES run with the same serial schedule. *)
-    let env =
-      Runner.make_env ~seed:1 ~n:(1 lsl p)
-        ~delay:(Ocube_net.Network.Constant 1.0) ~cs:(Runner.Fixed 1.0) ()
+(* On random walks: [load] then [export] is the identity, and every
+   successor the explorer hands out (it reuses a handler's effect across
+   states with the same local input) equals a fresh run of the core on
+   the whole state. Keys past one byte per field round-trip, and [export]
+   refuses a fault-tolerant core. *)
+let test_image_round_trip () =
+  let module Core = Opencube_algo.Make (Bag) in
+  let check_walk p walk =
+    let net = Bag.create ~n:(1 lsl p) in
+    let core =
+      Core.create ~net ~callbacks:Types.null_callbacks
+        ~config:{ (Opencube_algo.default_config ~p) with fault_tolerance = false }
     in
-    let algo =
-      Opencube_algo.create ~net:(Runner.net env)
-        ~callbacks:(Runner.callbacks env)
-        ~config:
-          { (Opencube_algo.default_config ~p) with fault_tolerance = false }
-    in
-    Runner.attach env (Opencube_algo.instance algo);
     List.iter
-      (fun node ->
-        Runner.submit env node;
-        Runner.run_to_quiescence env)
-      order;
-    let des_fathers = Opencube_algo.snapshot_tree algo in
-    let spec_fathers =
-      Array.init (Spec.num_nodes spec_final) (fun i ->
-          let f = (Spec.node spec_final i).Spec.father in
-          if f < 0 then None else Some f)
-    in
-    Alcotest.(check (array (option int)))
-      "spec and DES agree on the final tree" des_fathers spec_fathers
-  done
+      (fun st ->
+        Core.load core st.Machine.img;
+        checkb "export (load img) = img" true (Core.export core = st.Machine.img);
+        List.iter
+          (fun (tr, st') ->
+            Core.load core st.Machine.img;
+            Bag.set_bag net st.Machine.bag;
+            (match tr with
+            | Machine.Wish i -> Core.request_cs core i
+            | Machine.Exit i -> Core.release_cs core i
+            | Machine.Deliver m -> Bag.deliver net ~keep:false m
+            | Machine.Crash _ -> ());
+            checkb "cached successor = fresh core run" true
+              (Core.export core = st'.Machine.img
+              && Bag.bag net = st'.Machine.bag))
+          (Machine.transitions st))
+      walk
+  in
+  check_walk 2 (random_walk ~seed:11 ~p:2 ~wishes:2 ~steps:60);
+  check_walk 3 (random_walk ~seed:12 ~p:3 ~wishes:1 ~steps:60);
+  List.iter
+    (fun st ->
+      checkb "decode (encode st) = st past one byte" true
+        (Machine.decode (Machine.encode st) = st))
+    (random_walk ~seed:13 ~p:8 ~wishes:200 ~steps:30);
+  let env =
+    Runner.make_env ~seed:1 ~n:4 ~delay:(Ocube_net.Network.Constant 1.0)
+      ~cs:(Runner.Fixed 1.0) ()
+  in
+  let des =
+    Opencube_algo.create ~net:(Runner.net env) ~callbacks:(Runner.callbacks env)
+      ~config:(Opencube_algo.default_config ~p:2)
+  in
+  checkb "export refuses fault tolerance" true
+    (match Opencube_algo.export des with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let suite =
   [
@@ -386,9 +408,9 @@ let suite =
     Alcotest.test_case "exhaustive: 2 nodes" `Quick test_exhaustive_tiny;
     Alcotest.test_case "exhaustive: 4 nodes, 1 wish (1064 states)" `Quick
       test_exhaustive_four_nodes;
-    Alcotest.test_case "exhaustive: 4 nodes, 2 wishes (32k states)" `Quick
+    Alcotest.test_case "exhaustive: 4 nodes, 2 wishes (51k states)" `Quick
       test_exhaustive_four_nodes_two_wishes;
-    Alcotest.test_case "exhaustive: 4 nodes, 3 wishes (257k states)" `Slow
+    Alcotest.test_case "exhaustive: 4 nodes, 3 wishes (1.1M states)" `Slow
       test_exhaustive_four_nodes_three_wishes;
     Alcotest.test_case "state cap enforced" `Quick test_state_cap;
     Alcotest.test_case "parallel explorer = serial counts" `Quick
@@ -405,7 +427,9 @@ let suite =
       test_spill_byte_identical;
     Alcotest.test_case "spill: cleanup on violation" `Quick
       test_spill_cleanup_on_violation;
-    Alcotest.test_case "spec = DES on serial schedules" `Quick
-      test_spec_matches_des_serial;
+    Alcotest.test_case "bag runtime refuses Section 5" `Quick
+      test_bag_refuses_section5;
+    Alcotest.test_case "image: load then export is the identity" `Quick
+      test_image_round_trip;
   ]
   @ List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qcheck_encoding_tests

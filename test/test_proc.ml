@@ -250,6 +250,24 @@ let test_proc_scripts_replayable () =
   | Error e -> Alcotest.failf "legacy script unparseable: %s" e
   | Ok s -> checkb "legacy defaults to des" true (s.Scenario.runtime = Scenario.Des)
 
+(* [cluster -n] is checked before anything forks, so this test starts
+   no node process. *)
+let test_cluster_sizes () =
+  let rejected n expect =
+    match Cluster.dimension n with
+    | Error m ->
+      Alcotest.(check string) (Printf.sprintf "-n %d" n) expect m
+    | Ok p -> Alcotest.failf "-n %d accepted (p = %d)" n p
+  in
+  rejected 3 "-n must be a power of two >= 2 (got 3)";
+  rejected 1 "-n must be a power of two >= 2 (got 1)";
+  rejected 1024 "-n must be at most 512 (got 1024)";
+  rejected (1 lsl 30) "-n must be at most 512 (got 1073741824)";
+  Alcotest.(check (result int string)) "-n 2" (Ok 1) (Cluster.dimension 2);
+  Alcotest.(check (result int string))
+    "-n 512" (Ok 9)
+    (Cluster.dimension Cluster.max_nodes)
+
 let suite =
   [
     Alcotest.test_case "DES and process send digests agree" `Quick
@@ -270,4 +288,6 @@ let suite =
       test_proc_fuzz_soak;
     Alcotest.test_case "proc scripts shrink and replay" `Quick
       test_proc_scripts_replayable;
+    Alcotest.test_case "cluster sizes checked before forking" `Quick
+      test_cluster_sizes;
   ]

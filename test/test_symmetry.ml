@@ -3,7 +3,7 @@
    permutations, canonicalization properties (idempotence, generator
    invariance, isomorphic decodes), and exhaustive orbit sizes at small p. *)
 
-module Spec = Ocube_model.Spec
+module Machine = Ocube_model.Machine
 module Symmetry = Ocube_model.Symmetry
 
 let checki = Alcotest.(check int)
@@ -126,11 +126,11 @@ let test_bit_permutations_are_trivial () =
 (* Seeded random walk through the (optionally faulty) transition graph. *)
 let random_walk ?(max_faults = 0) ~seed ~p ~wishes ~steps () =
   let rng = Ocube_sim.Rng.create seed in
-  let st = ref (Spec.initial ~p ~wishes) in
+  let st = ref (Machine.initial ~p ~wishes) in
   let acc = ref [ !st ] in
   (try
      for _ = 1 to steps do
-       match Spec.transitions ~max_faults !st with
+       match Machine.transitions ~max_faults !st with
        | [] -> raise Exit
        | ts ->
          let _, st' = List.nth ts (Ocube_sim.Rng.int rng (List.length ts)) in
@@ -153,13 +153,13 @@ let qcheck_canon_tests =
       (fun seed ->
         List.for_all
           (fun st ->
-            let p = Spec.num_nodes st |> fun n ->
+            let p = Machine.num_nodes st |> fun n ->
               let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
               log2 n
             in
             let t = Symmetry.table ~p in
             let c = Symmetry.canonicalize t st in
-            let c' = Symmetry.canonicalize t (Spec.decode c.Symmetry.key) in
+            let c' = Symmetry.canonicalize t (Machine.decode c.Symmetry.key) in
             String.equal c'.Symmetry.key c.Symmetry.key
             && c'.Symmetry.perm_index = 0
             && c'.Symmetry.orbit = c.Symmetry.orbit)
@@ -169,14 +169,14 @@ let qcheck_canon_tests =
       (fun seed ->
         List.for_all
           (fun st ->
-            let n = Spec.num_nodes st in
+            let n = Machine.num_nodes st in
             let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
             let p = log2 n in
             let t = Symmetry.table ~p in
             let c = Symmetry.canonicalize t st in
             List.for_all
               (fun g ->
-                let c' = Symmetry.canonicalize t (Spec.relabel g st) in
+                let c' = Symmetry.canonicalize t (Machine.relabel g st) in
                 String.equal c'.Symmetry.key c.Symmetry.key
                 && c'.Symmetry.orbit = c.Symmetry.orbit)
               (Symmetry.generators ~p))
@@ -187,14 +187,14 @@ let qcheck_canon_tests =
       (fun seed ->
         List.for_all
           (fun st ->
-            let n = Spec.num_nodes st in
+            let n = Machine.num_nodes st in
             let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
             let p = log2 n in
             let t = Symmetry.table ~p in
             let c = Symmetry.canonicalize t st in
             let sigma = Symmetry.perm t c.Symmetry.perm_index in
             Symmetry.is_automorphism ~p sigma
-            && Spec.decode c.Symmetry.key = Spec.relabel sigma st)
+            && Machine.decode c.Symmetry.key = Machine.relabel sigma st)
           (walk_states seed));
     Test.make ~count:40 ~name:"dynamics are equivariant under the group"
       (int_range 0 100_000)
@@ -203,7 +203,7 @@ let qcheck_canon_tests =
            sets — the soundness theorem behind the quotient search. *)
         List.for_all
           (fun st ->
-            let n = Spec.num_nodes st in
+            let n = Machine.num_nodes st in
             let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
             let p = log2 n in
             let t = Symmetry.table ~p in
@@ -212,10 +212,10 @@ let qcheck_canon_tests =
             let image =
               List.map
                 (fun (tr, st') ->
-                  (Symmetry.apply_transition t k tr, Spec.relabel g st'))
-                (Spec.transitions ~max_faults:1 st)
+                  (Machine.relabel_transition g tr, Machine.relabel g st'))
+                (Machine.transitions ~max_faults:1 st)
             in
-            let direct = Spec.transitions ~max_faults:1 (Spec.relabel g st) in
+            let direct = Machine.transitions ~max_faults:1 (Machine.relabel g st) in
             List.length image = List.length direct
             && List.for_all (fun x -> List.mem x direct) image)
           (walk_states seed));
@@ -236,7 +236,7 @@ let test_orbit_sizes_exhaustive () =
               let c = Symmetry.canonicalize t st in
               let keys =
                 List.sort_uniq String.compare
-                  (List.map (fun g -> Spec.encode (Spec.relabel g st)) group)
+                  (List.map (fun g -> Machine.encode (Machine.relabel g st)) group)
               in
               checki
                 (Printf.sprintf "orbit size (p=%d seed=%d)" p seed)
