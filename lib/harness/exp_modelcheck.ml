@@ -4,8 +4,8 @@
    handlers (Opencube_algo over the in-memory bag runtime) through EVERY
    reachable interleaving (any in-flight message can be delivered next -
    channels are not FIFO) for small cubes and bounded wish budgets,
-   checking on every state the core's invariant_check (at most one node in
-   CS, one token) plus: holders have the token, idle queues empty; and on
+   checking on every state the core's invariant verdict (at most one node
+   in CS, one token) plus: holders have the token, idle queues empty; and on
    every terminal state: every wish served (no deadlock/livelock), no
    message in flight, a valid open-cube (the core's check_opencube) with
    the token at rest at its root.
@@ -72,4 +72,4 @@ let run () =
   ^ "Every terminal state is quiescent with all wishes served and the \
      tree a valid\nopen-cube - bounded proof of safety and liveness, not \
      sampling. (The N = 8\nrow walks ~4.4 million states and takes about \
-     40 seconds.)\n"
+     20 seconds.)\n"

@@ -9,13 +9,15 @@ type t = {
 
 type timer = |
 
+module Image = Ocube_mutex.Opencube_algo.Image
+
 (* Layout of a packed message, most significant first:
      bits 49-58  src
      bits 39-48  dst
      bit     38  1 = token, 0 = request
      bits 27-37  who + 1 (request origin, or token lender + 1; 0 = nil)
-     bits 16-26  request id source + 1 (0 = no request id)
-     bits  0-15  request id seq *)
+     bits  0-26  the request id, as the core's image writes it
+                 ({!Image.rid}, 0 = none) *)
 
 let max_seq = 1 lsl 16
 let max_nodes = 1024
@@ -34,32 +36,30 @@ let[@inline] src m = m lsr 49
 let[@inline] dst m = (m lsr 39) land 0x3ff
 let[@inline] is_token m = m land bit_token <> 0
 let[@inline] who m = ((m lsr 27) land 0x7ff) - 1
-let[@inline] rid_src m = ((m lsr 16) land 0x7ff) - 1
-let[@inline] rid_seq m = m land 0xffff
+let[@inline] rid m = m land 0x7ffffff
 
-let of_fields ~src ~dst ~token ~who ~rid_src ~seq =
-  if seq < 0 || seq >= max_seq then invalid_arg "Bag.pack: seq out of range";
+let of_fields ~src ~dst ~token ~who ~rid =
+  if Image.rid_seq rid >= max_seq then invalid_arg "Bag.pack: seq out of range";
   (src lsl 49) lor (dst lsl 39)
   lor (if token then bit_token else 0)
   lor ((who + 1) lsl 27)
-  lor ((rid_src + 1) lsl 16)
-  lor seq
+  lor rid
 
 let rid_of m =
-  let s = rid_src m in
-  if s < 0 then None else Some { source = s; seq = rid_seq m }
+  let w = rid m in
+  if w = 0 then None
+  else Some { source = Image.rid_source w; seq = Image.rid_seq w }
+
+let rid_word (r : request_id) = Image.rid ~source:r.source ~seq:r.seq
 
 let pack ~src ~dst (msg : Message.t) =
   match msg with
   | Message.Request { origin; rid } ->
-    of_fields ~src ~dst ~token:false ~who:origin ~rid_src:rid.source
-      ~seq:rid.seq
+    of_fields ~src ~dst ~token:false ~who:origin ~rid:(rid_word rid)
   | Message.Token { lender; rid } ->
     let who = match lender with Some l -> l | None -> -1 in
-    let rid_src, seq =
-      match rid with Some r -> (r.source, r.seq) | None -> (-1, 0)
-    in
-    of_fields ~src ~dst ~token:true ~who ~rid_src ~seq
+    of_fields ~src ~dst ~token:true ~who
+      ~rid:(match rid with Some r -> rid_word r | None -> 0)
   | Message.Enquiry _ | Message.Enquiry_answer _ | Message.Test _
   | Message.Test_answer _ | Message.Anomaly _ | Message.Void _
   | Message.Census _ | Message.Census_reply _ | Message.Custody _
@@ -68,10 +68,17 @@ let pack ~src ~dst (msg : Message.t) =
   | Message.Ra_reply ->
     invalid_arg "Bag.send: only Section 3 messages (request, token)"
 
+let names m i =
+  src m = i || dst m = i || who m = i
+  || (rid m <> 0 && Image.rid_source (rid m) = i)
+
 let rename perm m =
-  let ren j = if j < 0 then j else perm.(j) in
+  let w = rid m in
   of_fields ~src:perm.(src m) ~dst:perm.(dst m) ~token:(is_token m)
-    ~who:(ren (who m)) ~rid_src:(ren (rid_src m)) ~seq:(rid_seq m)
+    ~who:(if who m < 0 then -1 else perm.(who m))
+    ~rid:
+      (if w = 0 then 0
+       else Image.rid ~source:perm.(Image.rid_source w) ~seq:(Image.rid_seq w))
 
 let rec insert (m : int) = function
   | [] -> [ m ]

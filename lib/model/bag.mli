@@ -12,7 +12,9 @@
     sorted order makes equal bags equal. Fields (node ids below 1024,
     request sequence numbers below [max_seq]): [src], [dst], kind, [who]
     (a request's origin, or a token's lender, [-1] for nil), and the
-    request id ([-1] source for a token without one). *)
+    request id as the core's image word
+    ({!Ocube_mutex.Opencube_algo.Image.rid}, [0] for a token without
+    one). *)
 
 type t
 
@@ -52,10 +54,9 @@ val remove : int -> int list -> int list
 val max_seq : int
 (** Request sequence numbers must stay below this. *)
 
-val of_fields :
-  src:int -> dst:int -> token:bool -> who:int -> rid_src:int -> seq:int -> int
+val of_fields : src:int -> dst:int -> token:bool -> who:int -> rid:int -> int
 (** The message with these fields (read back by the accessors below).
-    @raise Invalid_argument if [seq] is out of range. *)
+    @raise Invalid_argument if [rid]'s sequence number is out of range. *)
 
 val src : int -> int
 
@@ -66,10 +67,12 @@ val is_token : int -> bool
 val who : int -> int
 (** A request's origin, or a token's lender ([-1]: nil). *)
 
-val rid_src : int -> int
-(** The carried request id's source, [-1] when there is none. *)
+val rid : int -> int
+(** The carried request id, as an image word ([0]: none). *)
 
-val rid_seq : int -> int
+val names : int -> int -> bool
+(** [names m i]: node [i] is [m]'s source, destination, [who] or request
+    id source. *)
 
 val rename : int array -> int -> int
 (** [rename perm m] renames every node id inside [m] through [perm]. *)

@@ -256,7 +256,7 @@ type expand_result =
 let run_levelwise ~max_states ~pool ~max_faults ~variant ~sym ~mem_budget ~p
     ~wishes =
   let visited = Array.init shard_count (fun _ -> Keyset.create 4_096) in
-  let shard_of (key : string) = Hashtbl.hash key mod shard_count in
+  let shard_of st = Machine.hash st mod shard_count in
   let parents = ibuf_create ()
   and labels = ibuf_create ()
   and sigmas = ibuf_create () in
@@ -272,11 +272,14 @@ let run_levelwise ~max_states ~pool ~max_faults ~variant ~sym ~mem_budget ~p
     match sym with
     | Some t ->
       let c = Symmetry.canonicalize t st in
-      (c.Symmetry.key, c.Symmetry.in_flight, c.Symmetry.perm_index,
-       c.Symmetry.orbit)
+      ( c.Symmetry.key,
+        c.Symmetry.hash mod shard_count,
+        c.Symmetry.in_flight,
+        c.Symmetry.perm_index,
+        c.Symmetry.orbit )
     | None ->
       let key, fl = Machine.encode_len st in
-      (key, fl, 0, 1)
+      (key, shard_of st, fl, 0, 1)
   in
   let cert = Option.map (fun t -> (t, sigmas)) sym in
   let compose_sigma pi sigma =
@@ -331,9 +334,9 @@ let run_levelwise ~max_states ~pool ~max_faults ~variant ~sym ~mem_budget ~p
       let acc = ref [] in
       let n =
         Machine.iter_transitions ~max_faults ~variant st (fun tr st' ->
-            let key', fl', pi, orbit = canon st' in
+            let key', shard, fl', pi, orbit = canon st' in
             acc :=
-              ( shard_of key', key', fl', orbit, label_of tr,
+              ( shard, key', fl', orbit, label_of tr,
                 compose_sigma pi sigma_parent )
               :: !acc)
       in
@@ -399,8 +402,8 @@ let run_levelwise ~max_states ~pool ~max_faults ~variant ~sym ~mem_budget ~p
   (match Machine.check_invariants initial with
   | Ok () -> ()
   | Error message -> raise (Violation { message; state = initial; trace = [] }));
-  let key0, fl0, pi0, orbit0 = canon initial in
-  ignore (Keyset.add_if_absent visited.(shard_of key0) key0 : bool);
+  let key0, shard0, fl0, pi0, orbit0 = canon initial in
+  ignore (Keyset.add_if_absent visited.(shard0) key0 : bool);
   ibuf_push parents (-1);
   ibuf_push labels 0;
   ibuf_push sigmas pi0;

@@ -3,7 +3,12 @@ module Core = Algo.Make (Bag)
 module Image = Algo.Image
 module Opencube = Ocube_topology.Opencube
 
-type state = { img : int array; env : int array; bag : int list }
+type state = {
+  nodes : int array;
+  in_flight : int;
+  env : int array;
+  bag : int list;
+}
 
 type transition = Wish of int | Exit of int | Deliver of int | Crash of int
 
@@ -15,61 +20,129 @@ let log2 n =
   let rec go acc m = if m <= 1 then acc else go (acc + 1) (m lsr 1) in
   go 0 n
 
-let[@inline] block i = Image.header + (i * Image.stride)
-let[@inline] field st i f = Array.unsafe_get st.img (block i + f)
-let[@inline] flags st i = field st i Image.flags
-let[@inline] alive st i = st.env.(i) >= 0
-
 let dead_count st =
   Array.fold_left (fun k w -> if w < 0 then k + 1 else k) 0 st.env
 
-(* --- the scratch core and the transition cache ------------------------- *)
-
-(* A handler reads and writes only its own node's state; its other
-   effects are the messages it sends and the in-flight tally. So one
-   operation on node [i] (a wish, an exit, a receipt) does the same thing
-   in every state where [i]'s block and queue are the same. The cache maps
-   that local input, with the operation, to [i]'s new block and queue, the
-   messages sent and the change in the tally: each distinct local input
-   runs through the core once (loaded with the whole state), and every
-   other state with the same local input reuses the result. A miss checks
-   that the handler wrote no other node. *)
 let same_ints (a : int array) (b : int array) =
   let n = Array.length a in
   let rec same k = k = n || (a.(k) = b.(k) && same (k + 1)) in
   n = Array.length b && same 0
 
-module Local = Hashtbl.Make (struct
+(* --- the node table ------------------------------------------------------------ *)
+
+(* Every distinct node, its block and queue as {!Image.nodes} splits them,
+   is stored once per process under a small id, and a state holds one id
+   per node: a successor shares every node its step did not touch, and a
+   key is a few bytes per node. Ids are handed out under a lock, in
+   discovery order, and an entry never changes once written. A domain
+   reads only ids that came from a state built after they were written
+   (by it, or handed over through the explorer's synchronisation), so
+   reads take no lock. *)
+let hash_ints (a : int array) =
+  let h = ref 0 in
+  for k = 0 to Array.length a - 1 do
+    h := (!h * 65599) + Array.unsafe_get a k
+  done;
+  !h land max_int
+
+module Words = Hashtbl.Make (struct
   type t = int array
 
   let equal = same_ints
-
-  let hash (a : int array) =
-    let h = ref 0 in
-    for k = 0 to Array.length a - 1 do
-      h := (!h * 65599) + Array.unsafe_get a k
-    done;
-    !h land max_int
+  let hash = hash_ints
 end)
 
+let lock = Mutex.create ()
+let ids : int Words.t = Words.create 1024
+let table = Atomic.make (Array.make 1024 [||])
+
+let intern (w : int array) =
+  Mutex.protect lock (fun () ->
+      match Words.find_opt ids w with
+      | Some id -> id
+      | None ->
+        let id = Words.length ids in
+        let t = Atomic.get table in
+        let t =
+          if id < Array.length t then t
+          else begin
+            let t' = Array.make (2 * id) [||] in
+            Array.blit t 0 t' 0 id;
+            t'
+          end
+        in
+        t.(id) <- w;
+        Atomic.set table t;
+        Words.add ids w id;
+        id)
+
+let[@inline] words id = (Atomic.get table).(id)
+
+let of_image img ~env ~bag =
+  {
+    nodes = Array.map intern (Image.nodes ~n:(Array.length env) img);
+    in_flight = img.(0);
+    env;
+    bag;
+  }
+
+let image st = Image.assemble ~in_flight:st.in_flight (Array.map words st.nodes)
+
+let[@inline] flags st i = (words st.nodes.(i)).(Image.flags)
+
+(* The image-level view of a state, for the checks and the crash
+   abstraction, which read every node. *)
+type view = { img : int array; venv : int array; vbag : int list }
+
+let view st = { img = image st; venv = st.env; vbag = st.bag }
+
+(* Field [f] of node [i]'s block. *)
+let[@inline] field v i f = v.img.(Image.header + (i * Image.stride) + f)
+let[@inline] alive v i = v.venv.(i) >= 0
+
+(* --- the core and its node-local steps ---------------------------------------- *)
+
+(* A Section 3 handler is one node's step: it reads that node's state and
+   the operation (a wish, an exit, or the message delivered), writes only
+   that node's state, sends messages and moves the in-flight tally. Its
+   effect is therefore a function of the operation and the node, and each
+   distinct pair runs through the core once, loaded with the whole state;
+   every other state with the same pair reuses the effect. A run that
+   writes another node raises, and the test suite checks every transition
+   of the p <= 2 explorations against a fresh run of the core on the whole
+   state (DESIGN.md §12.4). *)
 type effect = {
-  words : int array;  (* the node's new block, then its new queue *)
+  node : int;  (* the node's new id *)
   sent : int list;
   flying : int;  (* change to the in-flight tally *)
 }
 
-(* One core per domain: a state is loaded into it only on a cache miss or
-   for a check (and not at all when it is the state the core last held). *)
+module Steps = Hashtbl.Make (struct
+  type t = int * int  (* operation code, node id *)
+
+  let equal ((a : int), (b : int)) (c, d) = a = c && b = d
+
+  let hash (op, id) =
+    let h = (op * 0x9e3779b1) + id in
+    (h lxor (h lsr 29)) land max_int
+end)
+
+module Perms = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = same_ints
+  let hash = hash_ints
+end)
+
+(* One core per domain, with the steps it has run and, per permutation,
+   the node renamings it has made. *)
 type machine = {
   p : int;
   rt : Bag.t;
   core : Core.t;
-  mutable loaded : state;
-  cache : effect Local.t;
-  mutable keys : int array array;  (* lookup scratch, by key length *)
+  steps : effect Steps.t;
+  renamed : (int, int) Hashtbl.t Perms.t;
 }
-
-let nowhere = { img = [||]; env = [||]; bag = [] }
 
 let fresh_core ~p =
   let rt = Bag.create ~n:(1 lsl p) in
@@ -77,7 +150,7 @@ let fresh_core ~p =
     Core.create ~net:rt ~callbacks:Ocube_mutex.Types.null_callbacks
       ~config:{ (Algo.default_config ~p) with fault_tolerance = false }
   in
-  (rt, core)
+  { p; rt; core; steps = Steps.create 1024; renamed = Perms.create 16 }
 
 let scratch : machine option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -88,81 +161,23 @@ let machine_of st =
   match !r with
   | Some m when m.p = p -> m
   | _ ->
-    let rt, core = fresh_core ~p in
-    let m =
-      { p; rt; core; loaded = nowhere; cache = Local.create 1024; keys = [||] }
-    in
+    let m = fresh_core ~p in
     r := Some m;
     m
 
-let ensure_loaded m st =
-  if m.loaded != st then begin
-    Core.load m.core st.img;
-    Bag.set_bag m.rt st.bag;
-    for i = 0 to Array.length st.env - 1 do
-      Bag.set_failed m.rt i (st.env.(i) < 0)
-    done;
-    m.loaded <- st
-  end
+let load m st =
+  Core.load m.core (image st);
+  Bag.set_bag m.rt st.bag;
+  for i = 0 to Array.length st.env - 1 do
+    Bag.set_failed m.rt i (st.env.(i) < 0)
+  done
 
 let initial ~p ~wishes =
   if p < 0 || p > 10 then invalid_arg "Machine.initial: p outside [0, 10]";
   if wishes < 0 || wishes >= Bag.max_seq then
     invalid_arg "Machine.initial: wishes out of range";
-  let _, core = fresh_core ~p in
-  { img = Core.export core; env = Array.make (1 lsl p) wishes; bag = [] }
-
-(* Where node [i]'s queue starts in [img]. *)
-let queue_offset img n i =
-  let q = ref (block n) in
-  for j = 0 to i - 1 do
-    q := !q + (Image.entry * img.(block j + Image.queue_len))
-  done;
-  !q
-
-let copy_words src src_pos dst dst_pos len =
-  for k = 0 to len - 1 do
-    Array.unsafe_set dst (dst_pos + k) (Array.unsafe_get src (src_pos + k))
-  done
-
-(* The operation's code [op], node [i], then [i]'s block and queue in
-   [st], in a scratch array of the machine's (copied when stored). *)
-let local_key m st i op =
-  let b = block i in
-  let qo = queue_offset st.img (num_nodes st) i in
-  let qlen = Image.entry * st.img.(b + Image.queue_len) in
-  let len = 2 + Image.stride + qlen in
-  if Array.length m.keys <= len then
-    m.keys <-
-      Array.init (len + 1) (fun l ->
-          if l < Array.length m.keys then m.keys.(l) else Array.make l 0);
-  let key = m.keys.(len) in
-  key.(0) <- op;
-  key.(1) <- i;
-  copy_words st.img b key 2 Image.stride;
-  copy_words st.img qo key (2 + Image.stride) qlen;
-  key
-
-(* [st]'s image with node [i]'s block and queue replaced by [e]. *)
-let splice st i e =
-  let b = block i in
-  let qo = queue_offset st.img (num_nodes st) i in
-  let old_q = Image.entry * st.img.(b + Image.queue_len) in
-  let new_q = Array.length e.words - Image.stride in
-  let img =
-    if old_q = new_q then Array.copy st.img
-    else begin
-      let rest = Array.length st.img - qo - old_q in
-      let img = Array.make (qo + new_q + rest) 0 in
-      copy_words st.img 0 img 0 qo;
-      copy_words st.img (qo + old_q) img (qo + new_q) rest;
-      img
-    end
-  in
-  copy_words e.words 0 img b Image.stride;
-  copy_words e.words Image.stride img qo new_q;
-  img.(0) <- st.img.(0) + e.flying;
-  img
+  let m = fresh_core ~p in
+  of_image (Core.export m.core) ~env:(Array.make (1 lsl p) wishes) ~bag:[]
 
 (* The elements of sorted [a] that are not in sorted [b], as multisets. *)
 let rec sorted_diff (a : int list) (b : int list) =
@@ -174,34 +189,30 @@ let rec sorted_diff (a : int list) (b : int list) =
     else if x > y then sorted_diff a b'
     else sorted_diff a' b'
 
-(* Run one operation through the core on the whole of [st] and record its
-   effect on node [i]. *)
-let run_core m st tr ~i ~bag_before key =
-  ensure_loaded m st;
+(* Run the operation through the core on the whole of [st], record its
+   effect on node [i], and check that it changed no other node. *)
+let run_core m st tr ~i ~bag key =
+  load m st;
   (match tr with
   | Wish _ -> Core.request_cs m.core i
   | Exit _ -> Core.release_cs m.core i
   | Deliver msg -> Bag.deliver m.rt ~keep:false msg
   | Crash _ -> ());
-  let img = Core.export m.core in
-  let b = block i in
-  let qo = queue_offset img (num_nodes st) i in
-  let qlen = Image.entry * img.(b + Image.queue_len) in
-  let words = Array.make (Image.stride + qlen) 0 in
-  Array.blit img b words 0 Image.stride;
-  Array.blit img qo words Image.stride qlen;
+  let after = of_image (Core.export m.core) ~env:st.env ~bag:[] in
+  Array.iteri
+    (fun j id ->
+      if j <> i && id <> st.nodes.(j) then
+        invalid_arg
+          (Printf.sprintf "Machine: an operation on node %d changed node %d" i j))
+    after.nodes;
   let e =
     {
-      words;
-      sent = sorted_diff (Bag.bag m.rt) bag_before;
-      flying = img.(0) - st.img.(0);
+      node = after.nodes.(i);
+      sent = sorted_diff (Bag.bag m.rt) bag;
+      flying = after.in_flight - st.in_flight;
     }
   in
-  if not (same_ints (splice st i e) img) then
-    invalid_arg
-      (Printf.sprintf "Machine: an operation on node %d changed another node" i);
-  m.loaded <- nowhere;
-  Local.add m.cache (Array.copy key) e;
+  Steps.add m.steps key e;
   e
 
 let step m ~variant st tr =
@@ -212,16 +223,16 @@ let step m ~variant st tr =
     | Deliver msg -> (Bag.dst msg, msg, Bag.remove msg st.bag)
     | Crash _ -> invalid_arg "Machine.step: a crash is not a core operation"
   in
-  let key = local_key m st i op in
+  let key = (op, st.nodes.(i)) in
   let e =
-    match Local.find_opt m.cache key with
+    match Steps.find_opt m.steps key with
     | Some e -> e
-    | None -> run_core m st tr ~i ~bag_before:bag key
+    | None -> run_core m st tr ~i ~bag key
   in
-  let duplicated =
+  let keep =
     match (variant, tr) with
     | Duplicating_link, Deliver msg ->
-      Bag.is_token msg && Opencube.dist (Bag.src msg) (Bag.dst msg) = m.p
+      Bag.is_token msg && Opencube.dist (Bag.src msg) i = m.p
     | (Faithful | Duplicating_link), (Wish _ | Exit _ | Deliver _ | Crash _) ->
       false
   in
@@ -233,75 +244,44 @@ let step m ~variant st tr =
       env
     | Exit _ | Deliver _ | Crash _ -> st.env
   in
+  let nodes = Array.copy st.nodes in
+  nodes.(i) <- e.node;
   {
-    img = splice st i e;
+    nodes;
+    in_flight = st.in_flight + e.flying;
     env;
     bag =
       List.fold_left
-        (fun b m -> Bag.insert m b)
-        (if duplicated then st.bag else bag)
+        (fun b msg -> Bag.insert msg b)
+        (if keep then st.bag else bag)
         e.sent;
   }
 
 (* --- crashes ----------------------------------------------------------------- *)
 
-let queue_start st = block (num_nodes st)
+let crashable_in v i =
+  alive v i
+  && field v i Image.father >= 0
+  && field v i Image.flags = 0
+  && field v i Image.queue_len = 0
+  && field v i Image.loan = 0
+  && field v i Image.mandator < 0
+  && (not (List.exists (fun m -> Bag.names m i) v.vbag))
+  && not (Image.names_node ~n:(Array.length v.venv) v.img i)
 
-(* Whether [v], a request id word, names node [i]. *)
-let rid_names st v i = v > 0 && Image.rid_source ~n:(num_nodes st) v = i
+let crashable st i = crashable_in (view st) i
 
-let crashable st i =
-  let n = num_nodes st in
-  alive st i
-  && field st i Image.father >= 0
-  && flags st i = 0
-  && field st i Image.queue_len = 0
-  && field st i Image.loan = 0
-  && field st i Image.mandator < 0
-  && (not
-        (List.exists
-           (fun m ->
-             Bag.src m = i || Bag.dst m = i || Bag.who m = i || Bag.rid_src m = i)
-           st.bag))
-  && (let named = ref false in
-      for j = 0 to n - 1 do
-        if j <> i && alive st j then
-          if
-            field st j Image.lender = i
-            || field st j Image.mandator = i
-            || rid_names st (field st j Image.mandate) i
-            || rid_names st (field st j Image.loan) i
-          then named := true
-      done;
-      let q = ref (queue_start st) in
-      while !q < Array.length st.img do
-        if st.img.(!q) = i || rid_names st st.img.(!q + 1) i then named := true;
-        q := !q + Image.entry
-      done;
-      not !named)
-
-(* A crashed node's block: at rest, as if it had never acted. *)
-let rest_value i f =
-  if f = Image.lender then i
-  else if f = Image.father || f = Image.mandator then -1
-  else 0
-
-let write_dead img i =
-  for f = 0 to Image.stride - 1 do
-    img.(block i + f) <- rest_value i f
-  done
-
-let crash st i =
-  let img = Array.copy st.img in
-  let fi = field st i Image.father in
-  for j = 0 to num_nodes st - 1 do
-    if alive st j && field st j Image.father = i then
-      img.(block j + Image.father) <- fi
+let crash v i =
+  let img = Array.copy v.img in
+  let fi = field v i Image.father in
+  for j = 0 to Array.length v.venv - 1 do
+    if alive v j && field v j Image.father = i then
+      img.(Image.block j + Image.father) <- fi
   done;
-  write_dead img i;
-  let env = Array.copy st.env in
+  Image.retire img i;
+  let env = Array.copy v.venv in
   env.(i) <- -1;
-  { st with img; env }
+  of_image img ~env ~bag:v.vbag
 
 (* --- transitions ----------------------------------------------------------- *)
 
@@ -314,8 +294,8 @@ let iter_transitions ?(max_faults = 0) ?(variant = Faithful) st f =
     f tr (step m ~variant st tr)
   in
   for i = 0 to n - 1 do
-    let fl = flags st i in
-    if alive st i then begin
+    if st.env.(i) >= 0 then begin
+      let fl = flags st i in
       if fl land Image.in_cs <> 0 then go (Exit i);
       if st.env.(i) > 0 && fl land (Image.asking lor Image.in_cs) = 0 then
         go (Wish i)
@@ -328,13 +308,15 @@ let iter_transitions ?(max_faults = 0) ?(variant = Faithful) st f =
       deliveries msg rest
   in
   deliveries (-1) st.bag;
-  if max_faults > 0 && dead_count st < max_faults then
+  if max_faults > 0 && dead_count st < max_faults then begin
+    let v = view st in
     for i = 0 to n - 1 do
-      if crashable st i then begin
+      if crashable_in v i then begin
         incr count;
-        f (Crash i) (crash st i)
+        f (Crash i) (crash v i)
       end
-    done;
+    done
+  end;
   !count
 
 let transitions ?max_faults ?variant st =
@@ -347,47 +329,49 @@ let transitions ?max_faults ?variant st =
 
 (* --- invariants -------------------------------------------------------------- *)
 
-let rec tokens_in = function
-  | [] -> 0
-  | m :: rest -> Bool.to_int (Bag.is_token m) + tokens_in rest
+let unknown st j = j >= num_nodes st || (j >= 0 && st.env.(j) < 0)
 
 let names_unknown st msg =
-  let bad j = j >= num_nodes st || (j >= 0 && not (alive st j)) in
-  bad (Bag.src msg) || bad (Bag.dst msg) || bad (Bag.who msg)
-  || bad (Bag.rid_src msg)
+  let w = Bag.rid msg in
+  unknown st (Bag.src msg)
+  || unknown st (Bag.dst msg)
+  || unknown st (Bag.who msg)
+  || (w <> 0 && unknown st (Image.rid_source w))
 
-(* Checked on every explored state after the core's own check: the happy
-   path allocates nothing, so errors are built lazily. *)
-let check_extra st =
-  let n = num_nodes st in
+(* Checked on every explored state after the core's own verdict, on the
+   nodes' words [ws]: the happy path allocates nothing, so errors are
+   built lazily. *)
+let check_extra st ws =
   let error = ref None in
   let set_err f = if Option.is_none !error then error := Some f in
   let held = ref 0 in
-  for i = 0 to n - 1 do
-    let fl = flags st i in
-    if not (alive st i) then begin
-      for f = 0 to Image.stride - 1 do
-        if field st i f <> rest_value i f then
+  Array.iteri
+    (fun i (w : int array) ->
+      let fl = w.(Image.flags) in
+      if st.env.(i) < 0 then begin
+        if not (Image.is_retired w i) then
           set_err (fun () -> Printf.sprintf "dead node %d has live state" i)
-      done
-    end
-    else begin
-      if fl land Image.token <> 0 then incr held;
-      if fl land Image.in_cs <> 0 && fl land Image.token = 0 then
-        set_err (fun () -> Printf.sprintf "node %d in CS without the token" i);
-      if fl land Image.asking = 0 && field st i Image.queue_len > 0 then
-        set_err (fun () -> Printf.sprintf "idle node %d has a non-empty queue" i);
-      let f = field st i Image.father in
-      if f >= 0 && not (alive st f) then
-        set_err (fun () -> Printf.sprintf "live node %d's father %d is dead" i f)
-    end
-  done;
-  let flying = tokens_in st.bag in
-  (match List.find_opt (names_unknown st) st.bag with
-  | Some msg ->
-    set_err (fun () ->
-        Format.asprintf "message %a names a dead or unknown node" Bag.pp msg)
-  | None -> ());
+      end
+      else begin
+        if fl land Image.token <> 0 then incr held;
+        if fl land Image.in_cs <> 0 && fl land Image.token = 0 then
+          set_err (fun () -> Printf.sprintf "node %d in CS without the token" i);
+        if fl land Image.asking = 0 && w.(Image.queue_len) > 0 then
+          set_err (fun () -> Printf.sprintf "idle node %d has a non-empty queue" i);
+        let f = w.(Image.father) in
+        if f >= 0 && st.env.(f) < 0 then
+          set_err (fun () -> Printf.sprintf "live node %d's father %d is dead" i f)
+      end)
+    ws;
+  let rec scan flying = function
+    | [] -> flying
+    | msg :: rest ->
+      if names_unknown st msg then
+        set_err (fun () ->
+            Format.asprintf "message %a names a dead or unknown node" Bag.pp msg);
+      scan (flying + Bool.to_int (Bag.is_token msg)) rest
+  in
+  let flying = scan 0 st.bag in
   if !held + flying <> 1 then begin
     let held = !held in
     set_err (fun () ->
@@ -397,37 +381,37 @@ let check_extra st =
   match !error with None -> Ok () | Some f -> Error (f ())
 
 let check_invariants st =
-  let m = machine_of st in
-  ensure_loaded m st;
-  match Core.invariant_check m.core with
+  let ws = Array.map words st.nodes in
+  match Image.invariant_check ~in_flight:st.in_flight ws with
   | Error _ as e -> e
-  | Ok () -> check_extra st
+  | Ok () -> check_extra st ws
 
 let check_terminal st =
   let n = num_nodes st in
+  let v = view st in
   let errors = ref [] in
   let err s = errors := s :: !errors in
   for i = n - 1 downto 0 do
-    if alive st i then begin
-      let fl = flags st i in
+    if alive v i then begin
+      let fl = field v i Image.flags in
       if st.env.(i) > 0 then err (Printf.sprintf "node %d still has wishes (deadlock)" i);
       if fl land Image.asking <> 0 then
         err (Printf.sprintf "node %d still asking (deadlock)" i);
       if fl land Image.in_cs <> 0 then err (Printf.sprintf "node %d stuck in CS" i);
       if fl land Image.token <> 0 then begin
-        if field st i Image.father >= 0 then
+        if field v i Image.father >= 0 then
           err (Printf.sprintf "holder %d is not the root" i);
-        if field st i Image.lender <> i then
+        if field v i Image.lender <> i then
           err
             (Printf.sprintf "holder %d owes the token to %d" i
-               (field st i Image.lender))
+               (field v i Image.lender))
       end
     end
   done;
   if not (List.is_empty st.bag) then err "messages still in flight";
   (if dead_count st = 0 then begin
      let m = machine_of st in
-     ensure_loaded m st;
+     load m st;
      match Core.check_opencube m.core with
      | Ok () -> ()
      | Error e -> err ("not an open-cube: " ^ e)
@@ -438,17 +422,17 @@ let check_terminal st =
         root that every live node reaches. *)
      let roots = ref 0 in
      for i = 0 to n - 1 do
-       if alive st i && field st i Image.father < 0 then incr roots
+       if alive v i && field v i Image.father < 0 then incr roots
      done;
      if !roots <> 1 then
        err (Printf.sprintf "%d live roots after faults (want 1)" !roots);
      for i = 0 to n - 1 do
-       if alive st i then begin
+       if alive v i then begin
          let rec climb j steps =
            if steps > n then
              err (Printf.sprintf "father cycle through node %d after faults" i)
            else
-             let f = field st j Image.father in
+             let f = field v j Image.father in
              if f >= 0 then climb f (steps + 1)
          in
          climb i 0
@@ -460,26 +444,31 @@ let check_terminal st =
 (* --- key codec ----------------------------------------------------------------- *)
 
 (* Every field is at least -1 and is written as the LEB128 varint of
-   [v + 1], so the key is injective. Layout: n, the env words, the image
-   words, the bag length, then six fields per message. At checkable sizes
-   every field is below 128, one byte: the encoder writes that form
-   straight into a key of exact length, OR-ing the values, and starts over
-   with the general writer only if some value reached 128 (the two agree
-   whenever none did). *)
+   [v + 1], so the key is injective. Layout: n, the env words, the
+   in-flight tally, the node ids, the bag length, then per message its
+   source, destination, kind, [who] and request id word ({!Bag}). Node
+   ids are this process's: a key is meaningful only where it was made. *)
 
 let scratch_key = Domain.DLS.new_key (fun () -> ref (Bytes.create 1024))
 
-let rec put_varint b pos v =
+let rec put_long b pos v =
   if v < 128 then begin
     Bytes.unsafe_set b pos (Char.unsafe_chr v);
     pos + 1
   end
   else begin
     Bytes.unsafe_set b pos (Char.unsafe_chr (v land 127 lor 128));
-    put_varint b (pos + 1) (v lsr 7)
+    put_long b (pos + 1) (v lsr 7)
   end
 
-let[@inline] put b pos v = put_varint b pos (v + 1)
+(* The varint of [v + 1] at [pos]; returns the position after it. *)
+let[@inline] put b pos v =
+  let v = v + 1 in
+  if v < 128 then begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr v);
+    pos + 1
+  end
+  else put_long b pos v
 
 let rec put_bag b pos = function
   | [] -> pos
@@ -488,149 +477,132 @@ let rec put_bag b pos = function
     let pos = put b pos (Bag.dst msg) in
     let pos = put b pos (Bool.to_int (Bag.is_token msg)) in
     let pos = put b pos (Bag.who msg) in
-    let pos = put b pos (Bag.rid_src msg) in
-    put_bag b (put b pos (Bag.rid_seq msg)) rest
-
-let encode_general st n fl =
-  let r = Domain.DLS.get scratch_key in
-  let need = 10 * (2 + n + Array.length st.img + (6 * fl)) in
-  if Bytes.length !r < need then r := Bytes.create (2 * need);
-  let b = !r in
-  let pos = ref (put b 0 n) in
-  Array.iter (fun v -> pos := put b !pos v) st.env;
-  Array.iter (fun v -> pos := put b !pos v) st.img;
-  Bytes.sub_string b 0 (put_bag b (put b !pos fl) st.bag)
-
-(* One byte per field, OR-ing [v + 1] into [acc]. *)
-let[@inline] put_byte b pos acc v =
-  let v = v + 1 in
-  Bytes.unsafe_set b pos (Char.unsafe_chr (v land 0xff));
-  acc lor v
-
-let rec put_bag_bytes b pos acc = function
-  | [] -> acc
-  | msg :: rest ->
-    let acc = put_byte b pos acc (Bag.src msg) in
-    let acc = put_byte b (pos + 1) acc (Bag.dst msg) in
-    let acc = put_byte b (pos + 2) acc (Bool.to_int (Bag.is_token msg)) in
-    let acc = put_byte b (pos + 3) acc (Bag.who msg) in
-    let acc = put_byte b (pos + 4) acc (Bag.rid_src msg) in
-    put_bag_bytes b (pos + 6) (put_byte b (pos + 5) acc (Bag.rid_seq msg)) rest
+    put_bag b (put b pos (Bag.rid msg)) rest
 
 let encode_len st =
   let n = num_nodes st in
   let fl = List.length st.bag in
-  let len = Array.length st.img in
-  let b = Bytes.create (2 + n + len + (6 * fl)) in
-  let acc = ref (put_byte b 0 0 n) in
+  let r = Domain.DLS.get scratch_key in
+  let need = 10 * (3 + (2 * n) + (5 * fl)) in
+  if Bytes.length !r < need then r := Bytes.create (2 * need);
+  let b = !r in
+  let pos = ref (put b 0 n) in
   for i = 0 to n - 1 do
-    acc := put_byte b (1 + i) !acc (Array.unsafe_get st.env i)
+    pos := put b !pos (Array.unsafe_get st.env i)
   done;
-  for k = 0 to len - 1 do
-    acc := put_byte b (1 + n + k) !acc (Array.unsafe_get st.img k)
+  pos := put b !pos st.in_flight;
+  for i = 0 to n - 1 do
+    pos := put b !pos (Array.unsafe_get st.nodes i)
   done;
-  let pos = 1 + n + len in
-  let acc = put_bag_bytes b (pos + 1) (put_byte b pos !acc fl) st.bag in
-  ((if acc < 128 then Bytes.unsafe_to_string b else encode_general st n fl), fl)
+  (Bytes.sub_string b 0 (put_bag b (put b !pos fl) st.bag), fl)
 
 let encode st = fst (encode_len st)
 
-(* The fields of a key, in order, into a per-domain scratch vector. *)
-let scratch_fields = Domain.DLS.new_key (fun () -> ref (Array.make 1024 0))
+let rec get_long s pos v shift =
+  let c = Char.code s.[!pos] in
+  incr pos;
+  let v = v lor ((c land 127) lsl shift) in
+  if c < 128 then v - 1 else get_long s pos v (shift + 7)
+
+(* The varint at [!pos], minus one; advances [pos]. *)
+let[@inline] get s pos =
+  let c = Char.code (String.unsafe_get s !pos) in
+  incr pos;
+  if c < 128 then c - 1 else get_long s pos (c land 127) 7
 
 let decode s =
-  let len = String.length s in
-  let r = Domain.DLS.get scratch_fields in
-  if Array.length !r < len then r := Array.make (2 * len) 0;
-  let f = !r in
-  let k = ref 0 and i = ref 0 in
-  while !i < len do
-    let c = Char.code (String.unsafe_get s !i) in
-    incr i;
-    if c < 128 then f.(!k) <- c - 1
-    else begin
-      let v = ref (c land 127) and shift = ref 7 in
-      while
-        let c = Char.code s.[!i] in
-        incr i;
-        v := !v lor ((c land 127) lsl !shift);
-        shift := !shift + 7;
-        c >= 128
-      do
-        ()
-      done;
-      f.(!k) <- !v - 1
-    end;
-    incr k
+  let pos = ref 0 in
+  let n = get s pos in
+  let env = Array.make n 0 in
+  for i = 0 to n - 1 do
+    env.(i) <- get s pos
   done;
-  let n = f.(0) in
-  let fixed = block n in
-  let qwords = ref 0 in
-  for j = 0 to n - 1 do
-    qwords := !qwords + (Image.entry * f.(1 + n + block j + Image.queue_len))
+  let in_flight = get s pos in
+  let nodes = Array.make n 0 in
+  for i = 0 to n - 1 do
+    nodes.(i) <- get s pos
   done;
-  let ilen = fixed + !qwords in
-  let rec msgs pos m =
+  let rec msgs m =
     if m = 0 then []
     else
-      Bag.of_fields ~src:f.(pos) ~dst:f.(pos + 1)
-        ~token:(f.(pos + 2) = 1)
-        ~who:f.(pos + 3) ~rid_src:f.(pos + 4) ~seq:f.(pos + 5)
-      :: msgs (pos + 6) (m - 1)
+      let src = get s pos in
+      let dst = get s pos in
+      let token = get s pos = 1 in
+      let who = get s pos in
+      let msg = Bag.of_fields ~src ~dst ~token ~who ~rid:(get s pos) in
+      msg :: msgs (m - 1)
   in
-  {
-    img = Array.sub f (1 + n) ilen;
-    env = Array.sub f 1 n;
-    bag = msgs (2 + n + ilen) f.(1 + n + ilen);
-  }
+  { nodes; in_flight; env; bag = msgs (get s pos) }
+
+(* --- content order ----------------------------------------------------------- *)
+
+(* Node ids depend on the order in which nodes were first met, which
+   differs between runs and, under [--jobs], between schedules; these two
+   look through the ids to the nodes' words, so they are the same in
+   every run. *)
+
+let rec compare_words (a : int array) (b : int array) k =
+  if k = Array.length a || k = Array.length b then
+    Int.compare (Array.length a) (Array.length b)
+  else
+    let c = Int.compare a.(k) b.(k) in
+    if c <> 0 then c else compare_words a b (k + 1)
+
+let compare a b =
+  let n = num_nodes a in
+  let rec nodes i =
+    if i = n then List.compare Int.compare a.bag b.bag
+    else
+      let x = a.nodes.(i) and y = b.nodes.(i) in
+      let c = if x = y then 0 else compare_words (words x) (words y) 0 in
+      if c <> 0 then c else nodes (i + 1)
+  in
+  let c = Int.compare n (num_nodes b) in
+  if c <> 0 then c
+  else
+    let c = compare_words a.env b.env 0 in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.in_flight b.in_flight in
+      if c <> 0 then c else nodes 0
+
+let hash st =
+  let mix h v = (h * 65599) + v in
+  let h = Array.fold_left mix st.in_flight st.env in
+  let h = Array.fold_left (fun h id -> mix h (hash_ints (words id))) h st.nodes in
+  List.fold_left mix h st.bag land max_int
 
 (* --- relabeling ------------------------------------------------------------- *)
 
 let relabel perm st =
   let n = num_nodes st in
-  let ren v = if v < 0 then v else Array.unsafe_get perm v in
-  let ren_rid w =
-    if w = 0 then 0
-    else
-      Image.rid ~n
-        ~source:perm.(Image.rid_source ~n w)
-        ~seq:(Image.rid_seq ~n w)
+  let m = machine_of st in
+  let renamed =
+    match Perms.find_opt m.renamed perm with
+    | Some r -> r
+    | None ->
+      let r = Hashtbl.create 256 in
+      Perms.add m.renamed (Array.copy perm) r;
+      r
   in
-  let img = Array.make (Array.length st.img) 0 in
-  img.(0) <- st.img.(0);
-  let env = Array.make n 0 in
+  let nodes = Array.make n 0 and env = Array.make n 0 in
   for i = 0 to n - 1 do
-    let i' = perm.(i) in
-    env.(i') <- st.env.(i);
-    Array.blit st.img (block i) img (block i') Image.stride;
-    let b = block i' in
-    img.(b + Image.father) <- ren img.(b + Image.father);
-    img.(b + Image.lender) <- ren img.(b + Image.lender);
-    img.(b + Image.mandator) <- ren img.(b + Image.mandator);
-    img.(b + Image.mandate) <- ren_rid img.(b + Image.mandate);
-    img.(b + Image.own) <- ren_rid img.(b + Image.own);
-    img.(b + Image.loan) <- ren_rid img.(b + Image.loan)
+    let id = st.nodes.(i) in
+    nodes.(perm.(i)) <-
+      (match Hashtbl.find_opt renamed id with
+      | Some id' -> id'
+      | None ->
+        let id' = intern (Image.relabel_node perm (words id)) in
+        Hashtbl.add renamed id id';
+        id');
+    env.(perm.(i)) <- st.env.(i)
   done;
-  (* queues move with their node: walk the new slots in order *)
-  let inv = Array.make n 0 in
-  Array.iteri (fun i i' -> inv.(i') <- i) perm;
-  let old_off = Array.make n 0 in
-  let off = ref (queue_start st) in
-  for i = 0 to n - 1 do
-    old_off.(i) <- !off;
-    off := !off + (Image.entry * field st i Image.queue_len)
-  done;
-  let dst = ref (queue_start st) in
-  for i' = 0 to n - 1 do
-    let src = old_off.(inv.(i')) in
-    for k = 0 to img.(block i' + Image.queue_len) - 1 do
-      let e = src + (k * Image.entry) in
-      img.(!dst) <- ren st.img.(e);
-      img.(!dst + 1) <- ren_rid st.img.(e + 1);
-      dst := !dst + Image.entry
-    done
-  done;
-  { img; env; bag = List.sort Int.compare (List.map (Bag.rename perm) st.bag) }
+  {
+    nodes;
+    in_flight = st.in_flight;
+    env;
+    bag = List.sort Int.compare (List.map (Bag.rename perm) st.bag);
+  }
 
 let relabel_transition perm = function
   | Wish i -> Wish perm.(i)
@@ -648,9 +620,9 @@ let pp_transition ppf = function
 
 let pp ppf st =
   let m = machine_of st in
-  ensure_loaded m st;
+  load m st;
   for i = 0 to num_nodes st - 1 do
-    if alive st i then
+    if st.env.(i) >= 0 then
       Format.fprintf ppf "%s wishes=%d@." (Core.describe m.core i) st.env.(i)
     else Format.fprintf ppf "node %d: DEAD@." i
   done;

@@ -4,28 +4,41 @@
     A state is the core's flat Section 3 image
     ({!Ocube_mutex.Opencube_algo.Make.export}), the sorted bag of
     in-flight messages ({!Bag}), and per node the critical-section
-    entries it still wants. A successor is computed by loading the state
-    into [Opencube_algo.Make (Bag)] (fault tolerance off) and running the
+    entries it still wants. The image is kept split into its nodes
+    ({!Ocube_mutex.Opencube_algo.Image.nodes}): each distinct node is
+    stored once per process under a small id, and a state holds the ids.
+
+    A successor is computed by loading the state into
+    [Opencube_algo.Make (Bag)] (fault tolerance off) and running the
     core's own handler: a wish is [request_cs], an exit [release_cs], a
     delivery the core's receive handler on one message taken from the
     bag (channels are not FIFO: any in-flight message may go next). No
-    Section 3 rule is restated here. A handler reads and writes only its
-    own node's state, so each distinct pair of operation and local input
-    (the node's block and queue) runs through the core once, and its
-    effect is reused for every other state with the same local input; a
-    run that writes another node raises.
+    Section 3 rule is restated here. A handler is one node's step: it
+    reads and writes only that node, so each distinct pair of operation
+    and node runs through the core once, and every other state with the
+    same pair reuses its effect. A run that changes another node raises.
 
     Faults follow the paper's Section 5 outcome, applied to the image: a
     quiescent, unreferenced, non-root node crashes and its sons reattach
     to its father in the same step ({!crashable}). *)
 
-type state = {
-  img : int array;  (** the core's image; never mutate *)
+type state = private {
+  nodes : int array;
+      (** per node, the id of its block and queue in a process-wide table
+          ({!image} rebuilds the core's image) *)
+  in_flight : int;  (** the core's in-flight token tally (image word 0) *)
   env : int array;
       (** per node: critical-section entries still wanted, [-1] once
           crashed *)
   bag : int list;  (** in-flight messages, packed and sorted ({!Bag}) *)
 }
+
+val image : state -> int array
+(** The core's image of the state, as
+    {!Ocube_mutex.Opencube_algo.Make.export} wrote it (a fresh array). *)
+
+val of_image : int array -> env:int array -> bag:int list -> state
+(** The state with this image, environment and (sorted) bag. *)
 
 (** A transition, for diagnostics and counterexample traces. *)
 type transition =
@@ -74,7 +87,8 @@ val crashable : state -> int -> bool
     and no reference to a dead node can form again. *)
 
 val check_invariants : state -> (unit, string) result
-(** The core's own [invariant_check] on the loaded state, then: a node in
+(** The core's invariant verdict read off the state
+    ({!Ocube_mutex.Opencube_algo.Image.invariant_check}), then: a node in
     CS holds the token; an idle node's queue is empty; exactly one token,
     held or in the bag; message ids in range; nothing live names a dead
     node; a dead node is at rest. *)
@@ -86,14 +100,22 @@ val check_terminal : state -> (unit, string) result
     one live root that every live node reaches). *)
 
 val encode : state -> string
-(** Canonical visited-set key: one byte per field at checkable sizes;
-    [encode a = encode b] iff [a = b]. *)
+(** Canonical visited-set key, a varint per field (node ids, not node
+    words): [encode a = encode b] iff [a = b]. Keys name this process's
+    node ids, so they are meaningful only in the process that made them. *)
 
 val encode_len : state -> string * int
 (** [encode] and the number of in-flight messages. *)
 
 val decode : string -> state
 (** Inverse of {!encode}. *)
+
+val compare : state -> state -> int
+(** A total order on states by content (the nodes' words, not their ids),
+    the same in every run: [compare a b = 0] iff [a = b]. *)
+
+val hash : state -> int
+(** A hash of the content, the same in every run (non-negative). *)
 
 val relabel : int array -> state -> state
 (** Rename node [i] to [perm.(i)] everywhere (node slots, every id field

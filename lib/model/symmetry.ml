@@ -222,21 +222,23 @@ let compose t a b =
 
 type canon = {
   key : string;
+  hash : int;
   in_flight : int;
   perm_index : int;
   orbit : int;
 }
 
+(* The least relabelling by content ({!Machine.compare}), so that the
+   representative does not depend on node ids. *)
 let canonicalize t st =
-  let key0, fl = Machine.encode_len st in
-  let best = ref key0
+  let best = ref st
   and arg = ref 0
   and ties = ref 1 in
   for k = 1 to Array.length t.perms - 1 do
-    let key = Machine.encode (Machine.relabel t.perms.(k) st) in
-    let c = String.compare key !best in
+    let st' = Machine.relabel t.perms.(k) st in
+    let c = Machine.compare st' !best in
     if c < 0 then begin
-      best := key;
+      best := st';
       arg := k;
       ties := 1
     end
@@ -244,8 +246,10 @@ let canonicalize t st =
   done;
   (* [ties] perms reach the minimum — exactly the coset of the canonical
      state's stabilizer — so the orbit has order / ties elements. *)
+  let key, fl = Machine.encode_len !best in
   {
-    key = !best;
+    key;
+    hash = Machine.hash !best;
     in_flight = fl;
     perm_index = !arg;
     orbit = Array.length t.perms / !ties;

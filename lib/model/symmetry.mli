@@ -62,7 +62,10 @@ val is_automorphism : p:int -> perm -> bool
     at build time, and by the tests to brute-force the group. *)
 
 type canon = {
-  key : string;  (** minimal {!Machine.encode} key over the whole group *)
+  key : string;
+      (** the {!Machine.encode} key of the least relabeling by
+          {!Machine.compare} *)
+  hash : int;  (** {!Machine.hash} of that relabeling *)
   in_flight : int;  (** in-flight message count (orbit-invariant) *)
   perm_index : int;
       (** index of a permutation [σ] with [encode (relabel σ st) = key] *)
@@ -70,6 +73,7 @@ type canon = {
 }
 
 val canonicalize : t -> Machine.state -> canon
-(** The canonical representative of a state's orbit: the minimum
-    [Machine.encode] key over every relabeling in the group. Two states
-    get the same [key] iff some automorphism maps one to the other. *)
+(** The canonical representative of a state's orbit: the least
+    relabeling in the group by content ({!Machine.compare}, which does
+    not depend on node ids). Two states get the same [key] iff some
+    automorphism maps one to the other. *)

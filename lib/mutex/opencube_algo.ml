@@ -78,8 +78,9 @@ let fl_asking = 2
 
 let fl_in_cs = 4
 
-(* Word offsets of the flat Section 3 image ([export]/[load]); the layout
-   is documented in the .mli. *)
+(* The flat Section 3 image ([export]/[load]); the layout is documented
+   in the .mli. Every function that knows which word holds what lives
+   here. *)
 module Image = struct
   let token = fl_token
   let asking = fl_asking
@@ -97,9 +98,105 @@ module Image = struct
   let loan = 7
   let queue_len = 8
   let entry = 2
-  let rid ~n ~source ~seq = source + 1 + ((n + 1) * seq)
-  let rid_source ~n w = (w mod (n + 1)) - 1
-  let rid_seq ~n w = w / (n + 1)
+  let rid_bits = 11
+  let rid ~source ~seq = (seq lsl rid_bits) lor (source + 1)
+  let rid_source w = (w land ((1 lsl rid_bits) - 1)) - 1
+  let rid_seq w = w lsr rid_bits
+  let[@inline] block i = header + (i * stride)
+  let get (img : int array) i f = img.(block i + f)
+
+  (* A node that never acted: no father, its own lender, all else 0. *)
+  let rest i f =
+    if f = lender then i else if f = father || f = mandator then -1 else 0
+
+  let retire (img : int array) i =
+    for f = 0 to stride - 1 do
+      img.(block i + f) <- rest i f
+    done
+
+  let is_retired (w : int array) i =
+    let rec at_rest f = f = stride || (w.(f) = rest i f && at_rest (f + 1)) in
+    Array.length w = stride && at_rest 0
+
+  let holders (nodes : int array array) =
+    List.filter
+      (fun i -> nodes.(i).(flags) land token <> 0)
+      (List.init (Array.length nodes) Fun.id)
+
+  let invariant_check ~in_flight (nodes : int array array) =
+    let held = ref 0 and in_cs = ref 0 in
+    for i = 0 to Array.length nodes - 1 do
+      let fl = nodes.(i).(flags) in
+      if fl land token <> 0 then incr held;
+      if fl land fl_in_cs <> 0 then incr in_cs
+    done;
+    token_verdict ~in_cs:!in_cs ~held:!held ~in_flight holders nodes
+
+  let names_node ~n (img : int array) i =
+    let rid_names w = w <> 0 && rid_source w = i in
+    let named = ref false in
+    for j = 0 to n - 1 do
+      if
+        j <> i
+        && (get img j lender = i
+           || get img j mandator = i
+           || rid_names (get img j mandate)
+           || rid_names (get img j loan))
+      then named := true
+    done;
+    let q = ref (block n) in
+    while !q < Array.length img do
+      if img.(!q) = i || rid_names img.(!q + 1) then named := true;
+      q := !q + entry
+    done;
+    !named
+
+  let node_length (img : int array) i = stride + (entry * get img i queue_len)
+
+  let nodes ~n (img : int array) =
+    let q = ref (block n) in
+    Array.init n (fun i ->
+        let w = Array.make (node_length img i) 0 in
+        Array.blit img (block i) w 0 stride;
+        Array.blit img !q w stride (Array.length w - stride);
+        q := !q + Array.length w - stride;
+        w)
+
+  let assemble ~in_flight (nodes : int array array) =
+    let n = Array.length nodes in
+    let len = ref (block n) in
+    Array.iter (fun w -> len := !len + Array.length w - stride) nodes;
+    let img = Array.make !len 0 in
+    img.(0) <- in_flight;
+    let q = ref (block n) in
+    Array.iteri
+      (fun i (w : int array) ->
+        let ql = Array.length w - stride in
+        Array.blit w 0 img (block i) stride;
+        Array.blit w stride img !q ql;
+        q := !q + ql)
+      nodes;
+    img
+
+  let relabel_node (perm : int array) (w : int array) =
+    let ren v = if v < 0 then v else perm.(v) in
+    let ren_rid w =
+      if w = 0 then 0 else rid ~source:perm.(rid_source w) ~seq:(rid_seq w)
+    in
+    let out = Array.copy w in
+    out.(father) <- ren w.(father);
+    out.(lender) <- ren w.(lender);
+    out.(mandator) <- ren w.(mandator);
+    out.(mandate) <- ren_rid w.(mandate);
+    out.(own) <- ren_rid w.(own);
+    out.(loan) <- ren_rid w.(loan);
+    let k = ref stride in
+    while !k < Array.length w do
+      out.(!k) <- ren w.(!k);
+      out.(!k + 1) <- ren_rid w.(!k + 1);
+      k := !k + entry
+    done;
+    out
 end
 
 type state = {
@@ -1645,35 +1742,35 @@ module Make (R : Runtime.S) = struct
       invalid_arg
         (Printf.sprintf "Opencube_algo.export: node %d holds Section 5 state" i)
 
-  let rid_word ~n (r : request_id) = Image.rid ~n ~source:r.source ~seq:r.seq
+  let rid_word (r : request_id) = Image.rid ~source:r.source ~seq:r.seq
 
-  let rid_of_word ~n w = { source = Image.rid_source ~n w; seq = Image.rid_seq ~n w }
+  let rid_of_word w = { source = Image.rid_source w; seq = Image.rid_seq w }
 
-  let rec put_events img ~n q = function
+  let rec put_events img q = function
     | [] -> q
     | Wish :: rest ->
       img.(q) <- -1;
-      put_events img ~n (q + Image.entry) rest
+      put_events img (q + Image.entry) rest
     | Preq { origin; rid } :: rest ->
       img.(q) <- origin;
-      img.(q + 1) <- rid_word ~n rid;
-      put_events img ~n (q + Image.entry) rest
+      img.(q + 1) <- rid_word rid;
+      put_events img (q + Image.entry) rest
 
   (* Write node [i]'s block into [img] (zeroed there), and its queue from
      word [q] on; return the word after the queue. *)
   let write_node t img i q =
-    let st = t.st and n = t.n in
-    let b = Image.header + (i * Image.stride) in
+    let st = t.st in
+    let b = Image.block i in
     img.(b + Image.father) <- st.father.{i};
     img.(b + Image.lender) <- st.lender.{i};
     img.(b + Image.mandator) <- st.mandator.{i};
     let ms = st.mrid_src.{i} in
     if ms >= 0 then
-      img.(b + Image.mandate) <- Image.rid ~n ~source:ms ~seq:st.mrid_seq.{i};
+      img.(b + Image.mandate) <- Image.rid ~source:ms ~seq:st.mrid_seq.{i};
     img.(b + Image.next_seq) <- st.next_seq.{i};
     let os = st.lorid_src.{i} in
     if os >= 0 then
-      img.(b + Image.own) <- Image.rid ~n ~source:os ~seq:st.lorid_seq.{i};
+      img.(b + Image.own) <- Image.rid ~source:os ~seq:st.lorid_seq.{i};
     let flags = st.flags.{i} in
     match t.cold.(i) with
     | None ->
@@ -1682,13 +1779,13 @@ module Make (R : Runtime.S) = struct
     | Some c ->
       (match c.loan with
       | Some l ->
-        img.(b + Image.loan) <- rid_word ~n l.loan_rid;
+        img.(b + Image.loan) <- rid_word l.loan_rid;
         img.(b + Image.flags) <-
           (flags lor if l.direct then Image.direct else 0)
       | None -> img.(b + Image.flags) <- flags);
       img.(b + Image.queue_len) <- Fdeque.length c.queue;
       if Fdeque.is_empty c.queue then q
-      else put_events img ~n q (Fdeque.to_list c.queue)
+      else put_events img q (Fdeque.to_list c.queue)
 
   let export t =
     if t.config.fault_tolerance then
@@ -1699,7 +1796,7 @@ module Make (R : Runtime.S) = struct
       check_section3 t i;
       qwords := !qwords + (Image.entry * queue_length t i)
     done;
-    let fixed = Image.header + (n * Image.stride) in
+    let fixed = Image.block n in
     let img = Array.make (fixed + !qwords) 0 in
     img.(0) <- t.tokens_in_flight;
     let q = ref fixed in
@@ -1708,26 +1805,26 @@ module Make (R : Runtime.S) = struct
     done;
     img
 
-  let rec queue_of img ~n q k acc =
+  let rec queue_of img q k acc =
     if k = 0 then acc
     else
       let origin = img.(q) in
-      queue_of img ~n (q + Image.entry) (k - 1)
+      queue_of img (q + Image.entry) (k - 1)
         (Fdeque.push_back acc
            (if origin < 0 then Wish
-            else Preq { origin; rid = rid_of_word ~n img.(q + 1) }))
+            else Preq { origin; rid = rid_of_word img.(q + 1) }))
 
   let load t img =
     if t.config.fault_tolerance then
       invalid_arg "Opencube_algo.load: fault tolerance is on";
     let st = t.st and n = t.n in
-    if Array.length img < Image.header + (n * Image.stride) then
+    if Array.length img < Image.block n then
       invalid_arg "Opencube_algo.load: image too short";
     t.tokens_in_flight <- img.(0);
     let held = ref 0 and in_cs = ref 0 in
-    let q = ref (Image.header + (n * Image.stride)) in
+    let q = ref (Image.block n) in
     for i = 0 to n - 1 do
-      let b = Image.header + (i * Image.stride) in
+      let b = Image.block i in
       let flags = img.(b + Image.flags) in
       let qlen = img.(b + Image.queue_len) in
       if flags land fl_token <> 0 then incr held;
@@ -1737,13 +1834,13 @@ module Make (R : Runtime.S) = struct
       st.lender.{i} <- img.(b + Image.lender);
       st.mandator.{i} <- img.(b + Image.mandator);
       let m = img.(b + Image.mandate) in
-      st.mrid_src.{i} <- Image.rid_source ~n m;
-      st.mrid_seq.{i} <- Image.rid_seq ~n m;
+      st.mrid_src.{i} <- Image.rid_source m;
+      st.mrid_seq.{i} <- Image.rid_seq m;
       st.msearches.{i} <- 0;
       st.next_seq.{i} <- img.(b + Image.next_seq);
       let o = img.(b + Image.own) in
-      st.lorid_src.{i} <- Image.rid_source ~n o;
-      st.lorid_seq.{i} <- Image.rid_seq ~n o;
+      st.lorid_src.{i} <- Image.rid_source o;
+      st.lorid_seq.{i} <- Image.rid_seq o;
       st.last_token_seen.{i} <- neg_infinity;
       let loan = img.(b + Image.loan) in
       if loan > 0 || qlen > 0 || Option.is_some t.cold.(i) then begin
@@ -1751,13 +1848,13 @@ module Make (R : Runtime.S) = struct
            loading allocates only the queue and the loan. *)
         let c = cold t i in
         if Ringbuf.length c.recent_rids > 0 then Ringbuf.clear c.recent_rids;
-        c.queue <- queue_of img ~n !q qlen Fdeque.empty;
+        c.queue <- queue_of img !q qlen Fdeque.empty;
         c.loan <-
           (if loan = 0 then None
            else
              Some
                {
-                 loan_rid = rid_of_word ~n loan;
+                 loan_rid = rid_of_word loan;
                  direct = flags land Image.direct <> 0;
                  sent_acks = 0;
                })

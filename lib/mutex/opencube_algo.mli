@@ -109,18 +109,19 @@ type stats = private {
 }
 
 (** Layout of the flat Section 3 image that {!Make.export} writes and
-    {!Make.load} reads (the model checker's state, DESIGN.md §12).
+    {!Make.load} reads (the model checker's state, DESIGN.md §12). This
+    module is the one place that knows which word holds what.
 
     Word [0] is the number of tokens in flight. Node [i]'s block of
-    {!stride} words follows at [header + i * stride]: father ([-1]: root),
-    flags ({!token}, {!asking}, {!in_cs}, and {!direct} for a loan made
-    straight to its requester), lender, mandator ([-1]: none), mandate
-    request id, next request sequence number, last own request id, loan
-    request id, wait-queue length. A request id is one word, {!rid}, and
-    [0] means none. The wait queues follow all blocks, node 0's first,
-    {!entry} words per deferred event in service order: origin and
-    request id (a queued wish is [-1, 0]). Unused words are 0, so equal
-    states have equal images. *)
+    {!stride} words follows at {!block}[ i]: father ([-1]: root), flags
+    ({!token}, {!asking}, {!in_cs}, and {!direct} for a loan made straight
+    to its requester), lender, mandator ([-1]: none), mandate request id,
+    next request sequence number, last own request id, loan request id,
+    wait-queue length. A request id is one word, {!rid}, and [0] means
+    none. The wait queues follow all blocks, node 0's first, {!entry}
+    words per deferred event in service order: origin and request id (a
+    queued wish is [-1, 0]). Unused words are 0, so equal states have
+    equal images. *)
 module Image : sig
   val token : int
   val asking : int
@@ -139,13 +140,48 @@ module Image : sig
   val queue_len : int
   val entry : int
 
-  val rid : n:int -> source:int -> seq:int -> int
-  (** [source + 1 + (n + 1) * seq], for [n] nodes. *)
+  val rid : source:int -> seq:int -> int
+  (** [(seq lsl 11) lor (source + 1)]: node ids stay below 2047, and an id
+      from node [s] with sequence number [0] is the one-byte [s + 1]. *)
 
-  val rid_source : n:int -> int -> int
+  val rid_source : int -> int
   (** The source of a request id word, [-1] for none. *)
 
-  val rid_seq : n:int -> int -> int
+  val rid_seq : int -> int
+
+  val block : int -> int
+  (** Where node [i]'s block starts; [block n] is where the queues start. *)
+
+  val retire : int array -> int -> unit
+  (** Reset node [i]'s block to that of a node that never acted: no
+      father, its own lender, every other field 0. Its queue must be
+      empty. *)
+
+  val is_retired : int array -> int -> bool
+  (** Whether a node's words ({!nodes}) are those {!retire} leaves for
+      node [i]. *)
+
+  val names_node : n:int -> int array -> int -> bool
+  (** Whether a word outside node [i]'s block, other than a father
+      pointer, names [i]: another node's lender or mandator, a mandate or
+      loan request id from [i], or a queue entry from or for [i]. *)
+
+  val nodes : n:int -> int array -> int array array
+  (** Split an image into its nodes: node [i]'s block, then its queue. *)
+
+  val assemble : in_flight:int -> int array array -> int array
+  (** The image whose nodes ({!nodes}) are these and whose word [0] is
+      [in_flight]. *)
+
+  val relabel_node : int array -> int array -> int array
+  (** [relabel_node perm w]: a node's words ({!nodes}) with every node id
+      and request id source inside renamed through [perm]. *)
+
+  val invariant_check :
+    in_flight:int -> int array array -> (unit, string) result
+  (** {!Make.invariant_check} read off an image's {!nodes} and its word
+      [0]: the same verdict on the same tallies (holders and nodes in CS
+      counted from the flags), without loading it into a core. *)
 end
 
 (** The protocol core, abstracted over its runtime ({!Runtime.S}). All
