@@ -633,6 +633,7 @@ let fuzz_cmd =
 (* --- cluster ----------------------------------------------------------------- *)
 
 module Cluster = Ocube_proc.Cluster
+module Histogram = Ocube_stats.Histogram
 module Pspec = Ocube_proc.Spec
 module Rng = Ocube_sim.Rng
 
@@ -700,6 +701,22 @@ let run_cluster seed algo n kill cs tick per_node deadline no_ft log_file
           o.Cluster.entries
           (String.concat "," (List.map string_of_int o.Cluster.killed))
           (List.length o.Cluster.violations);
+        (* Acquire latency, wish to entry (queueing plus transit), in
+           wall microseconds: span times are in units of [tick] s. *)
+        let waits = Histogram.create () in
+        List.iter
+          (fun (s : Span.span) ->
+            if Option.is_some s.Span.enter_time then
+              Histogram.add waits
+                (Float.to_int (Float.round (Span.wait s *. tick *. 1e6))))
+          o.Cluster.spans;
+        if Histogram.count waits = 0 then
+          print_endline "latency  : no request entered its CS"
+        else
+          Printf.printf "latency  : p50=%dus p99=%dus (wish -> entry, %d entries)\n"
+            (Histogram.percentile waits 50.0)
+            (Histogram.percentile waits 99.0)
+            (Histogram.count waits);
         (match log_file with
         | None -> ()
         | Some path ->

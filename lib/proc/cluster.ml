@@ -341,12 +341,10 @@ let run cfg =
     in
     go ()
   in
-  let scratch = Bytes.create 8192 in
   let on_eof ~expected c =
     c.open_fd <- false;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
-    if Frame.Decoder.buffered c.dec > 0 then
-      violate c.idx "stream ended inside a frame";
+    (try Frame.Decoder.eof c.dec with Frame.Corrupt e -> violate c.idx e);
     if c.alive then begin
       c.alive <- false;
       reap ~block:true c;
@@ -361,16 +359,14 @@ let run cfg =
   in
   let read_child ~expected_eof c =
     match
-      try Unix.read c.fd scratch 0 (Bytes.length scratch) with
-      | Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> -1
+      try Frame.Decoder.read c.dec c.fd with
+      | Unix.Unix_error (Unix.EAGAIN, _, _) -> -1
       (* a child that _exits with data still queued resets the socket;
          for the merged log that's just the end of its stream *)
       | Unix.Unix_error (Unix.ECONNRESET, _, _) -> 0
     with
     | 0 -> on_eof ~expected:expected_eof c
-    | len when len > 0 ->
-      Frame.Decoder.feed c.dec (Bytes.unsafe_to_string scratch) 0 len;
-      drain_decoder c
+    | len when len > 0 -> drain_decoder c
     | _ -> ()
   in
   (* SIGKILL, reap, then drain everything the node said before dying so
@@ -384,17 +380,15 @@ let run cfg =
       push (Ev_kill c.idx);
       while c.open_fd do
         match
-          try Unix.read c.fd scratch 0 (Bytes.length scratch)
-          with Unix.Unix_error ((Unix.EINTR | Unix.ECONNRESET), _, _) -> 0
+          try Frame.Decoder.read c.dec c.fd
+          with Unix.Unix_error (Unix.ECONNRESET, _, _) -> 0
         with
         | 0 ->
           c.open_fd <- false;
           (try Unix.close c.fd with Unix.Unix_error _ -> ());
-          if Frame.Decoder.buffered c.dec > 0 then
-            violate c.idx "stream ended inside a frame"
-        | len ->
-          Frame.Decoder.feed c.dec (Bytes.unsafe_to_string scratch) 0 len;
-          drain_decoder c
+          (try Frame.Decoder.eof c.dec
+           with Frame.Corrupt e -> violate c.idx e)
+        | _ -> drain_decoder c
       done;
       write_off c
     end

@@ -32,72 +32,65 @@ let write fd payload =
   Bytes.blit_string payload 0 b 4 len;
   write_all fd b 0 (4 + len)
 
-let rec read_once fd b pos len =
-  try Unix.read fd b pos len
-  with Unix.Unix_error (Unix.EINTR, _, _) -> read_once fd b pos len
-
-(* [`Eof] only at a frame boundary; EOF after a partial read is a torn
-   frame and therefore [Corrupt]. *)
-let fill fd b len =
-  let rec go pos =
-    if pos >= len then `Ok
-    else
-      let n = read_once fd b pos (len - pos) in
-      if n = 0 then if pos = 0 then `Eof else `Torn
-      else go (pos + n)
-  in
-  go 0
-
-let parse_len b =
-  let len = Int32.to_int (Bytes.get_int32_be b 0) in
+let parse_len b pos =
+  let len = Int32.to_int (Bytes.get_int32_be b pos) in
   if len < 0 || len > max_frame then corrupt "bad frame length";
   len
 
-let read fd =
-  let hdr = Bytes.create 4 in
-  match fill fd hdr 4 with
-  | `Eof -> None
-  | `Torn -> corrupt "eof inside frame header"
-  | `Ok ->
-    let len = parse_len hdr in
-    let payload = Bytes.create len in
-    (match fill fd payload len with
-    | `Ok -> Some (Bytes.unsafe_to_string payload)
-    | `Eof | `Torn -> corrupt "eof inside frame payload")
-
 module Decoder = struct
-  type t = { mutable buf : Bytes.t; mutable len : int }
+  (* Whole frames are cut from [buf.[pos..len-1]]; the consumed prefix is
+     dropped only when more room is needed, so draining k buffered frames
+     costs k copies of their payloads and nothing else. *)
+  type t = { mutable buf : Bytes.t; mutable pos : int; mutable len : int }
 
-  let create () = { buf = Bytes.create 4096; len = 0 }
+  let create () = { buf = Bytes.create 4096; pos = 0; len = 0 }
 
-  let buffered t = t.len
+  let buffered t = t.len - t.pos
+
+  (* Make room for [n] more bytes after the buffered ones. *)
+  let reserve t n =
+    let live = t.len - t.pos in
+    if t.len + n > Bytes.length t.buf then begin
+      let cap = ref (Bytes.length t.buf) in
+      while live + n > !cap do
+        cap := !cap * 2
+      done;
+      let b = if !cap = Bytes.length t.buf then t.buf else Bytes.create !cap in
+      Bytes.blit t.buf t.pos b 0 live;
+      t.buf <- b;
+      t.pos <- 0;
+      t.len <- live
+    end
 
   let feed t s pos n =
     if pos < 0 || n < 0 || pos + n > String.length s then
       invalid_arg "Frame.Decoder.feed";
-    let need = t.len + n in
-    if need > Bytes.length t.buf then begin
-      let cap = ref (Bytes.length t.buf) in
-      while need > !cap do
-        cap := !cap * 2
-      done;
-      let b = Bytes.create !cap in
-      Bytes.blit t.buf 0 b 0 t.len;
-      t.buf <- b
-    end;
+    reserve t n;
     Bytes.blit_string s pos t.buf t.len n;
-    t.len <- need
+    t.len <- t.len + n
+
+  let rec read t fd =
+    reserve t 4096;
+    match Unix.read fd t.buf t.len (Bytes.length t.buf - t.len) with
+    | n ->
+      t.len <- t.len + n;
+      n
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read t fd
+
+  let eof t = if buffered t > 0 then corrupt "eof inside frame"
 
   let next t =
-    if t.len < 4 then None
+    if t.len - t.pos < 4 then None
     else
-      let flen = parse_len t.buf in
-      if t.len < 4 + flen then None
+      let flen = parse_len t.buf t.pos in
+      if t.len - t.pos < 4 + flen then None
       else begin
-        let payload = Bytes.sub_string t.buf 4 flen in
-        let rest = t.len - 4 - flen in
-        Bytes.blit t.buf (4 + flen) t.buf 0 rest;
-        t.len <- rest;
+        let payload = Bytes.sub_string t.buf (t.pos + 4) flen in
+        t.pos <- t.pos + 4 + flen;
+        if t.pos = t.len then begin
+          t.pos <- 0;
+          t.len <- 0
+        end;
         Some payload
       end
 end

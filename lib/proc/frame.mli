@@ -2,10 +2,10 @@
 
     Every frame is a 4-byte big-endian payload length followed by the
     payload bytes; payloads above {!max_frame} are rejected on both
-    sides. The blocking {!read}/{!write} pair serves the child's
-    single-socket event loop; the incremental {!Decoder} serves the
-    parent's select loop (and the torn-frame tests, which feed it one
-    byte at a time). *)
+    sides. {!write} sends one frame in one call; the incremental
+    {!Decoder} is the one reader, in the parent's select loop and in
+    each node's: one [read] per wake, then every whole frame that is
+    buffered. *)
 
 exception Corrupt of string
 (** A malformed stream: EOF inside a frame, or a length outside
@@ -23,11 +23,6 @@ val write : Unix.file_descr -> string -> unit
 (** Blocking write of one frame; finishes short writes, restarts EINTR.
     Header and payload go in a single [write] call. *)
 
-val read : Unix.file_descr -> string option
-(** Blocking read of one frame. [None] on EOF at a frame boundary
-    (orderly close).
-    @raise Corrupt on EOF mid-frame or a bad length. *)
-
 (** Incremental decoder: feed arbitrary chunks, pull complete frames. *)
 module Decoder : sig
   type t
@@ -36,6 +31,16 @@ module Decoder : sig
 
   val feed : t -> string -> int -> int -> unit
   (** [feed t s pos n] appends [s[pos..pos+n-1]] to the buffer. *)
+
+  val read : t -> Unix.file_descr -> int
+  (** One [Unix.read] from the descriptor straight into the buffer
+      (restarted on EINTR); returns the byte count, [0] at EOF.
+      @raise Unix.Unix_error on any other read error. *)
+
+  val eof : t -> unit
+  (** The stream has ended: fine at a frame boundary.
+      @raise Corrupt if part of a frame is still buffered (a torn
+      frame). *)
 
   val next : t -> string option
   (** Next complete frame, or [None] if more bytes are needed.

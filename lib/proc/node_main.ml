@@ -46,6 +46,17 @@ let run ~me ~n ~algo ~params ~tick ~delta ~cs ~witness ~sock =
   let callbacks = { Types.on_enter; on_exit = (fun _ -> ()) } in
   let module B = Spec.Build (Proc_runtime) in
   inst := Some (B.build algo ~params ~net:rt ~callbacks);
+  let dec = Frame.Decoder.create () in
+  let rec drain () =
+    match Frame.Decoder.next dec with
+    | None -> ()
+    | Some raw ->
+      (match Ctrl.decode_to_child raw with
+      | Ctrl.Quit -> Unix._exit 0
+      | Ctrl.Wish -> submit ()
+      | Ctrl.Deliver { src; msg } -> Proc_runtime.deliver rt ~src msg);
+      drain ()
+  in
   let rec loop () =
     Proc_runtime.fire_due rt;
     let timeout =
@@ -59,14 +70,13 @@ let run ~me ~n ~algo ~params ~tick ~delta ~cs ~witness ~sock =
     in
     (match readable with
     | [] -> ()
-    | _ :: _ -> (
-      match Frame.read sock with
-      | None -> Unix._exit 0
-      | Some raw -> (
-        match Ctrl.decode_to_child raw with
-        | Ctrl.Quit -> Unix._exit 0
-        | Ctrl.Wish -> submit ()
-        | Ctrl.Deliver { src; msg } -> Proc_runtime.deliver rt ~src msg)));
+    | _ :: _ ->
+      if Frame.Decoder.read dec sock > 0 then drain ()
+      else begin
+        (* a torn frame at EOF raises, and leaves as a Violation below *)
+        Frame.Decoder.eof dec;
+        Unix._exit 0
+      end);
     loop ()
   in
   try loop ()

@@ -1,10 +1,12 @@
 (** Body of one cluster child process.
 
     Called on the child side of [fork]; builds the algorithm on
-    {!Proc_runtime} and runs the select loop forever. Never returns:
-    every path ends in [Unix._exit] (0 on {!Ctrl.Quit} or parent EOF,
-    2 after an exception, which is also reported as a
-    {!Ctrl.Violation} frame first).
+    {!Proc_runtime} and runs the select loop forever; each wake makes
+    one read and handles every whole frame buffered. Never returns:
+    every path ends in [Unix._exit] (0 on {!Ctrl.Quit} or parent EOF at
+    a frame boundary, 2 after an exception, such as an EOF inside a
+    frame, which is also reported as a {!Ctrl.Violation} frame
+    first).
 
     The closed-loop wish driver mirrors the simulator runner: one
     outstanding wish at a time, extra {!Ctrl.Wish} frames accumulate as

@@ -19,10 +19,16 @@ type t = {
   mutable drop_handler : (dst:int -> Types.Message.t -> unit) option;
 }
 
+external set_min_timer_slack : unit -> unit = "ocube_set_min_timer_slack"
+
 let create ~me ~n ~tick ~delta ~sock =
   if me < 0 || me >= n then invalid_arg "Proc_runtime.create: bad node id";
   if tick <= 0.0 || delta <= 0.0 then
     invalid_arg "Proc_runtime.create: tick and delta must be positive";
+  (* Without this every select timeout of the node's loop ends up to
+     50 us late (the kernel's default timer slack), which is longer
+     than the critical sections the benchmarks time. *)
+  set_min_timer_slack ();
   {
     me;
     n;

@@ -11,7 +11,17 @@
     Time: [now] is wall-clock seconds since creation divided by [tick]
     (seconds per simulated time unit); [delta] is the configured
     message-delay bound in time units, from which the protocols derive
-    every timeout. *)
+    every timeout.
+
+    Timer precision: a timer is a deadline on the node's [select(2)]
+    timeout, and Linux lets each such timeout expire late by the
+    process's timer slack, 50 us by default — longer than the CS of a
+    small-tick run. {!create} therefore sets the calling process's
+    slack to 1 ns ([prctl(PR_SET_TIMERSLACK)], a C stub), so deadlines
+    fire when they are due; off Linux the call does nothing. The slack
+    is a per-process attribute: it is set in the node process that
+    calls {!create} and changes nothing else on the machine
+    (DESIGN.md §15.4). *)
 
 type t
 
@@ -19,7 +29,8 @@ type timer
 
 val create :
   me:int -> n:int -> tick:float -> delta:float -> sock:Unix.file_descr -> t
-(** [sock] is the child's end of its socketpair with the parent. *)
+(** [sock] is the child's end of its socketpair with the parent. Also
+    sets the calling process's timer slack to 1 ns (see above). *)
 
 (** {1 Runtime.S} *)
 

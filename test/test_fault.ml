@@ -467,6 +467,55 @@ let test_lender_regeneration_serves_wish () =
   checkb "the pending wish is served" true (Opencube_algo.in_cs s.algo 4);
   checkb "4 holds the token" true (Opencube_algo.token_holders s.algo = [ 4 ])
 
+(* The lender regenerates while its own father search is still running,
+   and that search must die with it (DESIGN.md §5.13). Left to run, it
+   reaches a census that polls everyone except the regenerator, hears
+   nothing, and regenerates a second token, which then serves a queued
+   request while the first is in a CS. The run is fault 32's up to the
+   loan: 4 lends to 5 at 8, 5 enters at 9, and 4's wish waits in its
+   queue. But 5 dies in its CS at 9.5, before 4's restarted search
+   (9.875) can find it. That search probes a dead ring 1 and a silent
+   ring 2. Meanwhile the loan's return is due at 11, the enquiry goes
+   unanswered, and at 13.1 4 regenerates in the middle of ring 2 and
+   enters its CS. 6's wish at 14 then waits in 4's queue behind that
+   CS. *)
+let test_lender_regeneration_stops_search () =
+  let s = make ~cs:(Runner.Fixed 100.0) 3 in
+  let net = Runner.net s.env in
+  let rid5 = { Types.source = 5; seq = 0 } in
+  Runner.schedule_faults s.env
+    (Runner.Faults.at 9.5 5 ()
+    :: List.map (fun k -> Runner.Faults.at 0.5 k ()) [ 0; 1; 2; 3 ]);
+  Runner.submit s.env 5;
+  Runner.run ~until:2.0 s.env;
+  Types.Net.send net ~src:6 ~dst:4 (Types.Message.Anomaly { rid = rid5 });
+  Runner.run ~until:5.5 s.env;
+  Types.Net.send net ~src:6 ~dst:4
+    (Types.Message.Census_reply { round = 1; reply = Types.Token_exists });
+  Runner.run ~until:7.0 s.env;
+  Types.Net.send net ~src:6 ~dst:4
+    (Types.Message.Token { lender = None; rid = Some rid5 });
+  Runner.run ~until:7.5 s.env;
+  Runner.submit s.env 4;
+  Runner.run ~until:13.0 s.env;
+  checki "5 borrowed" 1 (Runner.cs_entries s.env);
+  checkb "4 searches with its loan out" true
+    (Opencube_algo.searching s.algo 4 && not (Opencube_algo.in_cs s.algo 4));
+  Runner.run ~until:13.2 s.env;
+  checki "one regeneration" 1 (Opencube_algo.stats s.algo).token_regenerations;
+  checkb "4 serves its wish" true (Opencube_algo.in_cs s.algo 4);
+  Runner.run ~until:14.0 s.env;
+  Runner.submit s.env 6;
+  Runner.run ~until:60.0 s.env;
+  checki "still one regeneration" 1
+    (Opencube_algo.stats s.algo).token_regenerations;
+  Alcotest.(check (list int))
+    "4 holds the only token" [ 4 ]
+    (Opencube_algo.token_holders s.algo);
+  assert_safe s;
+  checkb "6 waits behind 4's CS" true
+    (Opencube_algo.is_asking s.algo 6 && not (Opencube_algo.in_cs s.algo 6))
+
 (* --- token arrival (PROTOCOL.md §4, the token-in-hand table) ------------- *)
 
 (* A crafted token reaches a node in each state that the stale-token guard
@@ -975,4 +1024,6 @@ let suite =
       test_token_arrival;
     Alcotest.test_case "lender regeneration serves a pending wish" `Quick
       test_lender_regeneration_serves_wish;
+    Alcotest.test_case "lender regeneration stops its search" `Quick
+      test_lender_regeneration_stops_search;
   ]

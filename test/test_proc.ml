@@ -6,6 +6,10 @@
 
 module Spec = Ocube_proc.Spec
 module Cluster = Ocube_proc.Cluster
+module Ctrl = Ocube_proc.Ctrl
+module Frame = Ocube_proc.Frame
+module Node_main = Ocube_proc.Node_main
+module Proc_runtime = Ocube_proc.Proc_runtime
 module Conformance = Ocube_proc.Conformance
 module Metrics = Ocube_obs.Metrics
 module Span = Ocube_obs.Span
@@ -268,6 +272,86 @@ let test_cluster_sizes () =
     "-n 512" (Ok 9)
     (Cluster.dimension Cluster.max_nodes)
 
+(* --- one node process ---------------------------------------------------- *)
+
+(* Every node starts in [Proc_runtime.create], which must leave the
+   process with a timer slack of 1 ns, not the inherited 50 us default
+   under which every select timeout of the node's loop fires late. The
+   call runs in a forked child, which reads its own
+   /proc/self/timerslack_ns (another process's needs CAP_SYS_NICE) and
+   sends it back over a pipe. *)
+let test_node_timer_slack () =
+  let file = "/proc/self/timerslack_ns" in
+  if not (Sys.file_exists file) then Alcotest.skip ()
+  else
+    let r, w = Unix.pipe () in
+    match Unix.fork () with
+    | 0 -> (
+      Unix.close r;
+      try
+        let sock, _ = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        ignore (Proc_runtime.create ~me:0 ~n:2 ~tick:0.001 ~delta:1.0 ~sock);
+        let slack = In_channel.with_open_text file In_channel.input_all in
+        ignore (Unix.write_substring w slack 0 (String.length slack));
+        Unix._exit 0
+      with _ -> Unix._exit 2)
+    | pid ->
+      Unix.close w;
+      let ic = Unix.in_channel_of_descr r in
+      let slack =
+        Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic)
+      in
+      let _, status = Unix.waitpid [] pid in
+      checkb "child exits 0" true
+        (match status with Unix.WEXITED 0 -> true | _ -> false);
+      Alcotest.(check string) "timerslack_ns" "1" (String.trim slack)
+
+(* The node reads through the same decoder as the parent: a stream that
+   ends inside a frame is a Violation, then exit 2, not a clean quit. The
+   node is node 0 of a 2-node open cube, running the real
+   [Node_main.run] on one end of a socketpair. *)
+let test_node_torn_frame () =
+  let witness = Filename.temp_file "test_proc_witness" ".lock" in
+  let fd, child_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close fd;
+    (try
+       Node_main.run ~me:0 ~n:2 ~algo:Spec.Opencube
+         ~params:(Spec.default_params ~p:1) ~tick:0.001 ~delta:1.0 ~cs:1.0
+         ~witness ~sock:child_fd
+     with _ -> ());
+    Unix._exit 3
+  | pid ->
+    Unix.close child_fd;
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close fd;
+        Sys.remove witness)
+      (fun () ->
+        (* a header that promises 8 bytes more than follow it *)
+        let raw = Ctrl.encode_to_child Ctrl.Wish in
+        let b = Bytes.create 4 in
+        Bytes.set_int32_be b 0 (Int32.of_int (String.length raw + 8));
+        ignore (Unix.write fd b 0 4);
+        ignore (Unix.write_substring fd raw 0 (String.length raw));
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        let dec = Frame.Decoder.create () in
+        let rec frames acc =
+          match Frame.Decoder.next dec with
+          | Some raw -> frames (Ctrl.decode_to_parent raw :: acc)
+          | None -> if Frame.Decoder.read dec fd = 0 then acc else frames acc
+        in
+        let got = frames [] in
+        let _, status = Unix.waitpid [] pid in
+        checkb "violation reported" true
+          (List.exists
+             (function
+               | Ctrl.Violation v -> Tutil.contains v "eof inside frame"
+               | _ -> false)
+             got);
+        checkb "exit 2" true (status = Unix.WEXITED 2))
+
 let suite =
   [
     Alcotest.test_case "DES and process send digests agree" `Quick
@@ -290,4 +374,8 @@ let suite =
       test_proc_scripts_replayable;
     Alcotest.test_case "cluster sizes checked before forking" `Quick
       test_cluster_sizes;
+    Alcotest.test_case "node timer slack is 1 ns" `Quick
+      test_node_timer_slack;
+    Alcotest.test_case "node reports a torn frame" `Quick
+      test_node_torn_frame;
   ]

@@ -1,8 +1,8 @@
 (* Wire codec and transport framing: qcheck round-trips of every message
    constructor, length-prefixed framing over a real socketpair (short
    writes, partial reads), torn frames at every split point through the
-   incremental decoder, and oversized-length rejection on both the
-   blocking and the incremental paths. *)
+   incremental decoder, in memory and over a socket, and oversized-length
+   rejection on the writer and the reader. *)
 
 module Types = Ocube_mutex.Types
 module Message = Types.Message
@@ -222,32 +222,48 @@ let test_write_oversized () =
 
 (* --- framing over a real socketpair -------------------------------------- *)
 
-let test_socketpair_roundtrip () =
+(* The nodes' and the parent's read path: one [Decoder.read] per wake,
+   then every whole frame buffered; [Decoder.eof] when the read returns
+   0. *)
+let read_to_eof dec fd =
+  let rec go acc =
+    if Frame.Decoder.read dec fd = 0 then begin
+      Frame.Decoder.eof dec;
+      acc
+    end
+    else go (acc @ drain dec)
+  in
+  go []
+
+let with_socketpair f =
   let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close r with Unix.Unix_error _ -> ());
       try Unix.close w with Unix.Unix_error _ -> ())
-    (fun () ->
+    (fun () -> f r w)
+
+let test_socketpair_roundtrip () =
+  with_socketpair (fun r w ->
       List.iter (fun p -> Frame.write w p) sample_payloads;
-      List.iter
-        (fun want ->
-          match Frame.read r with
-          | Some have -> Alcotest.(check string) "frame" want have
-          | None -> Alcotest.fail "early EOF")
-        sample_payloads;
+      let dec = Frame.Decoder.create () in
+      let rec until_all acc =
+        if List.length acc >= List.length sample_payloads then acc
+        else if Frame.Decoder.read dec r = 0 then Alcotest.fail "early EOF"
+        else until_all (acc @ drain dec)
+      in
+      List.iter2
+        (fun want have -> Alcotest.(check string) "frame" want have)
+        sample_payloads (until_all []);
       Unix.close w;
-      checkb "EOF at boundary is None" true (match Frame.read r with None -> true | Some _ -> false))
+      checki "EOF at boundary reads 0" 0 (Frame.Decoder.read dec r);
+      checki "nothing buffered" 0 (Frame.Decoder.buffered dec);
+      Frame.Decoder.eof dec)
 
 let test_socketpair_short_writes () =
-  (* the writer dribbles one byte per syscall; the blocking reader must
+  (* the writer dribbles one byte per syscall; the decoder must
      reassemble exactly the same frames *)
-  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close r with Unix.Unix_error _ -> ());
-      try Unix.close w with Unix.Unix_error _ -> ())
-    (fun () ->
+  with_socketpair (fun r w ->
       (* single-byte writes each cost the kernel a whole skb of buffer
          accounting, so the dribbled stream must stay small to fit the
          socket buffer without a concurrent reader *)
@@ -265,29 +281,48 @@ let test_socketpair_short_writes () =
         (fun ch -> ignore (Unix.write w (Bytes.make 1 ch) 0 1))
         stream;
       Unix.close w;
-      List.iter
-        (fun want ->
-          match Frame.read r with
-          | Some have -> Alcotest.(check string) "frame" want have
-          | None -> Alcotest.fail "early EOF")
-        dribbled;
-      checkb "clean EOF" true (match Frame.read r with None -> true | Some _ -> false))
+      let dec = Frame.Decoder.create () in
+      let got = read_to_eof dec r in
+      checki "frame count" (List.length dribbled) (List.length got);
+      List.iter2
+        (fun want have -> Alcotest.(check string) "frame" want have)
+        dribbled got;
+      checki "clean EOF" 0 (Frame.Decoder.buffered dec))
 
+(* A frame cut at every point: cuts 1..3 tear the header, the rest the
+   payload. Either way the whole frames ahead of it are delivered and
+   the EOF is [Corrupt]. *)
 let test_torn_stream_is_corrupt () =
-  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close r with Unix.Unix_error _ -> ());
-      try Unix.close w with Unix.Unix_error _ -> ())
-    (fun () ->
-      let full = frame_bytes (String.make 32 'y') in
-      let cut = String.length full / 2 in
-      ignore (Unix.write_substring w full 0 cut);
-      Unix.close w;
-      checkb "torn frame raises Corrupt" true
-        (match Frame.read r with
-        | _ -> false
-        | exception Frame.Corrupt _ -> true))
+  let whole = frame_bytes "ok" in
+  let full = frame_bytes (String.make 32 'y') in
+  for cut = 1 to String.length full - 1 do
+    with_socketpair (fun r w ->
+        ignore (Unix.write_substring w whole 0 (String.length whole));
+        ignore (Unix.write_substring w full 0 cut);
+        Unix.close w;
+        let dec = Frame.Decoder.create () in
+        let got = ref [] in
+        checkb
+          (Printf.sprintf "cut at %d raises Corrupt" cut)
+          true
+          (match
+             while Frame.Decoder.read dec r > 0 do
+               got := !got @ drain dec
+             done;
+             Frame.Decoder.eof dec
+           with
+          | () -> false
+          | exception Frame.Corrupt _ -> true);
+        Alcotest.(check (list string)) "frame ahead delivered" [ "ok" ] !got)
+  done
+
+let test_socket_oversized () =
+  with_socketpair (fun r w ->
+      ignore (Unix.write_substring w "\x00\x20\x00\x01" 0 4);
+      let dec = Frame.Decoder.create () in
+      checki "header read" 4 (Frame.Decoder.read dec r);
+      Alcotest.check_raises "oversized length" (Frame.Corrupt "bad frame length")
+        (fun () -> ignore (Frame.Decoder.next dec)))
 
 let suite =
   [
@@ -308,6 +343,8 @@ let suite =
       test_socketpair_short_writes;
     Alcotest.test_case "torn stream is Corrupt" `Quick
       test_torn_stream_is_corrupt;
+    Alcotest.test_case "oversized length over a socket" `Quick
+      test_socket_oversized;
   ]
   @ List.map
       (fun t -> QCheck_alcotest.to_alcotest ~long:false t)
